@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import BIOT_SAVART_WINDOW, PhysicalConfig, RingParams, potential_v4
+from .models import PhysicalConfig, RingParams, potential_v4
 from .optimize import OptimizeError, StationaryPoint, find_local_minima, find_root
 from .quadrature import Integral, integrate
 
@@ -155,14 +155,18 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
 def _tight_minimum_bltp(
     R: float, kappa: float, cfg: PhysicalConfig, points_per_decade: int = 40
 ) -> StationaryPoint:
-    """Deepest minimum of the regulated ring potential in the sub-Compton
-    window; raises OptimizeError when the well has closed."""
+    """Deepest minimum of the regulated ring potential in r in (0.05R, 10R);
+    raises OptimizeError when the well has closed.
+
+    The tight well sits at r ~ 0.67R, so a window relative to the ring scale
+    covers it at any alpha, as in models._tight_minimum.
+    """
     params = RingParams(R, kappa)
 
     def f(r: float) -> float:
         return potential_v4(params, cfg, r)
 
-    lo, hi = BIOT_SAVART_WINDOW
+    lo, hi = 0.05 * R, 10.0 * R
     minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade)
     if not minima:
         raise OptimizeError(

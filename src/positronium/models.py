@@ -51,7 +51,7 @@ from .optimize import (
     find_root,
     minimize_scalar,
 )
-from .quadrature import Integral, QuadratureError, integrate
+from .quadrature import Integral, QuadratureError, QuadratureResult, integrate
 
 __all__ = [
     "ALPHA_FS",
@@ -108,6 +108,11 @@ _MODEL_FAMILIES = ("coulomb", "coulomb-dipole", "ring-ml", "ring-bltp", "scaling
 # absolute error budget is what limits the final energy accuracy
 _V4_REL_TOL = 1e-13
 _V4_ABS_TOL = 1e-14
+
+# the periodic trapezoid rule serves rho = r/2R >= 1e-3 (see _bltp_integrals)
+_TRAPEZOID_MIN_RHO = 1e-3
+_TRAPEZOID_START_NODES = 16
+_TRAPEZOID_MAX_NODES = 2**15
 
 
 @dataclass(frozen=True)
@@ -395,9 +400,18 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
     I1 = int_0^pi          (1 - exp(-2 kappa R d(phi))) / d(phi) dphi
     I2 = int_0^pi cos(2phi)(1 - exp(-2 kappa R d(phi))) / d(phi) dphi
 
-    with d(phi) = sqrt(sin^2 phi + r^2/4R^2).  The integrands are smooth on
-    [0, pi] for r > 0 (d >= r/2R > 0); 1 - exp is formed with expm1 so the
-    small-argument regime keeps full precision.
+    with d(phi) = sqrt(sin^2 phi + rho^2), rho = r/2R; 1 - exp is formed
+    with expm1 so the small-argument regime keeps full precision.  Both
+    integrands depend on phi only through sin^2 phi, so they are pi-periodic
+    and analytic in the strip |Im phi| < asinh(rho), where the plain
+    trapezoid rule on [0, pi) converges exponentially (Trefethen & Weideman,
+    "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
+    For rho >= 1e-3 the rule is nested: it starts at 16 nodes, adds the
+    midpoints until successive I1 and I2 agree to _V4_REL_TOL/_V4_ABS_TOL,
+    samples the kernel once per node for both integrals, and gives up past
+    2^15 nodes.  The node count it needs grows like 1/asinh(rho), so below
+    rho = 1e-3 adaptive GK15 quadrature, which resolves the narrow peak at
+    phi = 0 with local panels, is cheaper and is used instead.
     """
     rho = r / (2.0 * R)
     rho2 = rho * rho
@@ -412,6 +426,8 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
         return math.cos(2.0 * phi) * kernel(phi)
 
     try:
+        if rho >= _TRAPEZOID_MIN_RHO:
+            return _bltp_trapezoid(rho2, scale)
         i1 = integrate(Integral(kernel, 0.0, math.pi, _V4_REL_TOL, _V4_ABS_TOL)).value
         i2 = integrate(Integral(kernel_cos, 0.0, math.pi, _V4_REL_TOL, _V4_ABS_TOL)).value
     except QuadratureError as err:
@@ -421,6 +437,36 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
             abscissa=err.abscissa,
         ) from err
     return i1, i2
+
+
+def _bltp_trapezoid(rho2: float, scale: float) -> tuple[float, float]:
+    """Nested periodic trapezoid rule for (I1, I2) of _bltp_integrals."""
+
+    def sums(phi: np.ndarray) -> tuple[float, float]:
+        s = np.sin(phi)
+        d = np.sqrt(s * s + rho2)
+        f = -np.expm1(-scale * d) / d
+        return float(np.sum(f)), float(np.sum(np.cos(2.0 * phi) * f))
+
+    n = _TRAPEZOID_START_NODES
+    sum1, sum2 = sums(np.arange(n) * (math.pi / n))
+    i1, i2 = sum1 * math.pi / n, sum2 * math.pi / n
+    while 2 * n <= _TRAPEZOID_MAX_NODES:
+        mid1, mid2 = sums((np.arange(n) + 0.5) * (math.pi / n))
+        sum1 += mid1
+        sum2 += mid2
+        n *= 2
+        new1, new2 = sum1 * math.pi / n, sum2 * math.pi / n
+        err1, err2 = abs(new1 - i1), abs(new2 - i2)
+        i1, i2 = new1, new2
+        if err1 <= max(_V4_REL_TOL * abs(i1), _V4_ABS_TOL) and err2 <= max(
+            _V4_REL_TOL * abs(i2), _V4_ABS_TOL
+        ):
+            return i1, i2
+    raise QuadratureError(
+        f"periodic trapezoid rule unconverged at {n} nodes",
+        best_estimate=QuadratureResult(i1, err1, n),
+    )
 
 
 def _bltp_interaction(R: float, kappa: float, alpha: float, r: float) -> float:

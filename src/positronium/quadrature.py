@@ -1,11 +1,13 @@
 """Adaptive one-dimensional quadrature on finite and semi-infinite intervals.
 
-The integrator drives every angular integral of the flux-constrained ring
-potential, the flux-quantization constraint itself, and the radial momentum /
-position integrals of the variational bound.  It is an embedded-rule scheme:
-each panel is evaluated with a 15-point Kronrod rule whose 7-point Gauss
-subset provides the error estimate, and the panel with the largest estimated
-error is bisected until the summed estimate meets the requested tolerance.
+The integrator drives the flux-quantization constraint, the angular
+integrals of the flux-constrained ring potential at separations below
+r = 2e-3 R (larger ones use a periodic trapezoid rule in models), and the
+radial momentum / position integrals of the variational bound.  It is an
+embedded-rule scheme: each panel is evaluated with a 15-point Kronrod rule
+whose 7-point Gauss subset provides the error estimate, and the panel with
+the largest estimated error is bisected until the summed estimate meets the
+requested tolerance.
 Subdivision order is deterministic (worst error first, ties broken by
 creation order), all accumulation is compensated, and the nodes are fixed
 constants -- identical inputs therefore yield bit-identical results across

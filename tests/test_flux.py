@@ -1,5 +1,6 @@
 """Flux constraint: the G integral, radius solves, and joint tuning."""
 
+import dataclasses
 import math
 
 import pytest
@@ -90,6 +91,13 @@ def test_solve_below_threshold_raises(kappa):
     # kappa(u) has a floor ~1.54e5: below it the constraint is unsolvable
     with pytest.raises(FluxError):
         solve_R_given_kappa(kappa)
+
+
+def test_tune_bltp_returns_plain_floats():
+    solution, point = tune_bltp(target_energy=0.0)
+    values = [getattr(solution, f.name) for f in dataclasses.fields(solution)]
+    values += [point.r_star, point.v_star, *dataclasses.astuple(point.bracket)]
+    assert all(type(x) is float for x in values), values
 
 
 def test_solution_invariants_are_enforced():

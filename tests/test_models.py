@@ -1,12 +1,17 @@
 """Potential families: closed forms, asymptotics, scaling laws, tuning."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from positronium import models
 from positronium.models import (
     ALPHA_FS,
     ZERO_ENERGY_RADIUS_COEFF,
@@ -14,6 +19,7 @@ from positronium.models import (
     PhysicalConfig,
     PotentialModel,
     RingParams,
+    _bltp_integrals,
     _tight_minimum,
     binding_v1,
     binding_v2,
@@ -40,6 +46,7 @@ from positronium.models import (
     tune_ring_radius,
 )
 from positronium.optimize import OptimizeError, find_local_minima, find_root
+from positronium.quadrature import QuadratureError
 
 CFG = PhysicalConfig()
 
@@ -226,6 +233,76 @@ def test_regulated_rings_are_weaker_than_plain_rings():
     plain = RingParams(R)
     for r in (1e-5, 1e-4):
         assert potential_v4(reg, CFG, r) > potential_v3(plain, CFG, r)
+
+
+BLTP_R = 2.5698078287e-5
+
+
+def _bltp_oracle(r, kappa_R):
+    """(I1, I2) of the regulated ring pair from scipy's QUADPACK.
+
+    Both kernels are symmetric about pi/2, so the oracle integrates
+    [0, pi/2] with breakpoints at the width rho = r/2R of the peak at 0.
+    """
+    rho = r / (2.0 * BLTP_R)
+    scale = 2.0 * kappa_R
+
+    def kernel(phi):
+        d = math.sqrt(math.sin(phi) ** 2 + rho * rho)
+        return -math.expm1(-scale * d) / d
+
+    points = [x for x in (rho, 10.0 * rho, 100.0 * rho) if x < 1.0] or None
+    opts = dict(points=points, epsabs=0.0, epsrel=2e-14, limit=500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        i1 = scipy.integrate.quad(kernel, 0.0, math.pi / 2, **opts)[0]
+        i2 = scipy.integrate.quad(
+            lambda p: math.cos(2.0 * p) * kernel(p), 0.0, math.pi / 2, **opts
+        )[0]
+    return 2.0 * i1, 2.0 * i2
+
+
+def _assert_bltp_matches_oracle(r, kappa_R):
+    i1, i2 = _bltp_integrals(BLTP_R, kappa_R / BLTP_R, r)
+    o1, o2 = _bltp_oracle(r, kappa_R)
+    assert abs(i1 - o1) <= 1e-13 * abs(o1)
+    assert abs(i2 - o2) <= 1e-13 * abs(o1)
+
+
+# r = 1e-9, 1e-8 and 0.999 * _SWITCH_R take the adaptive path (rho < 1e-3);
+# _SWITCH_R (rho = 1e-3) and every larger r the periodic trapezoid rule
+_SWITCH_R = 2.0 * BLTP_R * models._TRAPEZOID_MIN_RHO
+
+
+@pytest.mark.parametrize("kappa_R", [1.0, 4.64, 1e3])
+@pytest.mark.parametrize(
+    "r", [float(r) for r in np.geomspace(1e-9, 1e6, 16)] + [_SWITCH_R * 0.999, _SWITCH_R]
+)
+def test_bltp_integrals_against_scipy_quad(r, kappa_R):
+    _assert_bltp_matches_oracle(r, kappa_R)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    log_r=st.floats(min_value=-9.0, max_value=6.0),
+    log_kappa_R=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_bltp_integrals_property_against_scipy_quad(log_r, log_kappa_R):
+    _assert_bltp_matches_oracle(10.0**log_r, 10.0**log_kappa_R)
+
+
+def test_bltp_trapezoid_cap_raises_with_the_ring_parameters(monkeypatch):
+    monkeypatch.setattr(models, "_TRAPEZOID_MAX_NODES", 32)
+    with pytest.raises(QuadratureError, match=r"r=1e-06, R=2\.5698078287e-05, kappa="):
+        _bltp_integrals(BLTP_R, 1.8e5, 1e-6)
+
+
+def test_regulated_potential_returns_plain_floats():
+    params = RingParams(BLTP_R, 1.8052024923e5)
+    for r in (1e-8, 1.7e-5, 274.0):
+        assert type(potential_v4(params, CFG, r)) is float
+        assert type(binding_v4(params, CFG, r)) is float
+        assert all(type(x) is float for x in _bltp_integrals(params.R, params.kappa, r))
 
 
 def test_scaling_family_reduces_to_plain_rings_at_reference_exponent():
