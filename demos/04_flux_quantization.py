@@ -27,7 +27,7 @@ from positronium import (
 
 alpha = PhysicalConfig().alpha
 
-# G(u) grows ~ u^2 at small u and ~ linearly at large u
+# G(u) grows ~ u^2 at small u and ~ 2 ln u at large u
 print("  u        G(u)")
 for u in (0.1, 0.5, 1.0, 2.5, 4.626, 10.0):
     print(f"  {u:6.3f}   {flux_constraint_integral(u):.12g}")
@@ -40,7 +40,7 @@ for kappa in (1.0e5, 1.5e5):
         solve_R_given_kappa(kappa)
         print(f"kappa = {kappa:g}: solved (unexpected)")
     except FluxError as err:
-        print(f"kappa = {kappa:g}: infeasible ({err})")
+        print(f"kappa = {kappa:g}: infeasible, threshold kappa_min = {err.kappa_min:.10g}")
 print()
 
 # above threshold there are two branches; the solver follows the outer one
@@ -68,7 +68,10 @@ again = find_local_minima(
     lambda r: binding_v4(params, cfg, r), 1e-6, 1e-4, points_per_decade=60
 )
 best = min(again, key=lambda p: p.v_star)
-assert abs(best.r_star - tight.r_star) < 1e-9 * tight.r_star
+# the energy near the well carries ulp noise of ~1.5e-11 from the 1e5-sized
+# kinetic and magnetic terms, which locates a quadratic minimum only to
+# ~1e-8 relative; 1e-7 is the agreement two independent scans can promise
+assert abs(best.r_star - tight.r_star) < 1e-7 * tight.r_star
 print(f"  re-derived from scratch: r* matches to {abs(best.r_star / tight.r_star - 1.0):.1e}")
 print()
 

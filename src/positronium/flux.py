@@ -1,28 +1,35 @@
 """Flux quantization constraint for the Bopp-regulated ring model.
 
-With regulated fields the magnetic flux through a ring is finite, and
-pinning it to one flux quantum ties the ring radius R to the regulator
-scale kappa:
+With regulated fields the magnetic flux through a ring is finite, and pinning
+it to one flux quantum ties the ring radius R to the regulator scale kappa:
 
     R = (alpha^2 / 2 pi) * G(kappa * R),
     G(u) = int_0^pi cos(2 phi) (1 - exp(-2 u sin phi)) / sin phi dphi.
 
-G is smooth, G(u) ~ 4u^2/3 for small u, and grows only logarithmically for
-large u, so kappa(u) = u / ((alpha^2/2pi) G(u)) has a single interior
-minimum (kappa_min ~ 1.54e5 at u ~ 2.08).  Below kappa_min the constraint
-has NO solution; above it there are exactly two radii.  This module works
-on the outer branch (the larger radius): it is the branch the damped
-under-relaxed iteration converges to from above, and the branch on which
-the reference configuration kappa ~ 1.8e5, R ~ 2.57e-5 sits.
+In u = kappa R the constraint is explicit: R(u) = (alpha^2/2pi) G(u) and
+kappa(u) = u / R(u).  G(u) ~ 4u^2/3 for small u and ~ 2 ln u for large u,
+so kappa(u) has one minimum, kappa_min (~1.54e5 for the default alpha),
+at u_min ~ 2.0811 for every alpha.  Below kappa_min the constraint has NO
+solution; above it there are two radii, one each side of u_min.  This
+module works on the outer branch (u > u_min, the larger radius), where
+kappa(u) is monotone and the reference kappa ~ 1.8e5, R ~ 2.57e-5 sits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .models import PhysicalConfig, RingParams, potential_v4
-from .optimize import OptimizeError, StationaryPoint, find_local_minima, find_root
+from .optimize import (
+    Bracket,
+    OptimizeError,
+    StationaryPoint,
+    find_local_minima,
+    find_root,
+    minimize_scalar,
+)
 from .quadrature import Integral, integrate
 
 __all__ = [
@@ -34,18 +41,16 @@ __all__ = [
     "tune_bltp",
 ]
 
-# search bracket for the ring radius, generous on both sides of the
-# physically relevant 1e-5 scale
-_R_BRACKET = (1e-9, 1e-2)
-
 _REL_TOL = 1e-13
 _ABS_TOL = 1e-15
 
-_MAX_FIXED_POINT_ITER = 800
-
 
 class FluxError(RuntimeError):
-    """The flux constraint could not be satisfied."""
+    """The flux constraint could not be satisfied; ``kappa_min`` is set below it."""
+
+    def __init__(self, message: str, *, kappa_min: float | None = None) -> None:
+        super().__init__(message)
+        self.kappa_min = kappa_min
 
 
 @dataclass(frozen=True)
@@ -102,54 +107,54 @@ def flux_rhs(kappa: float, R: float, alpha: float = PhysicalConfig().alpha) -> f
     return alpha * alpha / (2.0 * math.pi) * flux_constraint_integral(kappa * R)
 
 
+def _ring_at(u: float, alpha: float) -> tuple[float, float]:
+    """(R, kappa) on the constraint at u = kappa R: R = (alpha^2/2pi) G(u)."""
+    R = alpha * alpha / (2.0 * math.pi) * flux_constraint_integral(u)
+    return R, u / R
+
+
+@functools.cache
+def _threshold() -> tuple[float, float]:
+    """(u_min, G(u_min)) minimizing kappa(u) alpha^2 = 2 pi u / G(u); alpha-free."""
+    def scaled_kappa(u: float) -> float:
+        return 2.0 * math.pi * u / flux_constraint_integral(u)
+
+    u_min = minimize_scalar(scaled_kappa, Bracket(1.0, 2.0, 4.0), x_tol=1e-12).r_star
+    return u_min, flux_constraint_integral(u_min)
+
+
 def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> FluxSolution:
     """Outer-branch radius satisfying R = flux_rhs(kappa, R).
 
-    Damped under-relaxed fixed-point iteration x <- (x + rhs(x))/2 started
-    from the top of the bracket; it descends monotonically onto the outer
-    root when one exists.  If the iteration leaves the bracket the
-    constraint has no solution at this kappa (kappa below the threshold
-    ~1.54e5 for the default alpha) and FluxError is raised.  A bisection
-    fallback covers the slow-convergence region just above the threshold.
+    Solves kappa(u) = kappa for u = kappa R and returns R = u / kappa.
+    kappa <= kappa_min raises FluxError carrying kappa_min (found on the
+    first call, then cached).  Above it kappa(u) rises on u > u_min, so
+    doubling u from 2 u_min brackets the root for Brent's method.
     """
-    r_lo, r_hi = _R_BRACKET
-    x = r_hi
-    for _ in range(_MAX_FIXED_POINT_ITER):
-        fx = flux_rhs(kappa, x, alpha)
-        x_next = 0.5 * (x + fx)
-        if x_next < r_lo:
-            raise FluxError(
-                f"flux constraint has no radius in [{r_lo:g}, {r_hi:g}] at "
-                f"kappa={kappa!r} (below the solvability threshold)"
-            )
-        if abs(x_next - x) <= 1e-15 * x:
-            x = x_next
-            break
-        x = x_next
-    else:
-        # near-threshold kappa: contraction rate approaches 1, switch to
-        # bracketed root finding on g(R) = R - rhs(R) from the large-R side
-        def g(R: float) -> float:
-            return R - flux_rhs(kappa, R, alpha)
-
-        hi = r_hi
-        lo = hi
-        while lo > r_lo:
-            lo = 0.5 * lo
-            if g(lo) < 0.0:
-                break
-        else:
-            raise FluxError(
-                f"flux constraint has no radius in [{r_lo:g}, {r_hi:g}] at kappa={kappa!r}"
-            )
-        x = find_root(g, lo, hi, tol=0.0)
-
-    residual = x - flux_rhs(kappa, x, alpha)
-    if abs(residual) > 1e-12 * x:
+    if not (0.0 < kappa < math.inf and alpha > 0.0):
+        raise ValueError(f"need finite kappa > 0 and alpha > 0; got {kappa!r}, {alpha!r}")
+    u_min, g_min = _threshold()
+    # _ring_at's arithmetic, so excess(u_min) < 0 exactly when kappa > kappa_min
+    kappa_min = u_min / (alpha * alpha / (2.0 * math.pi) * g_min)
+    if not kappa > kappa_min:
         raise FluxError(
-            f"flux solve stalled at kappa={kappa!r}: R={x!r}, residual={residual!r}"
+            f"flux constraint has no radius at kappa={kappa!r}: below the "
+            f"solvability threshold kappa_min={kappa_min:.10g}",
+            kappa_min=kappa_min,
         )
-    return FluxSolution(kappa=kappa, R=x, residual=residual)
+
+    def excess(u: float) -> float:
+        return _ring_at(u, alpha)[1] - kappa
+
+    u_hi = 2.0 * u_min
+    while excess(u_hi) <= 0.0:
+        u_hi *= 2.0
+    R = find_root(excess, u_min, u_hi, tol=0.0) / kappa
+
+    residual = R - flux_rhs(kappa, R, alpha)
+    if abs(residual) > 1e-12 * R:
+        raise FluxError(f"flux solve stalled at kappa={kappa!r}: R={R!r}, residual={residual!r}")
+    return FluxSolution(kappa=kappa, R=R, residual=residual)
 
 
 def _tight_minimum_bltp(
@@ -191,14 +196,9 @@ def tune_bltp(
     the returned point is at the 1e-8 level or better.
     """
     cfg = PhysicalConfig(alpha=alpha, n=n)
-    pref = alpha * alpha / (2.0 * math.pi)
-
-    def config_at(u: float) -> tuple[float, float]:
-        R = pref * flux_constraint_integral(u)
-        return R, u / R
 
     def gap(u: float) -> float:
-        R, kappa = config_at(u)
+        R, kappa = _ring_at(u, alpha)
         return _tight_minimum_bltp(R, kappa, cfg).v_star - target_energy
 
     # coarse scan in u; outside (2.5, 8) the tight well is either far too
@@ -225,7 +225,7 @@ def tune_bltp(
         )
 
     u_star = find_root(gap, bracket[0], bracket[1], tol=0.0)
-    R, kappa = config_at(u_star)
+    R, kappa = _ring_at(u_star, alpha)
     residual = R - flux_rhs(kappa, R, alpha)
     solution = FluxSolution(kappa=kappa, R=R, residual=residual)
     # refine the reported minimum a touch beyond the tuning resolution

@@ -161,6 +161,7 @@ def test_flux_solve_infeasible_is_a_numerical_failure(capsys):
     code, _, err = run_cli(capsys, "flux-solve", "--kappa", "1e5")
     assert code == 3
     assert "numerical failure" in err
+    assert "kappa_min=154328.8239" in err
 
 
 def test_variational_single_point(capsys):

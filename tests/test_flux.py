@@ -1,10 +1,15 @@
 """Flux constraint: the G integral, radius solves, and joint tuning."""
 
 import dataclasses
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize
 
+from positronium import cli
 from positronium.flux import (
     FluxError,
     FluxSolution,
@@ -29,6 +34,37 @@ def _series_G(u: float) -> float:
             break
         factorial *= m + 1.0
     return total
+
+
+_PREF = ALPHA_FS**2 / (2.0 * math.pi)
+
+
+def _quadpack_G(u: float) -> float:
+    def kernel(phi: float) -> float:
+        t = math.sin(phi)
+        return 2.0 * u if t == 0.0 else math.cos(2.0 * phi) * -math.expm1(-2.0 * u * t) / t
+
+    return integrate.quad(kernel, 0.0, math.pi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.fixture(scope="module")
+def oracle_threshold():
+    """(u_min, kappa_min) by scipy: the minimum of kappa(u) = u / (pref G(u))."""
+    res = optimize.minimize_scalar(
+        lambda u: u / (_PREF * _quadpack_G(u)),
+        bounds=(1.5, 3.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return float(res.x), float(res.fun)
+
+
+@pytest.fixture(scope="module")
+def kappa_min():
+    """The threshold the solver reports when it refuses a kappa."""
+    with pytest.raises(FluxError) as info:
+        solve_R_given_kappa(1e5)
+    return info.value.kappa_min
 
 
 @pytest.mark.parametrize("u", [0.1, 0.5, 1.0, 2.5, 4.626])
@@ -91,6 +127,58 @@ def test_solve_below_threshold_raises(kappa):
     # kappa(u) has a floor ~1.54e5: below it the constraint is unsolvable
     with pytest.raises(FluxError):
         solve_R_given_kappa(kappa)
+
+
+@pytest.mark.parametrize("kappa", [1.545e5, 1.55e5])
+def test_solve_just_above_threshold(kappa, oracle_threshold):
+    # both lie in (kappa_min, 1.006 kappa_min), where the constraint is
+    # feasible and a solver must not report it infeasible
+    u_min, _ = oracle_threshold
+    sol = solve_R_given_kappa(kappa)
+    assert sol.kappa * sol.R > u_min
+    assert abs(sol.R - _PREF * _quadpack_G(kappa * sol.R)) <= 1e-12 * sol.R
+
+
+def test_cli_solves_just_above_threshold(capsys):
+    code = cli.main(["flux-solve", "--kappa", "1.55e5", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["results"]["R"] > 0.0
+
+
+def test_threshold_matches_scipy_oracle(kappa_min, oracle_threshold):
+    _, oracle_kappa_min = oracle_threshold
+    assert kappa_min == pytest.approx(oracle_kappa_min, rel=1e-9)
+
+
+def test_infeasible_error_carries_the_threshold(kappa_min):
+    assert kappa_min == pytest.approx(154328.82387, rel=1e-9)
+    with pytest.raises(FluxError, match=f"kappa_min={kappa_min:.10g}"):
+        solve_R_given_kappa(1.5e5)
+
+
+def test_solution_is_continuous_at_the_threshold(kappa_min, oracle_threshold):
+    u_min, _ = oracle_threshold
+    sol = solve_R_given_kappa(kappa_min * (1.0 + 1e-9))
+    assert sol.R == pytest.approx(u_min / kappa_min, rel=1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_outer_branch_property(kappa_min, oracle_threshold, s, t):
+    # kappa log-uniform over (kappa_min (1 + 1e-9), 1e6)
+    lo = math.log(kappa_min * (1.0 + 1e-9))
+    span = math.log(1e6) - lo
+    kappas = sorted(math.exp(lo + span * x) for x in (s, t))
+    sols = [solve_R_given_kappa(k) for k in kappas]
+    u_min, _ = oracle_threshold
+    for sol in sols:
+        assert abs(sol.residual) <= 1e-12 * sol.R
+        assert sol.kappa * sol.R >= u_min
+    # kappa(u) carries roundoff of order 1e-15, so R is ordered only for
+    # kappas farther apart than that
+    if kappas[1] > kappas[0] * (1.0 + 1e-12):
+        assert sols[0].R < sols[1].R
 
 
 def test_tune_bltp_returns_plain_floats():
