@@ -21,11 +21,11 @@ import numpy as np
 
 from positronium import (
     PhysicalConfig,
+    PotentialModel,
     bohr_energy,
     bohr_expansion_coeffs,
-    coulomb_point,
     find_local_minima,
-    potential_v1,
+    kinetic_term,
 )
 
 alpha = PhysicalConfig().alpha
@@ -52,15 +52,10 @@ print(f"exact level:            {bohr_energy(PhysicalConfig()):.15f}")
 print()
 
 # the same level found the honest way: minimize E(r) over separation.
-# potential_v1 is the full orbit energy (kinetic term included).
+# model(r) is the full orbit energy (kinetic term included).
 cfg = PhysicalConfig()
-model = coulomb_point(cfg)
-minima = find_local_minima(
-    lambda r: potential_v1(cfg, r),
-    1.0,
-    1e4,
-    points_per_decade=30,
-)
+model = PotentialModel("coulomb", cfg)
+minima = find_local_minima(model, 1.0, 1e4, points_per_decade=30)
 assert len(minima) == 1
 m = minima[0]
 r_bohr = math.sqrt(4.0 - alpha**2) / alpha
@@ -68,9 +63,9 @@ print(f"numerical minimum: r* = {m.r_star:.10g}, E = {m.v_star:.15f}")
 print(f"analytic Bohr radius 2/alpha * sqrt(1 - (alpha/2)^2): {r_bohr:.10g}")
 print(f"radius agreement: {abs(m.r_star / r_bohr - 1.0):.2e} relative")
 
-# the model object wraps the same curve; model(r) is the orbit energy
+# the model object is the closed form 2 sqrt(1 + n^2/r^2) - alpha/r, bit for bit
 r_grid = np.geomspace(10.0, 1000.0, 5)
 for r in r_grid:
-    assert model(float(r)) == potential_v1(cfg, float(r))
+    assert model(float(r)) == kinetic_term(cfg, float(r)) - cfg.alpha / float(r)
 print()
 print("done: spectrum, expansion, and numerical minimum all agree")

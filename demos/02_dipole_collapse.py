@@ -15,26 +15,24 @@ import math
 from positronium import (
     Bracket,
     PhysicalConfig,
-    binding_v2,
-    coulomb_dipole,
+    PotentialModel,
     find_local_minima,
     find_root,
     minimize_scalar,
-    potential_v2,
     sample_curve,
 )
 
 cfg = PhysicalConfig()
 alpha = cfg.alpha
-model = coulomb_dipole(cfg)
+model = PotentialModel("coulomb-dipole", cfg)
 
 # 1. no minimum at sub-Compton separations, despite the huge barrier
-minima = find_local_minima(lambda r: binding_v2(cfg, r), 1e-6, 1e-4, points_per_decade=50)
+minima = find_local_minima(model.binding, 1e-6, 1e-4, points_per_decade=50)
 print(f"minima of E(r) on (1e-6, 1e-4): {len(minima)}  (expected 0)")
 
 # 2. the barrier: E has a local MAXIMUM where the dipole term takes over.
 # Negate and minimize.
-top = minimize_scalar(lambda r: -binding_v2(cfg, r), Bracket(5e-5, 8e-5, 2e-4))
+top = minimize_scalar(lambda r: -model.binding(r), Bracket(5e-5, 8e-5, 2e-4))
 r_barrier = top.r_star
 height = -top.v_star
 approx = alpha * math.sqrt(3.0 * alpha / (16.0 * math.pi**2))
@@ -44,7 +42,7 @@ print("  (a barrier ~1.5e4 rest energies: classically protected,")
 print("   but there is no floor underneath)")
 
 # 3. inside the barrier the total energy dives through zero
-r_cross = find_root(lambda r: potential_v2(cfg, r), 1e-6, r_barrier)
+r_cross = find_root(model, 1e-6, r_barrier)
 print(f"total energy crosses E = 0 at r = {r_cross:.12g}")
 
 # 4. collapse in numbers: walk inward and watch the energy dive
@@ -54,7 +52,7 @@ print("        r            E(r)")
 for r, v in zip(curve.grid, curve.values):
     print(f"  {r:12.3e}   {v:14.6e}")
 
-inner = binding_v2(cfg, 1e-7)
+inner = model.binding(1e-7)
 assert inner < -1e8, "energy must be deeply negative well inside the crossing"
 print()
 print(f"E(1e-7) - 2 = {inner:.3e}: unbounded below, as advertised")

@@ -25,8 +25,8 @@ import numpy as np
 from positronium import (
     ZERO_ENERGY_RADIUS_COEFF,
     PhysicalConfig,
+    PotentialModel,
     RingParams,
-    binding_v3,
     find_local_minima,
     potential_scaling_law,
     potential_v3,
@@ -60,7 +60,7 @@ print()
 # -- the two wells ------------------------------------------------------------
 params = RingParams(R_star)
 minima = find_local_minima(
-    lambda r: binding_v3(params, cfg, r), 1e-6, 1e4, points_per_decade=40
+    PotentialModel("ring-ml", cfg, params).binding, 1e-6, 1e4, points_per_decade=40
 )
 print(f"minima of E(r) - 2 at the tuned radius: {len(minima)}")
 for m in minima:
@@ -96,7 +96,9 @@ print()
 rounded = float(f"{coeff:.10g}")
 params_r = RingParams(rounded * alpha**2)
 m = min(
-    find_local_minima(lambda r: binding_v3(params_r, cfg, r), 1e-6, 1e-4, points_per_decade=60),
+    find_local_minima(
+        PotentialModel("ring-ml", cfg, params_r).binding, 1e-6, 1e-4, points_per_decade=60
+    ),
     key=lambda p: p.v_star,
 )
 print(f"coefficient truncated to 10 digits moves the well total energy to {2.0 + m.v_star:.4e}")

@@ -16,8 +16,8 @@ tight state sits at zero total energy.
 from positronium import (
     FluxError,
     PhysicalConfig,
+    PotentialModel,
     RingParams,
-    binding_v4,
     find_local_minima,
     flux_constraint_integral,
     flux_rhs,
@@ -65,7 +65,7 @@ print(f"  tight minimum: r* = {tight.r_star:.10g}, E = {tight.v_star:.3e}")
 params = RingParams(R=sol.R, kappa=sol.kappa)
 cfg = PhysicalConfig()
 again = find_local_minima(
-    lambda r: binding_v4(params, cfg, r), 1e-6, 1e-4, points_per_decade=60
+    PotentialModel("ring-bltp", cfg, params).binding, 1e-6, 1e-4, points_per_decade=60
 )
 best = min(again, key=lambda p: p.v_star)
 # the energy near the well carries ulp noise of ~1.5e-11 from the 1e5-sized

@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * quadrature - deterministic adaptive integration (embedded 15-point rule)
 * elliptic   - complete elliptic integrals K, E by the AGM
 * optimize   - bracketed scalar minimization, log-grid scans, root finding
-* models     - the potential family zoo and its tuning operations
+* models     - the interaction families, PotentialModel and ring tuning
 * flux       - the flux-quantization constraint linking regulator and radius
 * variational - hydrogenic trial-state upper bound on the ground state
 * acceptance - the reproduction suite behind `positronium reproduce`
@@ -39,32 +39,22 @@ from .models import (
     RingParams,
     bohr_energy,
     bohr_expansion_coeffs,
-    binding_v1,
-    binding_v2,
-    binding_v3,
-    binding_v4,
-    coulomb_dipole,
-    coulomb_point,
     kinetic_excess,
     kinetic_term,
     potential_scaling_law,
-    potential_v1,
-    potential_v2,
     potential_v3,
     potential_v4,
-    ring_bltp,
     ring_energy_lines,
-    ring_ml,
     ring_pair_energy_ML,
     sample_curve,
     scaled_ring_radius,
-    scaling_model,
     tune_ring_radius,
 )
 from .optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
+    deepest_minimum,
     find_local_minima,
     find_root,
     minimize_scalar,
@@ -101,6 +91,7 @@ __all__ = [
     "Bracket",
     "OptimizeError",
     "StationaryPoint",
+    "deepest_minimum",
     "find_local_minima",
     "find_root",
     "minimize_scalar",
@@ -115,26 +106,15 @@ __all__ = [
     "RingParams",
     "bohr_energy",
     "bohr_expansion_coeffs",
-    "binding_v1",
-    "binding_v2",
-    "binding_v3",
-    "binding_v4",
-    "coulomb_dipole",
-    "coulomb_point",
     "kinetic_excess",
     "kinetic_term",
     "potential_scaling_law",
-    "potential_v1",
-    "potential_v2",
     "potential_v3",
     "potential_v4",
-    "ring_bltp",
     "ring_energy_lines",
-    "ring_ml",
     "ring_pair_energy_ML",
     "sample_curve",
     "scaled_ring_radius",
-    "scaling_model",
     "tune_ring_radius",
     # flux
     "FluxError",

@@ -42,19 +42,18 @@ from .models import (
     ALPHA_FS,
     ZERO_ENERGY_RADIUS_COEFF,
     PhysicalConfig,
+    PotentialModel,
     RingParams,
-    binding_v1,
+    _tight_minimum,
     bohr_energy,
     bohr_expansion_coeffs,
     potential_scaling_law,
-    potential_v1,
-    potential_v2,
     potential_v3,
     potential_v4,
     scaled_ring_radius,
     tune_ring_radius,
 )
-from .optimize import Bracket, find_local_minima, minimize_scalar
+from .optimize import Bracket, OptimizeError, find_local_minima, minimize_scalar
 from .quadrature import Integral, integrate
 
 __all__ = [
@@ -131,10 +130,7 @@ def _minimized_coulomb_binding(cfg: PhysicalConfig) -> tuple[float, float]:
     """(r_star, binding minimum) of the point-charge potential, computed in
     the rest-subtracted form so the minimizer is well conditioned."""
     r_bohr = 2.0 * cfg.n * cfg.n / cfg.alpha
-
-    def f(r: float) -> float:
-        return binding_v1(cfg, r)
-
+    f = PotentialModel("coulomb", cfg).binding
     p = minimize_scalar(f, Bracket(0.3 * r_bohr, r_bohr, 3.0 * r_bohr))
     return p.r_star, p.v_star
 
@@ -185,15 +181,6 @@ def _tuned_ml_radius() -> float:
     return tune_ring_radius("ring-ml", PhysicalConfig(), 0.0)
 
 
-def _tight_minimum_v3(R: float, cfg: PhysicalConfig, lo: float, hi: float):
-    params = RingParams(R)
-
-    def f(r: float) -> float:
-        return potential_v3(params, cfg, r)
-
-    return find_local_minima(f, lo, hi, points_per_decade=40)
-
-
 def criterion_4() -> CriterionResult:
     """Ring radius tuned to a zero-energy tight state, against the
     reference coefficient, minimizer location, and sign sensitivity."""
@@ -210,14 +197,15 @@ def criterion_4() -> CriterionResult:
             agrees_to_digits(coeff, ZERO_ENERGY_RADIUS_COEFF, 10),
         )
     ]
-    minima = _tight_minimum_v3(R, cfg, 1e-6, 1e-3)
+    tuned = RingParams(R)
+    minima = find_local_minima(lambda r: potential_v3(tuned, cfg, r), 1e-6, 1e-3, 40)
     if minima:
         best = min(minima, key=lambda p: p.v_star)
         checks.append(_rel_check("tight minimizer r_star", best.r_star, 1.3e-5, 0.20))
     else:
         checks.append(_check("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
-    r_dropped = 0.4959783237 * alpha2
-    dropped = _tight_minimum_v3(r_dropped, cfg, 1e-6, 1e-3)
+    truncated = RingParams(0.4959783237 * alpha2)
+    dropped = find_local_minima(lambda r: potential_v3(truncated, cfg, r), 1e-6, 1e-3, 40)
     e_dropped = min(p.v_star for p in dropped) if dropped else math.nan
     checks.append(
         _check("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
@@ -228,8 +216,9 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """No second tightly bound state: the n = 2 curve at tuned parameters
     has no interior minimum below the Compton length."""
-    R = _tuned_ml_radius()
-    minima = _tight_minimum_v3(R, PhysicalConfig(n=2), 1e-6, 1e-3)
+    tuned = RingParams(_tuned_ml_radius())
+    cfg = PhysicalConfig(n=2)
+    minima = find_local_minima(lambda r: potential_v3(tuned, cfg, r), 1e-6, 1e-3, 40)
     checks = (
         _check("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
     )
@@ -271,14 +260,10 @@ def criterion_7() -> CriterionResult:
     cfg = PhysicalConfig()
     checks = []
     for k in range(4):
-        R = scaled_ring_radius(k)
-        scale = cfg.alpha ** (1 + k)
-
-        def f(r: float, _k: int = k, _R: float = R) -> float:
-            return potential_scaling_law(_k, RingParams(_R), cfg, r)
-
-        minima = find_local_minima(f, 1e-3 * scale, 10.0 * scale, points_per_decade=60)
-        energy = min(p.v_star for p in minima) if minima else math.nan
+        try:
+            energy = _tight_minimum(k, ZERO_ENERGY_RADIUS_COEFF, cfg).v_star
+        except OptimizeError:
+            energy = math.nan
         checks.append(_abs_check(f"k={k} tight minimum energy", energy, 0.0, 1e-4))
     return CriterionResult(7, "coupling scaling law", tuple(checks))
 
@@ -305,7 +290,10 @@ def criterion_8() -> CriterionResult:
             best.energy <= _VARIATIONAL_BOUND + 0.005,
         ),
     ]
-    hydro = variational.refine_coulombic_minimum(_VARIATIONAL_R, (100.0, 274.0, 1000.0), cfg)
+    hydro = minimize_scalar(
+        lambda a: variational.energy_expectation(a, _VARIATIONAL_R, cfg),
+        Bracket(100.0, 274.0, 1000.0),
+    )
     expected = 2.0 - cfg.alpha**2 / 4.0
     checks.append(_abs_check("hydrogenic minimum energy", hydro.v_star, expected, 1e-7))
     return CriterionResult(8, "variational bound", tuple(checks))
@@ -380,8 +368,8 @@ def criterion_9() -> CriterionResult:
     ring = RingParams(scaled_ring_radius(1))
     bltp = RingParams(2.57e-5, kappa=1.8e5)
     far_values = {
-        "point charges": potential_v1(cfg, r_far),
-        "point dipoles": potential_v2(cfg, r_far),
+        "point charges": PotentialModel("coulomb", cfg)(r_far),
+        "point dipoles": PotentialModel("coulomb-dipole", cfg)(r_far),
         "rings": potential_v3(ring, cfg, r_far),
         "regulated rings": potential_v4(bltp, cfg, r_far),
     }

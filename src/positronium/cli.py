@@ -34,24 +34,21 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import __version__, acceptance, flux, models, variational
 from .models import (
     ALPHA_FS,
     BIOT_SAVART_WINDOW,
     COULOMB_WINDOW,
+    FAMILIES,
     PhysicalConfig,
     PotentialModel,
     RingParams,
 )
-from .optimize import OptimizeError, find_local_minima
-from .quadrature import QuadratureError
+from .optimize import find_local_minima
 
 __all__ = ["RunConfig", "ResultEnvelope", "main"]
-
-_MODEL_CHOICES = ("coulomb", "coulomb-dipole", "ring-ml", "ring-bltp", "scaling")
-_TUNE_CHOICES = ("ring-ml", "ring-bltp", "scaling")
 
 
 class UsageError(ValueError):
@@ -110,59 +107,85 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
-# per-verb parameter tables: name -> (converter, built-in default, required)
-# argparse stores None for unset flags so the config file can fill them in
-_PARAM_SPECS: dict[str, dict[str, tuple[Callable[[str], Any], Any, bool]]] = {
+class _Param(NamedTuple):
+    """One flag of a verb: ``--name`` parses with ``convert``; argparse
+    stores None when it is unset, so the config file can fill it in before
+    ``default`` does."""
+
+    convert: Callable[[str], Any]
+    default: Any
+    help: str
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+
+
+_TUNE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.R)
+
+_ALPHA = _Param(float, ALPHA_FS, "fine-structure constant, in (0, 1)")
+_N = _Param(int, 1, "principal quantum number n >= 1")
+_PPD = "scan resolution in grid points per decade (>= 10)"
+_MODEL_PARAMS = {
+    "model": _Param(str, None, "interaction family", True, tuple(FAMILIES)),
+    "alpha": _ALPHA,
+    "n": _N,
+    "R": _Param(float, None, "ring radius"),
+    "R_over_alpha2": _Param(float, None, "ring radius in units of alpha^2"),
+    "R_coeff": _Param(float, None, "ring radius in units of alpha^(1+k)"),
+    "kappa": _Param(float, None, "Bopp regulator scale (ring-bltp only)"),
+    "k": _Param(int, None, "scaling exponent in {0,1,2,3} (scaling only; default 1)"),
+    "rmin": _Param(float, None, "lower end of the r window"),
+    "rmax": _Param(float, None, "upper end of the r window"),
+}
+
+# per-verb parameter tables; the parser, the config-file keys and the
+# resolved params echo all come from these
+_PARAM_SPECS: dict[str, dict[str, _Param]] = {
     "scan": {
-        "model": (str, None, True),
-        "alpha": (float, ALPHA_FS, False),
-        "n": (int, 1, False),
-        "R": (float, None, False),
-        "R_over_alpha2": (float, None, False),
-        "R_coeff": (float, None, False),
-        "kappa": (float, None, False),
-        "k": (int, None, False),
-        "rmin": (float, None, False),
-        "rmax": (float, None, False),
-        "points": (int, 400, False),
-        "spacing": (str, "log", False),
-        "quantity": (str, "potential", False),
+        **_MODEL_PARAMS,
+        "points": _Param(int, 400, "number of grid points (>= 2)"),
+        "spacing": _Param(str, "log", "log-spaced grid (the default)"),
+        "quantity": _Param(
+            str, "potential",
+            "emit the raw potential (default) or the rest-subtracted binding energy",
+            choices=("potential", "binding"),
+        ),
     },
-    "minimize": {
-        "model": (str, None, True),
-        "alpha": (float, ALPHA_FS, False),
-        "n": (int, 1, False),
-        "R": (float, None, False),
-        "R_over_alpha2": (float, None, False),
-        "R_coeff": (float, None, False),
-        "kappa": (float, None, False),
-        "k": (int, None, False),
-        "rmin": (float, None, False),
-        "rmax": (float, None, False),
-        "points_per_decade": (int, 40, False),
-    },
+    "minimize": {**_MODEL_PARAMS, "points_per_decade": _Param(int, 40, _PPD)},
     "tune": {
-        "model": (str, None, True),
-        "alpha": (float, ALPHA_FS, False),
-        "n": (int, 1, False),
-        "k": (int, 1, False),
-        "target": (float, 0.0, False),
+        "model": _Param(str, None, "ring family to tune", True, _TUNE_FAMILIES),
+        "alpha": _ALPHA,
+        "n": _N,
+        "k": _MODEL_PARAMS["k"],
+        "target": _Param(float, 0.0, "target energy of the tight minimum"),
     },
     "flux-solve": {
-        "kappa": (float, None, True),
-        "alpha": (float, ALPHA_FS, False),
+        "kappa": _Param(float, None, "Bopp regulator scale", True),
+        "alpha": _ALPHA,
     },
     "variational": {
-        "R": (float, None, True),
-        "alpha": (float, ALPHA_FS, False),
-        "n": (int, 1, False),
-        "a": (float, None, False),
-        "a_min": (float, 1e-7, False),
-        "a_max": (float, 1e4, False),
-        "points_per_decade": (int, 40, False),
+        "R": _Param(float, None, "ring radius", True),
+        "alpha": _ALPHA,
+        "n": _N,
+        "a": _Param(float, None, "single-point mode: evaluate E(a) only"),
+        "a_min": _Param(float, 1e-7, "lower end of the trial-scale window"),
+        "a_max": _Param(float, 1e4, "upper end of the trial-scale window"),
+        "points_per_decade": _Param(int, 40, _PPD),
     },
     "reproduce": {},
 }
+
+_VERB_HELP = {
+    "scan": "sample a potential curve to CSV or JSON",
+    "minimize": "locate all local minima of a potential",
+    "tune": "tune ring parameters to a target tight-state energy",
+    "flux-solve": "solve the flux constraint for R at given kappa",
+    "variational": "variational upper bound over the trial scale",
+    "reproduce": "run the full reproduction suite",
+}
+
+
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -189,84 +212,94 @@ def _resolve_params(verb: str, args: argparse.Namespace) -> dict[str, Any]:
         if key not in spec:
             _fail_usage("--config", f"unknown key {key!r} for verb {verb!r}")
     resolved: dict[str, Any] = {}
-    for key, (convert, default, required) in spec.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_values:
+    for key, param in spec.items():
+        value = getattr(args, key, None)
+        if value is None and key in file_values:
             try:
-                resolved[key] = convert(file_values[key])
+                value = param.convert(file_values[key])
             except ValueError:
                 _fail_usage("--config", f"key {key!r}: cannot parse {file_values[key]!r}")
-        else:
-            resolved[key] = default
-        if required and resolved[key] is None:
-            _fail_usage(f"--{key.replace('_', '-')}", "is required")
+        if value is None:
+            value = param.default
+        if param.required and value is None:
+            _fail_usage(_flag(key), "is required")
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail_usage(_flag(key), f"must be finite; got {value!r}")
+        resolved[key] = value
     return resolved
 
 
-def _positive(params: dict[str, Any], key: str) -> None:
-    value = params.get(key)
-    if value is not None and not value > 0.0:
-        _fail_usage(f"--{key.replace('_', '-')}", f"must be positive; got {value!r}")
+def _positive(params: dict[str, Any], *keys: str) -> None:
+    for key in keys:
+        value = params.get(key)
+        if value is not None and not value > 0.0:
+            _fail_usage(_flag(key), f"must be positive; got {value!r}")
+
+
+def _physical_config(params: dict[str, Any]) -> PhysicalConfig:
+    """PhysicalConfig from --alpha (and --n where the verb has it)."""
+    alpha, n = params["alpha"], params.get("n", 1)
+    if not 0.0 < alpha < 1.0:
+        _fail_usage("--alpha", f"must lie in (0, 1); got {alpha!r}")
+    if n < 1:
+        _fail_usage("--n", f"must be a positive integer; got {n!r}")
+    return PhysicalConfig(alpha=alpha, n=n)
+
+
+def _scaling_exponent(family: str, k: int | None) -> int | None:
+    """--k for ``family``: 1 when unset for the scaling family, and
+    rejected for the families that take no exponent."""
+    exponents = FAMILIES[family].exponents
+    if not exponents:
+        if k is not None:
+            _fail_usage("--k", f"only the scaling family takes an exponent; model is {family!r}")
+        return None
+    k = 1 if k is None else k
+    if k not in exponents:
+        _fail_usage("--k", f"must be in {{0,1,2,3}}; got {k!r}")
+    return k
 
 
 def _build_model(params: dict[str, Any]) -> PotentialModel:
     """Construct the requested PotentialModel, naming flags on failure."""
     family = params["model"]
-    if family not in _MODEL_CHOICES:
-        _fail_usage("--model", f"must be one of {_MODEL_CHOICES}; got {family!r}")
-    for key in ("alpha", "R", "R_over_alpha2", "R_coeff", "kappa"):
-        _positive(params, key)
-    if not params["alpha"] < 1.0:
-        _fail_usage("--alpha", f"must lie in (0, 1); got {params['alpha']!r}")
-    if params["n"] < 1:
-        _fail_usage("--n", f"must be a positive integer; got {params['n']!r}")
-    cfg = PhysicalConfig(alpha=params["alpha"], n=params["n"])
+    if family not in FAMILIES:
+        _fail_usage("--model", f"must be one of {tuple(FAMILIES)}; got {family!r}")
+    spec = FAMILIES[family]
+    _positive(params, "R", "R_over_alpha2", "R_coeff", "kappa")
+    cfg = _physical_config(params)
+    k = _scaling_exponent(family, params["k"])
 
-    k = params.get("k")
-    if family == "scaling":
-        if k is None:
-            k = 1
-        if k not in (0, 1, 2, 3):
-            _fail_usage("--k", f"must be in {{0,1,2,3}}; got {k!r}")
-    elif k is not None:
-        _fail_usage("--k", f"only the scaling family takes an exponent; model is {family!r}")
-
-    given = [name for name in ("R", "R_over_alpha2", "R_coeff") if params.get(name) is not None]
+    given = [name for name in ("R", "R_over_alpha2", "R_coeff") if params[name] is not None]
     if len(given) > 1:
         _fail_usage("--R", "give only one of --R, --R-over-alpha2, --R-coeff")
     R: float | None = None
-    if params.get("R") is not None:
+    if params["R"] is not None:
         R = params["R"]
-    elif params.get("R_over_alpha2") is not None:
+    elif params["R_over_alpha2"] is not None:
         R = params["R_over_alpha2"] * cfg.alpha**2
-    elif params.get("R_coeff") is not None:
+    elif params["R_coeff"] is not None:
         R = params["R_coeff"] * cfg.alpha ** (1 + (k if k is not None else 1))
-
-    if family in ("coulomb", "coulomb-dipole"):
-        if R is not None:
-            _fail_usage("--R", f"the {family} model has no ring radius")
-        if params.get("kappa") is not None:
-            _fail_usage("--kappa", f"the {family} model has no regulator scale")
-        return PotentialModel(family, cfg)
-    if R is None:
-        _fail_usage("--R", f"the {family} model needs a ring radius")
-    if family == "ring-bltp":
-        if params.get("kappa") is None:
-            _fail_usage("--kappa", "the ring-bltp model needs the regulator scale")
-        return PotentialModel(family, cfg, RingParams(R, params["kappa"]))
-    if params.get("kappa") is not None:
-        _fail_usage("--kappa", f"the {family} model has no regulator scale")
-    if family == "ring-ml":
-        return PotentialModel(family, cfg, RingParams(R))
-    return PotentialModel(family, cfg, RingParams(R), scaling_k=k)
+    if (R is not None) != spec.R:
+        _fail_usage("--R", f"the {family} model {'needs a' if spec.R else 'has no'} ring radius")
+    kappa = params["kappa"]
+    if (kappa is not None) != spec.kappa:
+        _fail_usage("--kappa", f"the {family} model {'needs the' if spec.kappa else 'has no'} "
+                    "regulator scale")
+    ring = RingParams(R, kappa) if R is not None else None
+    return PotentialModel(family, cfg, ring, scaling_k=k)
 
 
-def _default_window(family: str) -> tuple[float, float]:
-    if family == "coulomb":
-        return COULOMB_WINDOW
-    return BIOT_SAVART_WINDOW
+def _window(params: dict[str, Any], family: str) -> tuple[float, float]:
+    """--rmin/--rmax, defaulting to the family's operational window."""
+    lo, hi = COULOMB_WINDOW if family == "coulomb" else BIOT_SAVART_WINDOW
+    rmin = params["rmin"] if params["rmin"] is not None else lo
+    rmax = params["rmax"] if params["rmax"] is not None else hi
+    if not rmin > 0.0:
+        _fail_usage("--rmin", f"must be positive; got {rmin!r}")
+    if not rmin < rmax:
+        _fail_usage("--rmax", f"must exceed --rmin; got rmin={rmin!r}, rmax={rmax!r}")
+    return rmin, rmax
 
 
 def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
@@ -286,13 +319,7 @@ def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
 
 def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    lo, hi = _default_window(model.family)
-    rmin = params["rmin"] if params["rmin"] is not None else lo
-    rmax = params["rmax"] if params["rmax"] is not None else hi
-    if not rmin > 0.0:
-        _fail_usage("--rmin", f"must be positive; got {rmin!r}")
-    if not rmin < rmax:
-        _fail_usage("--rmax", f"must exceed --rmin; got rmin={rmin!r}, rmax={rmax!r}")
+    rmin, rmax = _window(params, model.family)
     if params["points"] < 2:
         _fail_usage("--points", f"need at least 2; got {params['points']!r}")
     if params["spacing"] not in ("log", "linear"):
@@ -326,13 +353,7 @@ def _curve_csv(results: dict[str, Any]) -> str:
 
 def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    lo, hi = _default_window(model.family)
-    rmin = params["rmin"] if params["rmin"] is not None else lo
-    rmax = params["rmax"] if params["rmax"] is not None else hi
-    if not rmin > 0.0:
-        _fail_usage("--rmin", f"must be positive; got {rmin!r}")
-    if not rmin < rmax:
-        _fail_usage("--rmax", f"must exceed --rmin; got rmin={rmin!r}, rmax={rmax!r}")
+    rmin, rmax = _window(params, model.family)
     ppd = params["points_per_decade"]
     if ppd < 10:
         _fail_usage("--points-per-decade", f"need at least 10; got {ppd!r}")
@@ -357,17 +378,10 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     family = params["model"]
-    if family not in _TUNE_CHOICES:
-        _fail_usage("--model", f"tuning supports {_TUNE_CHOICES}; got {family!r}")
-    _positive(params, "alpha")
-    if not params["alpha"] < 1.0:
-        _fail_usage("--alpha", f"must lie in (0, 1); got {params['alpha']!r}")
-    if params["n"] < 1:
-        _fail_usage("--n", f"must be a positive integer; got {params['n']!r}")
-    k = params["k"]
-    if family == "scaling" and k not in (0, 1, 2, 3):
-        _fail_usage("--k", f"must be in {{0,1,2,3}}; got {k!r}")
-    cfg = PhysicalConfig(alpha=params["alpha"], n=params["n"])
+    if family not in _TUNE_FAMILIES:
+        _fail_usage("--model", f"tuning supports {_TUNE_FAMILIES}; got {family!r}")
+    cfg = _physical_config(params)
+    k = _scaling_exponent(family, params["k"])
     target = params["target"]
     echo = {
         "model": family,
@@ -394,17 +408,17 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         }
         return echo, results
 
-    k_eff = 1 if family == "ring-ml" else k
-    echo["k"] = k_eff
-    R = models.tune_ring_radius(family, cfg, target, scaling_k=k_eff)
-    coeff = R / cfg.alpha ** (1 + k_eff)
-    point = models._tight_minimum(k_eff, coeff, cfg)
+    k = 1 if k is None else k  # ring-ml is the k = 1 scaling member
+    echo["k"] = k
+    R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
+    coeff = R / cfg.alpha ** (1 + k)
+    point = models._tight_minimum(k, coeff, cfg)
     probe_coeff = _truncate_sig(coeff, 10)
-    probe = models._tight_minimum(k_eff, probe_coeff, cfg)
+    probe = models._tight_minimum(k, probe_coeff, cfg)
     results = {
         "R": R,
         "coefficient": coeff,
-        "coefficient_parameterization": f"R / alpha^{1 + k_eff}",
+        "coefficient_parameterization": f"R / alpha^{1 + k}",
         "minimum": {"r_star": point.r_star, "energy": point.v_star},
         "sensitivity": {
             "probe_coefficient": probe_coeff,
@@ -417,10 +431,7 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     _positive(params, "kappa")
-    _positive(params, "alpha")
-    if not params["alpha"] < 1.0:
-        _fail_usage("--alpha", f"must lie in (0, 1); got {params['alpha']!r}")
-    solution = flux.solve_R_given_kappa(params["kappa"], params["alpha"])
+    solution = flux.solve_R_given_kappa(params["kappa"], _physical_config(params).alpha)
     echo = {"kappa": params["kappa"], "alpha": params["alpha"]}
     results = {
         "kappa": solution.kappa,
@@ -432,13 +443,8 @@ def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 
 def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    for key in ("R", "alpha", "a", "a_min", "a_max"):
-        _positive(params, key)
-    if not params["alpha"] < 1.0:
-        _fail_usage("--alpha", f"must lie in (0, 1); got {params['alpha']!r}")
-    if params["n"] < 1:
-        _fail_usage("--n", f"must be a positive integer; got {params['n']!r}")
-    cfg = PhysicalConfig(alpha=params["alpha"], n=params["n"])
+    _positive(params, "R", "a", "a_min", "a_max")
+    cfg = _physical_config(params)
     R = params["R"]
     echo: dict[str, Any] = {"R": R, "alpha": cfg.alpha, "n": cfg.n}
 
@@ -483,29 +489,6 @@ def _cmd_reproduce(fmt: str) -> tuple[dict[str, Any], Any, int]:
     return {}, acceptance.as_table(results), code
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=_MODEL_CHOICES, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--R", type=float, default=None, dest="R")
-    parser.add_argument(
-        "--R-over-alpha2",
-        type=float,
-        default=None,
-        dest="R_over_alpha2",
-        help="ring radius in units of alpha^2",
-    )
-    parser.add_argument(
-        "--R-coeff",
-        type=float,
-        default=None,
-        dest="R_coeff",
-        help="ring radius in units of alpha^(1+k)",
-    )
-    parser.add_argument("--kappa", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="positronium",
@@ -514,50 +497,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    scan = sub.add_parser("scan", help="sample a potential curve to CSV or JSON")
-    _add_model_flags(scan)
-    scan.add_argument("--rmin", type=float, default=None)
-    scan.add_argument("--rmax", type=float, default=None)
-    scan.add_argument("--points", type=int, default=None)
-    scan.add_argument("--log", dest="spacing", action="store_const", const="log", default=None)
-    scan.add_argument("--linear", dest="spacing", action="store_const", const="linear")
-    scan.add_argument(
-        "--quantity", choices=("potential", "binding"), default=None,
-        help="emit the raw potential (default) or the rest-subtracted binding energy",
-    )
-    minimize = sub.add_parser("minimize", help="locate all local minima of a potential")
-    _add_model_flags(minimize)
-    minimize.add_argument("--rmin", type=float, default=None)
-    minimize.add_argument("--rmax", type=float, default=None)
-    minimize.add_argument("--points-per-decade", type=int, default=None, dest="points_per_decade")
-
-    tune = sub.add_parser("tune", help="tune ring parameters to a target tight-state energy")
-    tune.add_argument("--model", choices=_TUNE_CHOICES, default=None)
-    tune.add_argument("--alpha", type=float, default=None)
-    tune.add_argument("--n", type=int, default=None)
-    tune.add_argument("--k", type=int, default=None)
-    tune.add_argument("--target", type=float, default=None)
-
-    flux_solve = sub.add_parser("flux-solve", help="solve the flux constraint for R at given kappa")
-    flux_solve.add_argument("--kappa", type=float, default=None)
-    flux_solve.add_argument("--alpha", type=float, default=None)
-
-    var = sub.add_parser("variational", help="variational upper bound over the trial scale")
-    var.add_argument("--R", type=float, default=None, dest="R")
-    var.add_argument("--alpha", type=float, default=None)
-    var.add_argument("--n", type=int, default=None)
-    var.add_argument("--a", type=float, default=None, help="single-point mode: evaluate E(a) only")
-    var.add_argument("--a-min", type=float, default=None, dest="a_min")
-    var.add_argument("--a-max", type=float, default=None, dest="a_max")
-    var.add_argument("--points-per-decade", type=int, default=None, dest="points_per_decade")
-
-    reproduce = sub.add_parser("reproduce", help="run the full reproduction suite")
-
-    for p in (scan, minimize, tune, flux_solve, var, reproduce):
-        p.add_argument("--json", dest="as_json", action="store_true", default=False)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
+    for verb, spec in _PARAM_SPECS.items():
+        p = sub.add_parser(verb, help=_VERB_HELP[verb])
+        for key, param in spec.items():
+            if key == "spacing":
+                p.add_argument("--log", dest=key, action="store_const", const="log",
+                               default=None, help=param.help)
+                p.add_argument("--linear", dest=key, action="store_const", const="linear",
+                               help="linearly spaced grid")
+            else:
+                p.add_argument(_flag(key), dest=key, type=param.convert, default=None,
+                               choices=param.choices, help=param.help)
+        p.add_argument("--json", dest="as_json", action="store_true", default=False,
+                       help="emit the JSON envelope")
+        p.add_argument("--output", type=str, default=None, help="write to this file")
+        p.add_argument("--config", type=str, default=None,
+                       help="file of 'key = value' defaults; flags override it")
     return parser
 
 
@@ -569,26 +524,27 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+_COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[dict[str, Any], Any]]] = {
+    "scan": _cmd_scan,
+    "minimize": _cmd_minimize,
+    "tune": _cmd_tune,
+    "flux-solve": _cmd_flux_solve,
+    "variational": _cmd_variational,
+}
+
+
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one resolved invocation; returns (output text, exit code)."""
     started = time.perf_counter()
     code = 0
-    if config.verb == "scan":
-        echo, results = _cmd_scan(config.params)
-        if config.fmt == "csv":
-            return _curve_csv(results), 0
-    elif config.verb == "minimize":
-        echo, results = _cmd_minimize(config.params)
-    elif config.verb == "tune":
-        echo, results = _cmd_tune(config.params)
-    elif config.verb == "flux-solve":
-        echo, results = _cmd_flux_solve(config.params)
-    elif config.verb == "variational":
-        echo, results = _cmd_variational(config.params)
-    elif config.verb == "reproduce":
+    if config.verb == "reproduce":
         echo, results, code = _cmd_reproduce(config.fmt)
         if config.fmt != "json":
             return results, code
+    elif config.verb in _COMMANDS:
+        echo, results = _COMMANDS[config.verb](config.params)
+        if config.verb == "scan" and config.fmt == "csv":
+            return _curve_csv(results), 0
     else:  # pragma: no cover - argparse restricts the verb set
         raise UsageError(f"unknown verb {config.verb!r}")
 
@@ -612,26 +568,15 @@ def main(argv: list[str] | None = None) -> int:
     verb = args.verb
     try:
         params = _resolve_params(verb, args)
-        if verb == "scan":
-            fmt = "json" if args.as_json else "csv"
-        elif verb == "reproduce":
-            fmt = "json" if args.as_json else "table"
-        else:
-            fmt = "json"
+        fmt = "json" if args.as_json else {"scan": "csv", "reproduce": "table"}.get(verb, "json")
         config = RunConfig(verb=verb, params=params, fmt=fmt, output=args.output)
         text, code = run(config)
         _emit(text, config.output)
         return code
-    except UsageError as err:
+    except ValueError as err:  # UsageError included
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except ValueError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (QuadratureError, OptimizeError, flux.FluxError) as err:
-        sys.stderr.write(f"numerical failure: {err}\n")
-        return 3
-    except RuntimeError as err:
+    except RuntimeError as err:  # QuadratureError, OptimizeError and FluxError included
         sys.stderr.write(f"numerical failure: {err}\n")
         return 3
 

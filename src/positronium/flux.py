@@ -26,7 +26,7 @@ from .optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
-    find_local_minima,
+    deepest_minimum,
     find_root,
     minimize_scalar,
 )
@@ -171,13 +171,8 @@ def _tight_minimum_bltp(
     def f(r: float) -> float:
         return potential_v4(params, cfg, r)
 
-    lo, hi = 0.05 * R, 10.0 * R
-    minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade)
-    if not minima:
-        raise OptimizeError(
-            f"no tight minimum in ({lo:g}, {hi:g}) at R={R!r}, kappa={kappa!r}"
-        )
-    return min(minima, key=lambda p: p.v_star)
+    context = f"at R={R!r}, kappa={kappa!r}"
+    return deepest_minimum(f, 0.05 * R, 10.0 * R, points_per_decade, context)
 
 
 def tune_bltp(

@@ -4,25 +4,29 @@ Everything is dimensionless: energies in units of the electron rest energy
 mc^2, lengths in reduced Compton lengths hbar/mc.  The pair is treated on
 circular orbits with angular momentum quantization p = n/r, so the kinetic
 part of every potential is 2*sqrt(1 + n^2/r^2) (two particles of equal
-mass).  Four interaction families are provided:
+mass).  Five interaction families, one FAMILIES entry each:
 
-* point charges, Coulomb only            -> potential_v1
-* point charges + point magnetic dipoles -> potential_v2
-* charged current rings, standard fields -> potential_v3 (elliptic integrals)
-* charged current rings, Bopp-regulated
-  fields with inverse length kappa       -> potential_v4 (angular quadratures)
+* coulomb         point charges, Coulomb only
+* coulomb-dipole  point charges + point magnetic dipoles
+* ring-ml         charged current rings, standard fields (elliptic
+                  integrals)                                -> potential_v3
+* ring-bltp       charged current rings, Bopp-regulated fields with
+                  inverse length kappa (angular quadratures) -> potential_v4
+* scaling         the ring family with magnetic coupling alpha^(1+2k)
+                  in place of alpha^3 and natural radius alpha^(1+k)
+                                                    -> potential_scaling_law
 
-plus a one-parameter generalization of the ring family in which the
-magnetic coupling alpha^3 is replaced by alpha^(1+2k) and the natural ring
-radius scales as alpha^(1+k) -> potential_scaling_law.
+ring-ml is the k = 1 member of scaling.  PotentialModel binds a family to
+its parameters: model(r) is the kinetic term plus the family's
+interaction, model.binding(r) the kinetic excess plus the same one.
 
 Numerical conditioning notes, load-bearing and easy to get wrong:
 
 * Every potential tends to 2 (the rest energy) at large r.  Minimizing the
   raw potential near the shallow Coulombic well resolves the minimizer only
   to ~6e-6 relative, because the well depth ~alpha^2/4 drowns in ulp(2).
-  The binding() companions evaluate V - 2 without forming the difference,
-  via 2*sqrt(1+q^2) - 2 = 2 q^2/(1 + sqrt(1+q^2)); minimize those when the
+  PotentialModel.binding evaluates V - 2 without forming the difference,
+  via 2*sqrt(1+q^2) - 2 = 2 q^2/(1 + sqrt(1+q^2)); minimize that when the
   minimizer location matters.
 * The magnetic line of the ring-ring energy contains (2-m)K - 2E with
   m = 1/(1 + r^2/4R^2).  For r >> R this is pi m^2/16 + O(m^3) while K and
@@ -43,14 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import _ellip_KE_pair
-from .optimize import (
-    Bracket,
-    OptimizeError,
-    StationaryPoint,
-    find_local_minima,
-    find_root,
-    minimize_scalar,
-)
+from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
 from .quadrature import Integral, QuadratureError, QuadratureResult, integrate
 
 __all__ = [
@@ -61,26 +58,17 @@ __all__ = [
     "PhysicalConfig",
     "RingParams",
     "PotentialModel",
+    "Family",
+    "FAMILIES",
     "EnergyCurve",
-    "coulomb_point",
-    "coulomb_dipole",
-    "ring_ml",
-    "ring_bltp",
-    "scaling_model",
     "bohr_energy",
     "bohr_expansion_coeffs",
     "kinetic_term",
     "kinetic_excess",
-    "potential_v1",
-    "binding_v1",
-    "potential_v2",
-    "binding_v2",
     "ring_energy_lines",
     "ring_pair_energy_ML",
     "potential_v3",
-    "binding_v3",
     "potential_v4",
-    "binding_v4",
     "potential_scaling_law",
     "scaled_ring_radius",
     "sample_curve",
@@ -101,7 +89,7 @@ ZERO_ENERGY_RADIUS_COEFF = 0.49597832375
 BIOT_SAVART_WINDOW = (1e-7, 1e-3)
 COULOMB_WINDOW = (1.0, 1e4)
 
-_MODEL_FAMILIES = ("coulomb", "coulomb-dipole", "ring-ml", "ring-bltp", "scaling")
+_SCALING_EXPONENTS = (0, 1, 2, 3)
 
 # tolerances for the angular quadratures of the Bopp-regulated ring pair;
 # the cos(2*phi) integral is multiplied by (alpha/2piR)^3 ~ 1e5, so its
@@ -145,13 +133,32 @@ class RingParams:
 
 
 @dataclass(frozen=True)
-class PotentialModel:
-    """One member of the potential family zoo, bound to its parameters.
+class Family:
+    """What a model family takes, and its energy.
 
-    ``family`` selects the functional form; ``params`` carries ring
-    parameters for the ring families; ``scaling_k`` the exponent index for
-    the generalized-coupling family.  Instances are callables: model(r)
-    evaluates the potential, model.binding(r) the conditioned V - 2.
+    ``energy(kinetic, model, r)`` adds the family's interaction at r to a
+    kinetic part: kinetic_term for the potential, kinetic_excess for the
+    binding energy.  Taking the kinetic part as an argument keeps each
+    family's order of operations: coulomb-dipole is
+    (K - alpha/r) - alpha^3/(8 pi^2 r^3), and a single summed interaction
+    K + (-alpha/r - alpha^3/(8 pi^2 r^3)) differs from it in the last ulp
+    at 934 of 4,001 log-spaced r in [1e-7, 1e4].
+    """
+
+    energy: Callable[[float, PotentialModel, float], float]
+    R: bool = False  # takes a ring radius
+    kappa: bool = False  # takes the Bopp regulator scale
+    exponents: tuple[int, ...] = ()  # scaling exponents k it accepts
+
+
+@dataclass(frozen=True)
+class PotentialModel:
+    """One interaction family bound to its parameters.
+
+    ``family`` names a FAMILIES entry, which says whether ``params`` (ring
+    radius R, and kappa for the regulated rings) and ``scaling_k`` are
+    taken.  Instances are callables: model(r) evaluates the potential,
+    model.binding(r) the conditioned V - 2.
     """
 
     family: str
@@ -160,51 +167,24 @@ class PotentialModel:
     scaling_k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _MODEL_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {_MODEL_FAMILIES}")
-        if self.family in ("coulomb", "coulomb-dipole"):
-            if self.params is not None or self.scaling_k is not None:
-                raise ValueError(f"{self.family} takes no ring parameters")
-        elif self.family == "ring-ml":
-            if self.params is None or self.params.kappa is not None:
-                raise ValueError("ring-ml needs RingParams with R only (no kappa)")
-            if self.scaling_k is not None:
-                raise ValueError("ring-ml takes no scaling exponent")
-        elif self.family == "ring-bltp":
-            if self.params is None or self.params.kappa is None:
-                raise ValueError("ring-bltp needs RingParams with both R and kappa")
-            if self.scaling_k is not None:
-                raise ValueError("ring-bltp takes no scaling exponent")
-        else:  # scaling
-            if self.params is None or self.params.kappa is not None:
-                raise ValueError("scaling needs RingParams with R only (no kappa)")
-            if self.scaling_k not in (0, 1, 2, 3):
-                raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {self.scaling_k!r}")
+        spec = FAMILIES.get(self.family)
+        if spec is None:
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
+        if spec.R != (self.params is not None):
+            raise ValueError(f"{self.family} {'needs' if spec.R else 'takes no'} RingParams")
+        if spec.R and spec.kappa != (self.params.kappa is not None):
+            raise ValueError(f"{self.family} {'needs' if spec.kappa else 'takes no'} kappa")
+        if spec.exponents:
+            _require_exponent(self.scaling_k)
+        elif self.scaling_k is not None:
+            raise ValueError(f"{self.family} takes no scaling exponent")
 
     def __call__(self, r: float) -> float:
-        if self.family == "coulomb":
-            return potential_v1(self.cfg, r)
-        if self.family == "coulomb-dipole":
-            return potential_v2(self.cfg, r)
-        if self.family == "ring-ml":
-            return potential_v3(self.params, self.cfg, r)
-        if self.family == "ring-bltp":
-            return potential_v4(self.params, self.cfg, r)
-        return potential_scaling_law(self.scaling_k, self.params, self.cfg, r)
+        return FAMILIES[self.family].energy(kinetic_term(self.cfg, r), self, r)
 
     def binding(self, r: float) -> float:
         """V(r) - 2, evaluated without the rest-energy cancellation."""
-        if self.family == "coulomb":
-            return binding_v1(self.cfg, r)
-        if self.family == "coulomb-dipole":
-            return binding_v2(self.cfg, r)
-        if self.family == "ring-ml":
-            return binding_v3(self.params, self.cfg, r)
-        if self.family == "ring-bltp":
-            return binding_v4(self.params, self.cfg, r)
-        return kinetic_excess(self.cfg, r) + _ring_interaction(
-            self.params.R, self.cfg.alpha, self.cfg.alpha ** (1 + 2 * self.scaling_k), r
-        )
+        return FAMILIES[self.family].energy(kinetic_excess(self.cfg, r), self, r)
 
 
 @dataclass(frozen=True)
@@ -230,26 +210,6 @@ class EnergyCurve:
                 raise ValueError(f"non-finite value {v!r} at r={r!r}")
 
 
-def coulomb_point(cfg: PhysicalConfig | None = None) -> PotentialModel:
-    return PotentialModel("coulomb", cfg or PhysicalConfig())
-
-
-def coulomb_dipole(cfg: PhysicalConfig | None = None) -> PotentialModel:
-    return PotentialModel("coulomb-dipole", cfg or PhysicalConfig())
-
-
-def ring_ml(R: float, cfg: PhysicalConfig | None = None) -> PotentialModel:
-    return PotentialModel("ring-ml", cfg or PhysicalConfig(), RingParams(R))
-
-
-def ring_bltp(R: float, kappa: float, cfg: PhysicalConfig | None = None) -> PotentialModel:
-    return PotentialModel("ring-bltp", cfg or PhysicalConfig(), RingParams(R, kappa))
-
-
-def scaling_model(k: int, R: float, cfg: PhysicalConfig | None = None) -> PotentialModel:
-    return PotentialModel("scaling", cfg or PhysicalConfig(), RingParams(R), scaling_k=k)
-
-
 def bohr_energy(cfg: PhysicalConfig) -> float:
     """Pair energy of the n-th circular orbit: 2*sqrt(1 - alpha^2/4n^2)."""
     x = cfg.alpha / (2.0 * cfg.n)
@@ -271,6 +231,11 @@ def _require_positive_r(r: float) -> None:
         raise ValueError(f"separation r must be positive; got {r!r}")
 
 
+def _require_exponent(k: int | None) -> None:
+    if k not in _SCALING_EXPONENTS:
+        raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {k!r}")
+
+
 def kinetic_term(cfg: PhysicalConfig, r: float) -> float:
     """2*sqrt(1 + n^2/r^2): two relativistic particles with p = n/r."""
     _require_positive_r(r)
@@ -284,34 +249,6 @@ def kinetic_excess(cfg: PhysicalConfig, r: float) -> float:
     q = cfg.n / r
     q2 = q * q
     return 2.0 * q2 / (1.0 + math.sqrt(1.0 + q2))
-
-
-def potential_v1(cfg: PhysicalConfig, r: float) -> float:
-    """Point charges: 2*sqrt(1 + n^2/r^2) - alpha/r."""
-    return kinetic_term(cfg, r) - cfg.alpha / r
-
-
-def binding_v1(cfg: PhysicalConfig, r: float) -> float:
-    return kinetic_excess(cfg, r) - cfg.alpha / r
-
-
-def potential_v2(cfg: PhysicalConfig, r: float) -> float:
-    """Point charges and point dipoles: v1 - alpha^3/(8 pi^2 r^3).
-
-    Unbounded below as r -> 0: the attractive r^-3 magnetic term beats the
-    r^-1 kinetic barrier.  There is a local maximum near r ~ alpha*sqrt(3
-    alpha/16 pi^2) ~ 8.6e-5 separating the plunge from the Coulombic well;
-    the curve has no interior minimum below the Compton length.
-    """
-    _require_positive_r(r)
-    a3 = cfg.alpha**3
-    return potential_v1(cfg, r) - a3 / (8.0 * math.pi**2 * r**3)
-
-
-def binding_v2(cfg: PhysicalConfig, r: float) -> float:
-    _require_positive_r(r)
-    a3 = cfg.alpha**3
-    return binding_v1(cfg, r) - a3 / (8.0 * math.pi**2 * r**3)
 
 
 def _ke_bracket(m: float, big_k: float, big_e: float) -> float:
@@ -388,10 +325,6 @@ def ring_pair_energy_ML(params: RingParams, cfg: PhysicalConfig, r: float) -> fl
 def potential_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     """Ring pair with standard fields: kinetic term plus ring energy."""
     return kinetic_term(cfg, r) + ring_pair_energy_ML(params, cfg, r)
-
-
-def binding_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
-    return kinetic_excess(cfg, r) + ring_pair_energy_ML(params, cfg, r)
 
 
 def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
@@ -486,13 +419,6 @@ def potential_v4(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     return kinetic_term(cfg, r) + _bltp_interaction(params.R, params.kappa, cfg.alpha, r)
 
 
-def binding_v4(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
-    _require_positive_r(r)
-    if params.kappa is None:
-        raise ValueError("binding_v4 needs RingParams with kappa set")
-    return kinetic_excess(cfg, r) + _bltp_interaction(params.R, params.kappa, cfg.alpha, r)
-
-
 def _ring_interaction(R: float, alpha: float, mag_coupling: float, r: float) -> float:
     electric, magnetic = _ring_lines(R, alpha, mag_coupling, r)
     return electric + magnetic
@@ -505,18 +431,48 @@ def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: fl
     radius for a zero-energy tight state scales as alpha^(1+k); see
     scaled_ring_radius.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {k!r}")
+    _require_exponent(k)
     _require_positive_r(r)
     return kinetic_term(cfg, r) + _ring_interaction(
         params.R, cfg.alpha, cfg.alpha ** (1 + 2 * k), r
     )
 
 
+def _coulomb(kinetic: float, model: PotentialModel, r: float) -> float:
+    return kinetic - model.cfg.alpha / r
+
+
+def _coulomb_dipole(kinetic: float, model: PotentialModel, r: float) -> float:
+    """Unbounded below as r -> 0: the attractive r^-3 magnetic term beats the
+    r^-1 kinetic barrier.  There is a local maximum near r ~ alpha*sqrt(3
+    alpha/16 pi^2) ~ 8.6e-5 separating the plunge from the Coulombic well;
+    the curve has no interior minimum below the Compton length.
+    """
+    return _coulomb(kinetic, model, r) - model.cfg.alpha**3 / (8.0 * math.pi**2 * r**3)
+
+
+def _rings(kinetic: float, model: PotentialModel, r: float) -> float:
+    k = 1 if model.scaling_k is None else model.scaling_k  # ring-ml is k = 1
+    alpha = model.cfg.alpha
+    return kinetic + _ring_interaction(model.params.R, alpha, alpha ** (1 + 2 * k), r)
+
+
+def _regulated_rings(kinetic: float, model: PotentialModel, r: float) -> float:
+    return kinetic + _bltp_interaction(model.params.R, model.params.kappa, model.cfg.alpha, r)
+
+
+FAMILIES: dict[str, Family] = {
+    "coulomb": Family(_coulomb),
+    "coulomb-dipole": Family(_coulomb_dipole),
+    "ring-ml": Family(_rings, R=True),
+    "ring-bltp": Family(_regulated_rings, R=True, kappa=True),
+    "scaling": Family(_rings, R=True, exponents=_SCALING_EXPONENTS),
+}
+
+
 def scaled_ring_radius(k: int, alpha: float = ALPHA_FS, coeff: float = ZERO_ENERGY_RADIUS_COEFF) -> float:
     """R = coeff * alpha^(1+k), the zero-energy radius rule of the family."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {k!r}")
+    _require_exponent(k)
     return coeff * alpha ** (1 + k)
 
 
@@ -547,10 +503,8 @@ def sample_curve(
     return EnergyCurve(model=model, grid=tuple(float(r) for r in grid), values=tuple(values))
 
 
-def _tight_minimum(
-    k: int, coeff: float, cfg: PhysicalConfig, x_tol: float = 1e-9
-) -> StationaryPoint:
-    """Global minimum of the scaled ring family in its tight-well window.
+def _tight_minimum(k: int, coeff: float, cfg: PhysicalConfig) -> StationaryPoint:
+    """Deepest minimum of the scaled ring family in its tight-well window.
 
     The well of the k-family sits near r = 0.28 * alpha^(1+k); scanning
     x = r/alpha^(1+k) over (1e-3, 10) covers it with margin at any coeff
@@ -565,12 +519,7 @@ def _tight_minimum(
     def f(r: float) -> float:
         return kinetic_term(cfg, r) + _ring_interaction(R, alpha, mag, r)
 
-    minima = find_local_minima(f, 1e-3 * s, 10.0 * s, points_per_decade=60, x_tol=x_tol)
-    if not minima:
-        raise OptimizeError(
-            f"no tight minimum in ({1e-3 * s!r}, {10.0 * s!r}) for coeff={coeff!r}, k={k}"
-        )
-    return min(minima, key=lambda p: p.v_star)
+    return deepest_minimum(f, 1e-3 * s, 10.0 * s, 60, f"for coeff={coeff!r}, k={k}")
 
 
 def tune_ring_radius(
@@ -588,14 +537,10 @@ def tune_ring_radius(
     The returned radius reproduces the target to the floating-point noise
     floor of the energy (~1e-11), well inside the 1e-10 contract.
     """
-    if model_family == "ring-ml":
-        k = 1
-    elif model_family == "scaling":
-        k = scaling_k
-        if k not in (0, 1, 2, 3):
-            raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {k!r}")
-    else:
+    if model_family not in ("ring-ml", "scaling"):
         raise ValueError(f"model_family must be 'ring-ml' or 'scaling'; got {model_family!r}")
+    k = 1 if model_family == "ring-ml" else scaling_k
+    _require_exponent(k)
 
     c_lo, c_hi = 0.42, 0.55
 

@@ -1,6 +1,6 @@
 """Derivative-free scalar minimization, minimum enumeration, root finding.
 
-Three engines used throughout the package:
+The engines used throughout the package:
 
 * :func:`minimize_scalar` -- bracketed minimization combining golden-section
   contraction with parabolic-interpolation steps (superlinear on smooth
@@ -11,10 +11,12 @@ Three engines used throughout the package:
   function over a range by scanning a log-spaced grid and refining each
   discrete dip.  Log spacing is load-bearing: the wells of interest sit seven
   orders of magnitude apart in radius, so a linear grid starves one regime.
+* :func:`deepest_minimum` -- the deepest of those minima in a window, or
+  an OptimizeError naming the window when it holds none.
 * :func:`find_root` -- Brent-style bracketed root finding (inverse quadratic
   interpolation / secant, bisection fallback), used by every tuning loop.
 
-All three are deterministic and evaluate only the supplied callable.
+All are deterministic and evaluate only the supplied callable.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "DEFAULT_X_TOL",
     "minimize_scalar",
     "find_local_minima",
+    "deepest_minimum",
     "find_root",
 ]
 
@@ -220,6 +223,24 @@ def find_local_minima(
         found[best] = replace(found[best], kind="global_min")
 
     return sorted(found, key=lambda p: p.r_star)
+
+
+def deepest_minimum(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    points_per_decade: int,
+    context: str,
+) -> StationaryPoint:
+    """Deepest interior minimum of ``f`` on [lo, hi] (see find_local_minima).
+
+    Raises OptimizeError naming the window and ``context`` -- the
+    parameters that fix ``f``, for the message -- when there is none.
+    """
+    minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade)
+    if not minima:
+        raise OptimizeError(f"no interior minimum in ({lo!r}, {hi!r}) {context}")
+    return min(minima, key=lambda p: p.v_star)
 
 
 def find_root(

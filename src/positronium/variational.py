@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .models import PhysicalConfig, RingParams, ring_pair_energy_ML
-from .optimize import Bracket, OptimizeError, find_local_minima, minimize_scalar
-from .quadrature import Integral, integrate, integrate_semi_infinite
+from .optimize import OptimizeError, find_local_minima
+from .quadrature import Integral, integrate_semi_infinite
 
 __all__ = [
     "TrialScale",
@@ -39,7 +39,6 @@ __all__ = [
     "potential_expectation",
     "energy_expectation",
     "minimize_over_a",
-    "refine_coulombic_minimum",
 ]
 
 _REL_TOL = 1e-12
@@ -153,16 +152,3 @@ def minimize_over_a(
             )
         )
     return sorted(results, key=lambda v: v.energy)
-
-
-def refine_coulombic_minimum(
-    R: float, bracket: tuple[float, float, float], cfg: PhysicalConfig | None = None
-):
-    """Brent refinement of E(a) from an explicit bracket; convenience for
-    the weakly bound regime where the scan window is known a priori."""
-    cfg = cfg or PhysicalConfig()
-
-    def f(a: float) -> float:
-        return energy_expectation(a, R, cfg)
-
-    return minimize_scalar(f, Bracket(*bracket))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from positronium import cli
-from positronium.models import PhysicalConfig, potential_v1
+from positronium.models import PhysicalConfig, PotentialModel
 
 
 def run_cli(capsys, *argv):
@@ -23,12 +23,12 @@ def test_scan_emits_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "r,V"
     assert len(lines) == 6
-    cfg = PhysicalConfig()
+    model = PotentialModel("coulomb", PhysicalConfig())
     for line in lines[1:]:
         r_text, v_text = line.split(",")
         r, v = float(r_text), float(v_text)
         # 17 significant digits round-trip doubles exactly
-        assert v == potential_v1(cfg, r)
+        assert v == model(r)
     assert float(lines[1].split(",")[0]) == 100.0
     assert float(lines[-1].split(",")[0]) == 1000.0
 
@@ -72,9 +72,9 @@ def test_scan_binding_quantity(capsys):
         "--points", "3", "--quantity", "binding", "--json",
     )
     env = json.loads(out)
-    cfg = PhysicalConfig()
+    model = PotentialModel("coulomb", PhysicalConfig())
     for r, v in zip(env["results"]["r"], env["results"]["V"]):
-        assert v == pytest.approx(potential_v1(cfg, r) - 2.0, abs=1e-15)
+        assert v == pytest.approx(model(r) - 2.0, abs=1e-15)
         assert v < 0.0
 
 
@@ -92,6 +92,14 @@ def test_scan_binding_quantity(capsys):
         (("scan", "--model", "ring-ml", "--R", "1e-5", "--R-coeff", "0.5"), "--R"),
         (("minimize", "--model", "coulomb", "--points-per-decade", "3"), "--points-per-decade"),
         (("variational", "--R", "2.6e-5", "--a-min", "1", "--a-max", "0.5"), "--a-max"),
+        # only the scaling family takes an exponent, for tune as for scan
+        (("tune", "--model", "ring-ml", "--k", "3"), "--k"),
+        (("tune", "--model", "ring-bltp", "--k", "3"), "--k"),
+        (("tune", "--model", "scaling", "--k", "4"), "--k"),
+        # non-finite floats stop at validation, not in the numerics
+        (("variational", "--R", "2.6e-5", "--a", "inf"), "--a"),
+        (("scan", "--model", "coulomb", "--rmax", "inf"), "--rmax"),
+        (("flux-solve", "--kappa", "nan"), "--kappa"),
     ],
 )
 def test_usage_errors_name_the_flag(capsys, argv, flag):
@@ -210,6 +218,14 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scan", "--config", str(config))
     assert code == 2
     assert "--config" in err and "bogus" in err
+
+
+def test_config_file_rejects_non_finite_values(capsys, tmp_path):
+    config = tmp_path / "scan.conf"
+    config.write_text("model = coulomb\nrmax = nan\n")
+    code, _, err = run_cli(capsys, "scan", "--config", str(config))
+    assert code == 2
+    assert "--rmax" in err and "finite" in err
 
 
 def test_config_file_must_exist(capsys, tmp_path):

@@ -1,0 +1,118 @@
+"""Golden CLI envelopes: every verb's params, results and exit code, pinned.
+
+The fixture ``tests/golden/cli_envelopes.json`` holds one recorded
+envelope per command line below.  A refactor of the model, flux or CLI
+layers must reproduce each of them exactly; re-record only for a change
+that is meant to move a number, and say so where the change is described:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from positronium import cli
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "cli_envelopes.json"
+
+_RING_ML = ("--model", "ring-ml", "--R-over-alpha2", "0.49597832375")
+_BLTP = ("--model", "ring-bltp", "--R", "2.5698078e-05", "--kappa", "1.805202e5")
+
+CASES: tuple[tuple[str, ...], ...] = (
+    ("scan", "--model", "coulomb"),
+    ("scan", "--model", "coulomb", "--quantity", "binding"),
+    ("scan", "--model", "coulomb-dipole"),
+    ("scan", "--model", "coulomb-dipole", "--quantity", "binding"),
+    ("scan", *_RING_ML, "--points", "200"),
+    ("scan", *_RING_ML, "--points", "200", "--quantity", "binding"),
+    ("scan", "--model", "scaling", "--k", "0", "--R-coeff", "0.49597832375", "--points", "200"),
+    ("scan", "--model", "scaling", "--k", "2", "--R-coeff", "0.49597832375", "--points", "200",
+     "--quantity", "binding"),
+    ("scan", "--model", "scaling", "--R-coeff", "0.49597832375", "--points", "50"),
+    ("scan", *_BLTP, "--points", "40"),
+    ("scan", *_BLTP, "--points", "40", "--quantity", "binding"),
+    ("scan", "--model", "coulomb", "--rmin", "1", "--rmax", "1000", "--points", "50", "--linear"),
+    ("scan", "--model", "coulomb-dipole", "--rmin", "1e-5", "--rmax", "1e-4", "--points", "50",
+     "--linear", "--quantity", "binding"),
+    ("minimize", "--model", "coulomb"),
+    ("minimize", "--model", "coulomb-dipole"),
+    ("minimize", *_RING_ML),
+    ("minimize", "--model", "scaling", "--k", "3", "--R-coeff", "0.49597832375",
+     "--rmin", "1e-11", "--rmax", "1e-7"),
+    ("minimize", *_BLTP, "--rmin", "1e-6", "--rmax", "1e-4"),
+    ("tune", "--model", "ring-ml"),
+    ("tune", "--model", "scaling", "--k", "0"),
+    ("tune", "--model", "scaling"),
+    ("tune", "--model", "ring-bltp"),
+    ("flux-solve", "--kappa", "1.8e5"),
+    ("variational", "--R", "2.661639e-5", "--a", "1.5726e-5"),
+    ("variational", "--R", "2.661639e-5", "--a-min", "1e-6", "--a-max", "1e-4"),
+)
+
+
+def run_case(argv: tuple[str, ...]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--json"])
+    envelope = json.loads(out.getvalue())
+    return {"exit": code, "params": envelope["params"], "results": envelope["results"]}
+
+
+def _key(argv: tuple[str, ...]) -> str:
+    return " ".join(argv)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def _assert_close(got, want, path: str) -> None:
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (
+            f"{path}: {got!r} != {want!r}"
+        )
+    elif isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+def test_fixture_covers_every_case(golden):
+    assert set(golden) == {_key(argv) for argv in CASES}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[_key(a) for a in CASES])
+def test_envelope_matches_golden(golden, argv):
+    want = golden[_key(argv)]
+    got = run_case(argv)
+    assert got["exit"] == want["exit"]
+    assert got["params"] == want["params"]
+    if "ring-bltp" in argv:
+        # the regulated-ring energies go through numpy's sin/sqrt/expm1 and
+        # sums, which may differ in the last ulp across CPUs (README,
+        # numerical notes), so they are compared at 1e-13 relative
+        _assert_close(got["results"], want["results"], "results")
+    else:
+        assert got["results"] == want["results"]
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    recorded = {_key(argv): run_case(argv) for argv in CASES}
+    FIXTURE.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    sys.stdout.write(f"recorded {len(recorded)} envelopes in {FIXTURE}\n")

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from positronium import cli
+from positronium import cli, flux
 from positronium.flux import (
     FluxError,
     FluxSolution,
@@ -18,7 +19,8 @@ from positronium.flux import (
     solve_R_given_kappa,
     tune_bltp,
 )
-from positronium.models import ALPHA_FS, BIOT_SAVART_WINDOW
+from positronium.models import ALPHA_FS, BIOT_SAVART_WINDOW, PhysicalConfig
+from positronium.optimize import OptimizeError
 
 
 def _series_G(u: float) -> float:
@@ -186,6 +188,14 @@ def test_tune_bltp_returns_plain_floats():
     values = [getattr(solution, f.name) for f in dataclasses.fields(solution)]
     values += [point.r_star, point.v_star, *dataclasses.astuple(point.bracket)]
     assert all(type(x) is float for x in values), values
+
+
+def test_closed_tight_well_names_the_window_and_the_ring():
+    # on the constraint at u = kappa R = 8 the regulated tight well has closed
+    R, kappa = 3.472926418068485e-05, 230353.2824185002
+    where = rf"in \(.+\) at R={re.escape(repr(R))}, kappa={re.escape(repr(kappa))}"
+    with pytest.raises(OptimizeError, match=where):
+        flux._tight_minimum_bltp(R, kappa, PhysicalConfig())
 
 
 def test_solution_invariants_are_enforced():

@@ -21,28 +21,17 @@ from positronium.models import (
     RingParams,
     _bltp_integrals,
     _tight_minimum,
-    binding_v1,
-    binding_v2,
-    binding_v3,
-    binding_v4,
     bohr_energy,
     bohr_expansion_coeffs,
-    coulomb_dipole,
-    coulomb_point,
     kinetic_excess,
     kinetic_term,
     potential_scaling_law,
-    potential_v1,
-    potential_v2,
     potential_v3,
     potential_v4,
-    ring_bltp,
     ring_energy_lines,
-    ring_ml,
     ring_pair_energy_ML,
     sample_curve,
     scaled_ring_radius,
-    scaling_model,
     tune_ring_radius,
 )
 from positronium.optimize import OptimizeError, find_local_minima, find_root
@@ -53,6 +42,9 @@ CFG = PhysicalConfig()
 # radius that puts the tight ring state at zero energy, frozen from a
 # converged tuning run (full double precision)
 TUNED_COEFF = 0.49597832371966283
+
+COULOMB = PotentialModel("coulomb", CFG)
+DIPOLE = PotentialModel("coulomb-dipole", CFG)
 
 
 def test_fine_structure_constant():
@@ -94,27 +86,31 @@ def test_kinetic_excess_survives_cancellation():
 
 
 def test_point_dipole_term_stacks_on_point_charges():
-    for r in (1e-5, 1e-3, 0.5, 10.0):
+    # exact: (K - alpha/r) - alpha^3/(8 pi^2 r^3), an order of operations
+    # that summing the two interaction terms first breaks in the last ulp
+    # at about a quarter of the dense grid
+    for r in (1e-5, 1e-3, 0.5, 10.0, *np.geomspace(1e-7, 1e4, 4001)):
+        r = float(r)
         extra = CFG.alpha**3 / (8.0 * math.pi**2 * r**3)
-        assert potential_v2(CFG, r) == potential_v1(CFG, r) - extra
-        assert binding_v2(CFG, r) == binding_v1(CFG, r) - extra
+        assert DIPOLE(r) == COULOMB(r) - extra
+        assert DIPOLE.binding(r) == COULOMB.binding(r) - extra
 
 
 def test_binding_is_rest_subtracted_potential():
     for r in (0.5, 274.0, 1e3):
-        assert binding_v1(CFG, r) == pytest.approx(potential_v1(CFG, r) - 2.0, rel=1e-12, abs=1e-15)
+        assert COULOMB.binding(r) == pytest.approx(COULOMB(r) - 2.0, rel=1e-12, abs=1e-15)
 
 
 def test_dipole_curve_structure():
     # unbounded below at small r, one interior maximum, zero crossing
     # below the Compton length, and no interior minimum
-    assert potential_v2(CFG, 1e-8) < 0.0
-    assert find_local_minima(lambda r: potential_v2(CFG, r), 1e-6, 1e-4, points_per_decade=40) == []
-    tops = find_local_minima(lambda r: -potential_v2(CFG, r), 1e-6, 1e-4, points_per_decade=40)
+    assert DIPOLE(1e-8) < 0.0
+    assert find_local_minima(DIPOLE, 1e-6, 1e-4, points_per_decade=40) == []
+    tops = find_local_minima(lambda r: -DIPOLE(r), 1e-6, 1e-4, points_per_decade=40)
     assert len(tops) == 1
     assert tops[0].r_star == pytest.approx(8.607806632909526e-05, rel=1e-6)
     assert -tops[0].v_star > 1e4
-    crossing = find_root(lambda r: potential_v2(CFG, r), 1e-6, tops[0].r_star)
+    crossing = find_root(DIPOLE, 1e-6, tops[0].r_star)
     assert crossing == pytest.approx(4.9697194722052714e-05, rel=1e-8)
     assert crossing < 1e-4
 
@@ -188,13 +184,13 @@ def test_ring_interaction_is_attractive_everywhere():
 def test_ring_potential_positive_where_dipole_diverges():
     # the ring structure regularizes the r -> 0 plunge: kinetic wins
     assert potential_v3(RingParams(2.661639e-5), CFG, 1e-8) > 0.0
-    assert potential_v2(CFG, 1e-8) < 0.0
+    assert DIPOLE(1e-8) < 0.0
 
 
 def test_ring_curve_has_two_minima_at_tuned_radius():
     R = TUNED_COEFF * CFG.alpha**2
     minima = find_local_minima(
-        lambda r: binding_v3(RingParams(R), CFG, r), 1e-6, 1e4, points_per_decade=40
+        PotentialModel("ring-ml", CFG, RingParams(R)).binding, 1e-6, 1e4, points_per_decade=40
     )
     assert len(minima) == 2
     tight, coulombic = minima
@@ -221,9 +217,11 @@ def test_regulated_rings_approach_plain_rings():
     R = 2.57e-5
     reg = RingParams(R, kappa=1e3 / R)
     plain = RingParams(R)
+    reg_model = PotentialModel("ring-bltp", CFG, reg)
+    plain_model = PotentialModel("ring-ml", CFG, plain)
     for r in (5e-6, 2.57e-5, 1e-4, 274.0):
         assert abs(potential_v4(reg, CFG, r) - potential_v3(plain, CFG, r)) <= 1e-8
-        assert abs(binding_v4(reg, CFG, r) - binding_v3(plain, CFG, r)) <= 1e-8
+        assert abs(reg_model.binding(r) - plain_model.binding(r)) <= 1e-8
 
 
 def test_regulated_rings_are_weaker_than_plain_rings():
@@ -301,17 +299,21 @@ def test_regulated_potential_returns_plain_floats():
     params = RingParams(BLTP_R, 1.8052024923e5)
     for r in (1e-8, 1.7e-5, 274.0):
         assert type(potential_v4(params, CFG, r)) is float
-        assert type(binding_v4(params, CFG, r)) is float
+        assert type(PotentialModel("ring-bltp", CFG, params).binding(r)) is float
         assert all(type(x) is float for x in _bltp_integrals(params.R, params.kappa, r))
 
 
 def test_scaling_family_reduces_to_plain_rings_at_reference_exponent():
+    # ring-ml is the k = 1 member of the scaling family, bit for bit
     R = 2.661639e-5
     params = RingParams(R)
-    for r in np.geomspace(1e-6, 1e3, 19):
-        assert potential_scaling_law(1, params, CFG, float(r)) == potential_v3(
-            params, CFG, float(r)
-        )
+    ring_ml = PotentialModel("ring-ml", CFG, params)
+    scaling_k1 = PotentialModel("scaling", CFG, params, scaling_k=1)
+    for r in np.geomspace(1e-9, 1e6, 2001):
+        r = float(r)
+        assert potential_scaling_law(1, params, CFG, r) == potential_v3(params, CFG, r)
+        assert ring_ml(r) == scaling_k1(r) == potential_v3(params, CFG, r)
+        assert ring_ml.binding(r) == scaling_k1.binding(r)
 
 
 def test_scaled_ring_radius_rule():
@@ -324,8 +326,8 @@ def test_scaled_ring_radius_rule():
 def test_rest_energy_asymptote_across_families():
     r = 1e6
     values = [
-        potential_v1(CFG, r),
-        potential_v2(CFG, r),
+        COULOMB(r),
+        DIPOLE(r),
         potential_v3(RingParams(scaled_ring_radius(1)), CFG, r),
         potential_v4(RingParams(2.57e-5, 1.8e5), CFG, r),
     ]
@@ -359,7 +361,7 @@ def test_tenth_digit_sensitivity():
 
 
 def test_tight_well_closes_at_large_coefficient():
-    with pytest.raises(OptimizeError):
+    with pytest.raises(OptimizeError, match=r"in \(.+\) for coeff=0\.7, k=1"):
         _tight_minimum(1, 0.7, CFG)
 
 
@@ -379,24 +381,24 @@ def test_scaling_family_tunes_per_exponent():
 
 
 def test_sample_curve_log_grid():
-    curve = sample_curve(coulomb_point(), 1.0, 1e3, 7)
+    curve = sample_curve(COULOMB, 1.0, 1e3, 7)
     assert len(curve.grid) == len(curve.values) == 7
     assert curve.grid[0] == 1.0
     assert curve.grid[-1] == 1e3
     ratios = [b / a for a, b in zip(curve.grid, curve.grid[1:])]
     assert all(x == pytest.approx(ratios[0], rel=1e-12) for x in ratios)
     for r, v in zip(curve.grid, curve.values):
-        assert v == potential_v1(CFG, r)
+        assert v == kinetic_term(CFG, r) - CFG.alpha / r
 
 
 def test_sample_curve_linear_grid():
-    curve = sample_curve(coulomb_dipole(), 1.0, 2.0, 5, spacing="linear")
+    curve = sample_curve(DIPOLE, 1.0, 2.0, 5, spacing="linear")
     steps = [b - a for a, b in zip(curve.grid, curve.grid[1:])]
     assert all(s == pytest.approx(0.25, rel=1e-12) for s in steps)
 
 
 def test_sample_curve_validation():
-    model = coulomb_point()
+    model = COULOMB
     with pytest.raises(ValueError):
         sample_curve(model, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
@@ -408,13 +410,23 @@ def test_sample_curve_validation():
 def test_model_call_dispatch():
     r = 3e-5
     R = 2.661639e-5
-    assert coulomb_point()(r) == potential_v1(CFG, r)
-    assert coulomb_dipole()(r) == potential_v2(CFG, r)
-    assert ring_ml(R)(r) == potential_v3(RingParams(R), CFG, r)
-    assert ring_bltp(R, 1.8e5)(r) == potential_v4(RingParams(R, 1.8e5), CFG, r)
-    assert scaling_model(2, R)(r) == potential_scaling_law(2, RingParams(R), CFG, r)
-    assert coulomb_point().binding(r) == binding_v1(CFG, r)
-    assert ring_bltp(R, 1.8e5).binding(r) == binding_v4(RingParams(R, 1.8e5), CFG, r)
+    dipole = CFG.alpha**3 / (8.0 * math.pi**2 * r**3)
+    ring_ml = PotentialModel("ring-ml", CFG, RingParams(R))
+    ring_bltp = PotentialModel("ring-bltp", CFG, RingParams(R, 1.8e5))
+    scaling = PotentialModel("scaling", CFG, RingParams(R), scaling_k=2)
+    assert COULOMB(r) == kinetic_term(CFG, r) - CFG.alpha / r
+    assert DIPOLE(r) == kinetic_term(CFG, r) - CFG.alpha / r - dipole
+    assert ring_ml(r) == potential_v3(RingParams(R), CFG, r)
+    assert ring_bltp(r) == potential_v4(RingParams(R, 1.8e5), CFG, r)
+    assert scaling(r) == potential_scaling_law(2, RingParams(R), CFG, r)
+    assert COULOMB.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r
+    assert DIPOLE.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r - dipole
+    assert ring_ml.binding(r) == kinetic_excess(CFG, r) + ring_pair_energy_ML(
+        RingParams(R), CFG, r
+    )
+    assert ring_bltp.binding(r) == kinetic_excess(CFG, r) + models._bltp_interaction(
+        R, 1.8e5, CFG.alpha, r
+    )
 
 
 def test_config_validation():
@@ -454,12 +466,12 @@ def test_missing_kappa_is_rejected_at_evaluation():
     with pytest.raises(ValueError):
         potential_v4(RingParams(1e-5), CFG, 1e-5)
     with pytest.raises(ValueError):
-        binding_v4(RingParams(1e-5), CFG, 1e-5)
+        PotentialModel("ring-bltp", CFG, RingParams(1e-5)).binding(1e-5)
 
 
 def test_positive_separation_required():
     with pytest.raises(ValueError):
-        potential_v1(CFG, 0.0)
+        COULOMB(0.0)
     with pytest.raises(ValueError):
         kinetic_term(CFG, -1.0)
     with pytest.raises(ValueError):
@@ -467,7 +479,7 @@ def test_positive_separation_required():
 
 
 def test_energy_curve_invariants():
-    model = coulomb_point()
+    model = COULOMB
     with pytest.raises(ValueError):
         EnergyCurve(model, (1.0, 2.0), (1.0,))
     with pytest.raises(ValueError):

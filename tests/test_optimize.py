@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from positronium.models import PhysicalConfig, binding_v1, bohr_energy
+from positronium.models import PhysicalConfig, PotentialModel, bohr_energy
 from positronium.optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
+    deepest_minimum,
     find_local_minima,
     find_root,
     minimize_scalar,
@@ -46,21 +47,35 @@ def test_cosine_minima_enumeration_and_tie_break():
 def test_coulomb_binding_refinement():
     # the rest-subtracted point-charge curve: analytic minimizer and value
     cfg = PhysicalConfig()
-    p = minimize_scalar(lambda r: binding_v1(cfg, r), Bracket(100.0, 250.0, 600.0))
+    binding = PotentialModel("coulomb", cfg).binding
+    p = minimize_scalar(binding, Bracket(100.0, 250.0, 600.0))
     assert p.r_star == pytest.approx(math.sqrt(4.0 - cfg.alpha**2) / cfg.alpha, rel=1e-7)
     assert 2.0 + p.v_star == pytest.approx(bohr_energy(cfg), rel=1e-12)
 
 
 def test_grid_resolution_invariance():
-    cfg = PhysicalConfig()
-    coarse = find_local_minima(lambda r: binding_v1(cfg, r), 1.0, 1e4, points_per_decade=15)
-    fine = find_local_minima(lambda r: binding_v1(cfg, r), 1.0, 1e4, points_per_decade=60)
+    binding = PotentialModel("coulomb", PhysicalConfig()).binding
+    coarse = find_local_minima(binding, 1.0, 1e4, points_per_decade=15)
+    fine = find_local_minima(binding, 1.0, 1e4, points_per_decade=60)
     assert len(coarse) == len(fine) == 1
     assert coarse[0].r_star == pytest.approx(fine[0].r_star, rel=1e-8)
 
 
 def test_monotone_function_has_no_minima():
     assert find_local_minima(lambda x: x, 1.0, 100.0, points_per_decade=20) == []
+
+
+def test_deepest_minimum_picks_the_lowest_well():
+    # minima of cos(x) - x/100 at about pi, 3pi, 5pi: the last is deepest
+    f = lambda x: math.cos(x) - x / 100.0
+    p = deepest_minimum(f, 1.0, 20.0, 40, "for the test curve")
+    assert p == min(find_local_minima(f, 1.0, 20.0, points_per_decade=40), key=lambda q: q.v_star)
+    assert p.r_star == pytest.approx(5.0 * math.pi, rel=1e-3)
+
+
+def test_deepest_minimum_names_the_empty_window():
+    with pytest.raises(OptimizeError, match=r"\(1\.0, 100\.0\) for coeff=0\.7"):
+        deepest_minimum(lambda x: x, 1.0, 100.0, 20, "for coeff=0.7")
 
 
 def test_root_of_sqrt_two():

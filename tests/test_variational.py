@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from positronium.models import PhysicalConfig
-from positronium.optimize import OptimizeError
+from positronium.optimize import Bracket, OptimizeError, minimize_scalar
 from positronium.quadrature import Integral, integrate_semi_infinite
 from positronium.variational import (
     TrialScale,
@@ -14,7 +14,6 @@ from positronium.variational import (
     kinetic_expectation,
     minimize_over_a,
     potential_expectation,
-    refine_coulombic_minimum,
 )
 
 CFG = PhysicalConfig()
@@ -102,7 +101,9 @@ def test_both_regimes_found_in_a_wide_window():
 
 
 def test_hydrogenic_refinement():
-    p = refine_coulombic_minimum(R_REF, (100.0, 274.0, 1000.0), CFG)
+    p = minimize_scalar(
+        lambda a: energy_expectation(a, R_REF, CFG), Bracket(100.0, 274.0, 1000.0)
+    )
     assert p.r_star == pytest.approx(274.06300503013523, rel=1e-8)
     assert p.v_star == pytest.approx(2.0 - CFG.alpha**2 / 4.0, abs=1e-7)
 
