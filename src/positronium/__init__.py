@@ -4,6 +4,7 @@ electron-positron pair, from point charges to flux-quantized current rings.
 The package is organized bottom-up:
 
 * quadrature - deterministic adaptive integration (embedded 15-point rule)
+               and the same rule on fixed panels for sampled integrands
 * elliptic   - complete elliptic integrals K, E by the AGM
 * optimize   - bracketed scalar minimization, log-grid scans, root finding
 * models     - the interaction families, PotentialModel and ring tuning

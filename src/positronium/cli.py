@@ -327,11 +327,8 @@ def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     if params["quantity"] not in ("potential", "binding"):
         _fail_usage("--quantity", f"must be 'potential' or 'binding'; got {params['quantity']!r}")
 
-    curve = models.sample_curve(model, rmin, rmax, params["points"], params["spacing"])
-    if params["quantity"] == "binding":
-        values = tuple(model.binding(r) for r in curve.grid)
-    else:
-        values = curve.values
+    energy = model.binding if params["quantity"] == "binding" else model
+    curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
     echo = _echo_model_params(model)
     echo.update(
         rmin=rmin,
@@ -340,7 +337,7 @@ def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         spacing=params["spacing"],
         quantity=params["quantity"],
     )
-    results = {"r": list(curve.grid), "V": list(values)}
+    results = {"r": list(curve.grid), "V": list(curve.values)}
     return echo, results
 
 

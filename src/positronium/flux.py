@@ -143,8 +143,15 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
             kappa_min=kappa_min,
         )
 
+    # kappa(u) - kappa by u: find_root starts from u_min, known from the
+    # threshold, and from the last u_hi, which the doubling loop has just
+    # evaluated, so neither costs another G
+    known = {u_min: kappa_min - kappa}
+
     def excess(u: float) -> float:
-        return _ring_at(u, alpha)[1] - kappa
+        if u not in known:
+            known[u] = _ring_at(u, alpha)[1] - kappa
+        return known[u]
 
     u_hi = 2.0 * u_min
     while excess(u_hi) <= 0.0:

@@ -33,6 +33,9 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
   E are each ~pi/2: direct evaluation leaves pure noise, amplified by the
   1/sqrt(m) prefactor into O(1) garbage at r ~ 1e6.  _ke_bracket switches
   to the series below m = 1/2.
+* _ring_lines_array, the array form used by the variational bound, needs
+  no series: it sums (2-m)K - 2E = K sum 2^j c_j^2 from cancellation-free
+  AGM differences c_j instead.
 * The elliptic moduli are fed to the AGM as the exact pair
   k = 1/hypot(1, rho), k' = rho/hypot(1, rho); reconstructing k' from a
   rounded k fails once rho < 1e-8 and k rounds to 1.0.
@@ -101,6 +104,10 @@ _V4_ABS_TOL = 1e-14
 _TRAPEZOID_MIN_RHO = 1e-3
 _TRAPEZOID_START_NODES = 16
 _TRAPEZOID_MAX_NODES = 2**15
+
+# sweep cap of the vectorised AGM in _ring_lines_array (it needs fewer than 10)
+_AGM_MAX_SWEEPS = 64
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -189,9 +196,13 @@ class PotentialModel:
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """A sampled potential: strictly increasing positive grid, finite values."""
+    """A sampled energy curve: strictly increasing positive grid, finite values.
 
-    model: PotentialModel
+    ``model`` is the function sampled: a PotentialModel, its ``binding``,
+    or any other energy of r.
+    """
+
+    model: Callable[[float], float]
     grid: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -297,6 +308,45 @@ def _ring_lines(R: float, alpha: float, mag_coupling: float, r: float) -> tuple[
     m = k * k
     electric = -(alpha / (math.pi * R)) * k * big_k
     magnetic = -(mag_coupling / (4.0 * math.pi**3 * R**3)) * h * _ke_bracket(m, big_k, big_e)
+    return electric, magnetic
+
+
+def _ring_lines_array(
+    R: float, alpha: float, mag_coupling: float, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_ring_lines at every separation of the array r > 0, by one vectorised AGM.
+
+    The magnetic bracket needs no series switch here: with
+    c_1 = k^2/(2(1 + k')) and c_{j+1} = c_j^2/(2(a_j + b_j)), both exact
+    rewrites of c_j = (a_{j-1} - b_{j-1})/2,
+
+        (2 - m)K - 2E = K * sum_{j>=1} 2^j c_j^2,
+
+    a sum of positive terms.  Agrees with _ring_lines to ~1e-14 relative
+    (the scalar direct form loses a few ulp to cancellation just above
+    m = 1/2); _ring_lines itself stays as it is, bit for bit.
+    """
+    rho = r / (2.0 * R)
+    h = np.hypot(1.0, rho)
+    k = 1.0 / h
+    kp = rho / h
+    a = np.ones_like(kp)
+    b = kp
+    c = k * k / (2.0 * (1.0 + kp))
+    weight = 2.0
+    series = weight * c * c
+    for _ in range(_AGM_MAX_SWEEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (2.0 * (a + b))
+        weight *= 2.0
+        series += weight * c * c
+        if np.all(c <= _EPS * a):
+            break
+    else:  # pragma: no cover - quadratic convergence takes < 10 sweeps
+        raise RuntimeError("vectorised AGM failed to converge")
+    big_k = math.pi / (a + b)
+    electric = -(alpha / (math.pi * R)) * k * big_k
+    magnetic = -(mag_coupling / (4.0 * math.pi**3 * R**3)) * h * (big_k * series)
     return electric, magnetic
 
 
@@ -477,13 +527,14 @@ def scaled_ring_radius(k: int, alpha: float = ALPHA_FS, coeff: float = ZERO_ENER
 
 
 def sample_curve(
-    model: PotentialModel,
+    model: Callable[[float], float],
     r_min: float,
     r_max: float,
     points: int,
     spacing: str = "log",
 ) -> EnergyCurve:
-    """Evaluate ``model`` on a deterministic grid (log or linear spacing)."""
+    """Evaluate ``model`` (a PotentialModel, its ``binding``, or any energy
+    of r) once per point of a deterministic grid (log or linear spacing)."""
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
     if points < 2:

@@ -1,9 +1,8 @@
 """Adaptive one-dimensional quadrature on finite and semi-infinite intervals.
 
-The integrator drives the flux-quantization constraint, the angular
+The integrator drives the flux-quantization constraint and the angular
 integrals of the flux-constrained ring potential at separations below
-r = 2e-3 R (larger ones use a periodic trapezoid rule in models), and the
-radial momentum / position integrals of the variational bound.  It is an
+r = 2e-3 R (larger ones use a periodic trapezoid rule in models).  It is an
 embedded-rule scheme: each panel is evaluated with a 15-point Kronrod rule
 whose 7-point Gauss subset provides the error estimate, and the panel with
 the largest estimated error is bisected until the summed estimate meets the
@@ -12,6 +11,11 @@ Subdivision order is deterministic (worst error first, ties broken by
 creation order), all accumulation is compensated, and the nodes are fixed
 constants -- identical inputs therefore yield bit-identical results across
 runs and platforms.
+
+gk15_panels lays the same rule, unrefined, on a given set of panels, for
+integrals whose integrand is sampled as an array: the variational bound
+builds one such node table per scan and reuses it for every trial scale
+(see variational).
 
 Semi-infinite integrals over [a, inf) are mapped onto t in [0, 1) by
 
@@ -30,10 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "Integral",
     "QuadratureResult",
     "QuadratureError",
+    "gk15_panels",
     "integrate",
     "integrate_semi_infinite",
 ]
@@ -71,6 +78,13 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+
+# the same rule over [-1, 1] in ascending order, Gauss weights zero off the
+# Gauss nodes (odd positions)
+_NODES = np.concatenate([-np.array(_XGK[:7]), np.array(_XGK[::-1])])
+_KRONROD = np.array(_WGK + _WGK[-2::-1])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = _WG + _WG[-2::-1]
 
 _EPS = math.ulp(1.0)
 _UFLOW = 2.2250738585072014e-308
@@ -186,6 +200,26 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     if resabs > _UFLOW / (50.0 * _EPS):
         err = max(_EPS * 50.0 * resabs, err)
     return value, err, resabs
+
+
+def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GK15 nodes and weights on the panels [edges[j], edges[j+1]].
+
+    Returns (nodes, kronrod, gauss), each of shape (15, panels), one column
+    per panel: the Kronrod weights, and the embedded Gauss-7 weights (zero
+    at the eight Kronrod-only nodes), both scaled to the panel widths.
+    Summing f(nodes) * kronrod gives the 15-point rule over the union of
+    the panels; the column sums of f(nodes) * (kronrod - gauss) are each
+    panel's Kronrod-minus-Gauss error estimate.
+    """
+    edges = np.asarray(edges, dtype=float)
+    center = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (
+        center + half * _NODES[:, None],
+        half * _KRONROD[:, None],
+        half * _GAUSS[:, None],
+    )
 
 
 def integrate(spec: Integral) -> QuadratureResult:

@@ -6,13 +6,35 @@ in the relative coordinate.  With the relativistic kinetic operator
 (position space), both expectation values reduce to one-dimensional
 integrals:
 
-    <T>(a)    = (64/pi) int_0^inf x^2 sqrt(1 + x^2/a^2) / (1+x^2)^4 dx
-    <U_R>(a)  = 4 int_0^inf s^2 U_R(a s) exp(-2 s) ds
+    <T>(a)    = (64/pi) int_0^inf x^2 (1+x^2)^-4 sqrt(1 + x^2/a^2) dx
+    <U_R>(a)  = (4/a^3) int_0^inf r^2 U_R(r) exp(-2r/a) dr
 
 (the x integral is the momentum integral with x = 2 pi a k; the norm
 (32/pi) int x^2/(1+x^2)^4 dx is exactly 1).  E(a) = <T> + <U_R> is a
 rigorous upper bound on the ground state for every a, so its minimum over
 a is the best bound the family affords.
+
+Both integrals share their expensive part across trial scales: <U_R> is
+a Laplace transform of r^2 U_R(r), and the kinetic weight
+x^2 (1+x^2)^-4 does not depend on a.  So the integrals are taken with one
+fixed GK15 rule on geometric panels, _PANELS_PER_DECADE to the decade,
+with the weights folded into the node table: r^2 U_R(r) is sampled once
+(one vectorised AGM over the nodes) and each E(a) costs one np.exp, one
+np.sqrt and weighted sums.  minimize_over_a builds one table for its
+whole window; the single-a functions build one for [a, a].  The tables
+cover
+
+    r in [1e-7 min(a_min, 2R), 60 a_max],
+    x in [1e-6 min(a_min, 1), 1e4 max(a_max, 1)],
+
+and what they leave out is below 1e-17 of each integral for a in the
+window (exp(-120) past 60 a; r^2 ln(1/r) and x^2 at the lower ends; an
+x^-7 tail at the upper one).  The embedded Gauss-7 rule checks the rest:
+the per-panel Kronrod-minus-Gauss differences, summed in magnitude,
+estimate the discretisation error from above (the 15-point sum is far
+more accurate than the 7-point one); the estimate is about 2e-15 relative
+at 8 panels per decade, and QuadratureError names a and R when it exceeds
+_REL_TOL.
 
 Two regimes matter: a near the Bohr radius 2/alpha reproduces the weakly
 bound Coulombic state (E = 2 - alpha^2/4 + O(alpha^4)), and a near the
@@ -27,10 +49,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .models import PhysicalConfig, RingParams, ring_pair_energy_ML
+import numpy as np
+
+from .models import PhysicalConfig, RingParams, _ring_lines_array
 from .optimize import OptimizeError, find_local_minima
-from .quadrature import Integral, integrate_semi_infinite
+from .quadrature import QuadratureError, gk15_panels
 
 __all__ = [
     "TrialScale",
@@ -42,6 +67,9 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+# geometric GK15 panels per decade of the node tables: the Gauss-7 estimate
+# is about 2e-15 of each integral here, and about 3e-11 at 4 per decade
+_PANELS_PER_DECADE = 8
 
 
 @dataclass(frozen=True)
@@ -73,6 +101,70 @@ def _scale(a: TrialScale | float) -> float:
     return value
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A fixed GK15 rule on geometric panels of [lo, hi], a weight folded in.
+
+    ``integral(values, a)`` is the rule's sum of weight(t) * values over
+    the nodes t (shape (15, panels), as ``values``) for trial scale a;
+    ``what`` names the integral in its QuadratureError.
+    """
+
+    what: str
+    nodes: np.ndarray
+    # weight(nodes) times the Kronrod and the Kronrod-minus-Gauss-7 weights
+    weights: np.ndarray
+
+    @classmethod
+    def build(
+        cls, what: str, lo: float, hi: float, weight: Callable[[np.ndarray], np.ndarray]
+    ) -> _Table:
+        panels = max(1, math.ceil(_PANELS_PER_DECADE * math.log10(hi / lo)))
+        edges = lo * (hi / lo) ** (np.arange(panels + 1) / panels)  # geometric
+        nodes, kronrod, gauss = gk15_panels(edges)
+        w = weight(nodes)
+        return cls(what, nodes, np.stack([w * kronrod, w * (kronrod - gauss)]))
+
+    def integral(self, values: np.ndarray, a: float) -> float:
+        # per-panel Kronrod sums and Kronrod-minus-Gauss differences
+        panels = np.einsum("np,knp->kp", values, self.weights)
+        total = float(panels[0].sum())
+        estimate = float(np.abs(panels[1]).sum())
+        if not estimate <= _REL_TOL * abs(total):
+            raise QuadratureError(
+                f"{self.what} at a={a!r}: Gauss-7 error estimate {estimate:.3g} exceeds "
+                f"{_REL_TOL:g} of the integral {total!r}"
+            )
+        return total
+
+
+def _kinetic_table(a_min: float, a_max: float) -> _Table:
+    return _Table.build(
+        "kinetic expectation",
+        1e-6 * min(a_min, 1.0),
+        1e4 * max(a_max, 1.0),
+        lambda x: x * x / (1.0 + x * x) ** 4,
+    )
+
+
+def _kinetic_at(table: _Table, a: float) -> float:
+    u = table.nodes / a
+    return 64.0 / math.pi * table.integral(np.sqrt(1.0 + u * u), a)
+
+
+def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> _Table:
+    def weight(r: np.ndarray) -> np.ndarray:
+        electric, magnetic = _ring_lines_array(R, cfg.alpha, cfg.alpha**3, r)
+        return r * r * (electric + magnetic)
+
+    what = f"potential expectation for R={R!r}"
+    return _Table.build(what, 1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, weight)
+
+
+def _potential_at(table: _Table, a: float) -> float:
+    return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a)
+
+
 def kinetic_expectation(a: TrialScale | float) -> float:
     """<2 sqrt(1 - Laplacian)> in the trial state of scale a.
 
@@ -80,14 +172,7 @@ def kinetic_expectation(a: TrialScale | float) -> float:
     relativistic) to 2 + 1/a^2 - 5/(4 a^4) + ... at large a.
     """
     av = _scale(a)
-
-    def kernel(x: float) -> float:
-        u = x / av
-        w = 1.0 + x * x
-        return x * x * math.sqrt(1.0 + u * u) / (w * w * w * w)
-
-    value = integrate_semi_infinite(Integral(kernel, 0.0, math.inf, _REL_TOL, 0.0)).value
-    return 64.0 / math.pi * value
+    return _kinetic_at(_kinetic_table(av, av), av)
 
 
 def potential_expectation(
@@ -96,13 +181,8 @@ def potential_expectation(
     """<U_R> in the trial state of scale a; tends to -alpha/a for a >> R."""
     av = _scale(a)
     cfg = cfg or PhysicalConfig()
-    params = RingParams(R)
-
-    def kernel(s: float) -> float:
-        return s * s * ring_pair_energy_ML(params, cfg, av * s) * math.exp(-2.0 * s)
-
-    value = integrate_semi_infinite(Integral(kernel, 0.0, math.inf, _REL_TOL, 0.0)).value
-    return 4.0 * value
+    RingParams(R)  # validates R
+    return _potential_at(_potential_table(R, av, av, cfg), av)
 
 
 def energy_expectation(
@@ -123,15 +203,20 @@ def minimize_over_a(
 
     Logarithmic scan plus parabolic refinement, same discipline as the
     potential-curve minimizers: the tight and Coulombic minima are nine
-    decades apart, so linear scanning is useless.  Raises OptimizeError
-    when the window contains no interior minimum.
+    decades apart, so linear scanning is useless.  Every E(a) of the scan
+    comes from one pair of node tables built for the window (see the
+    module docstring).  Raises OptimizeError when the window contains no
+    interior minimum.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max; got ({a_min!r}, {a_max!r})")
     cfg = cfg or PhysicalConfig()
+    RingParams(R)  # validates R
+    kinetic = _kinetic_table(a_min, a_max)
+    potential = _potential_table(R, a_min, a_max, cfg)
 
     def f(a: float) -> float:
-        return energy_expectation(a, R, cfg)
+        return _kinetic_at(kinetic, a) + _potential_at(potential, a)
 
     points = find_local_minima(f, a_min, a_max, points_per_decade=points_per_decade)
     if not points:
@@ -140,8 +225,8 @@ def minimize_over_a(
         )
     results = []
     for p in points:
-        kin = kinetic_expectation(p.r_star)
-        pot = potential_expectation(p.r_star, R, cfg)
+        kin = _kinetic_at(kinetic, p.r_star)
+        pot = _potential_at(potential, p.r_star)
         results.append(
             VariationalResult(
                 a_star=p.r_star,

@@ -2,9 +2,10 @@
 
 ``perfbench/workloads.py`` calls the package by module attribute
 (``models.potential_v3``, ``flux.solve_R_given_kappa``, ...).  Running one
-seeded block of ``ring_scan`` and one ``flux_sweep`` operation through its
-own executor, checked by its own scipy oracles, makes a rename of any name
-the benchmark binds fail here rather than in a benchmark run.  Nothing
+seeded block of ``ring_scan`` and one ``flux_sweep`` and one
+``variational`` operation through its own executor, checked by its own
+scipy oracles, makes a rename of any name the benchmark binds fail here
+rather than in a benchmark run.  Nothing
 under ``perfbench/`` is modified.
 """
 
@@ -56,3 +57,10 @@ def test_one_flux_sweep_operation(bench):
               if op["kappa"] > workloads.KAPPA_MIN)
     u_min, k_min = oracles.kappa_min()
     assert oracles.check_flux(op, run(op), u_min, k_min) is None
+
+
+def test_one_variational_operation(bench):
+    workloads, oracles = bench
+    run = workloads.executor("variational")
+    op = next(workloads.operations("variational", 1))
+    assert oracles.check_variational(op, run(op)) is None

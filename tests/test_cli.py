@@ -1,11 +1,12 @@
 """Command-line interface: formats, envelopes, exit codes, config files."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from positronium import cli
+from positronium import cli, models
 from positronium.models import PhysicalConfig, PotentialModel
 
 
@@ -76,6 +77,23 @@ def test_scan_binding_quantity(capsys):
     for r, v in zip(env["results"]["r"], env["results"]["V"]):
         assert v == pytest.approx(model(r) - 2.0, abs=1e-15)
         assert v < 0.0
+
+
+@pytest.mark.parametrize("quantity", ["potential", "binding"])
+def test_scan_evaluates_each_point_once(capsys, monkeypatch, quantity):
+    family = models.FAMILIES["coulomb"]
+    evaluated = []
+
+    def counted(kinetic, model, r):
+        evaluated.append(r)
+        return family.energy(kinetic, model, r)
+
+    monkeypatch.setitem(models.FAMILIES, "coulomb", dataclasses.replace(family, energy=counted))
+    code, out, _ = run_cli(
+        capsys, "scan", "--model", "coulomb", "--points", "25", "--quantity", quantity, "--json"
+    )
+    assert code == 0
+    assert evaluated == json.loads(out)["results"]["r"]
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,41 @@ def test_outer_branch_property(kappa_min, oracle_threshold, s, t):
         assert sols[0].R < sols[1].R
 
 
+@pytest.mark.parametrize("kappa,g_calls", [(1.8e5, 9), (1e6, 12)])
+def test_solve_reuses_the_known_ends_of_the_bracket(monkeypatch, kappa, g_calls):
+    # find_root evaluates kappa(u) first at u_min, whose G the threshold
+    # search has cached, and at the last doubled u_hi, which the bracket
+    # search has just evaluated: two of its evaluations cost no G
+    flux._threshold()  # the once-per-process search stays outside the count
+    counts = {"G": 0, "G in root": 0, "root evals": 0}
+    in_root = False
+    G, root = flux.flux_constraint_integral, flux.find_root
+
+    def counted_G(u):
+        counts["G"] += 1
+        counts["G in root"] += in_root
+        return G(u)
+
+    def counted_root(g, lo, hi, tol=0.0):
+        nonlocal in_root
+
+        def counted_g(u):
+            counts["root evals"] += 1
+            return g(u)
+
+        in_root = True
+        try:
+            return root(counted_g, lo, hi, tol)
+        finally:
+            in_root = False
+
+    monkeypatch.setattr(flux, "flux_constraint_integral", counted_G)
+    monkeypatch.setattr(flux, "find_root", counted_root)
+    solve_R_given_kappa(kappa)
+    assert counts["G in root"] == counts["root evals"] - 2
+    assert counts["G"] == g_calls  # 11 and 14 when both ends were evaluated again
+
+
 def test_tune_bltp_returns_plain_floats():
     solution, point = tune_bltp(target_energy=0.0)
     values = [getattr(solution, f.name) for f in dataclasses.fields(solution)]

@@ -20,6 +20,7 @@ from positronium.models import (
     PotentialModel,
     RingParams,
     _bltp_integrals,
+    _ring_lines_array,
     _tight_minimum,
     bohr_energy,
     bohr_expansion_coeffs,
@@ -125,6 +126,36 @@ def test_ring_lines_against_scipy_elliptic():
         big_k = scipy.special.ellipk(m)
         electric, _ = ring_energy_lines(params, CFG, r)
         assert electric == pytest.approx(-(CFG.alpha / (math.pi * R)) * k * big_k, rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [2.661639e-5, 2.57e-5, 1e-3])
+def test_array_ring_lines_match_the_scalar_lines(R):
+    # the vectorised AGM sums the magnetic bracket from c_j differences, the
+    # scalar one switches to the Maclaurin series below m = 1/2; both lines
+    # agree to 1e-14 relative on both sides of the switch and at every scale
+    r = np.geomspace(1e-12, 1e6, 4001)
+    electric, magnetic = _ring_lines_array(R, CFG.alpha, CFG.alpha**3, r)
+    params = RingParams(R)
+    for i, ri in enumerate(r):
+        want_e, want_m = ring_energy_lines(params, CFG, float(ri))
+        assert electric[i] == pytest.approx(want_e, rel=1e-14, abs=0.0), ri
+        assert magnetic[i] == pytest.approx(want_m, rel=1e-14, abs=0.0), ri
+
+
+def test_array_magnetic_line_against_multiprecision():
+    # just above m = 1/2 the scalar direct form (2 - m)K - 2E loses ~7e-15
+    # to cancellation; the array form's sum of positive terms does not
+    mpmath.mp.dps = 30
+    R = 2.661639e-5
+    r = np.array([1e-9, 0.5 * R, 1.8 * R, 1.9 * R, 2.0 * R, 4.0 * R, 2000.0 * R, 1e4])
+    _, magnetic = _ring_lines_array(R, CFG.alpha, CFG.alpha**3, r)
+    for ri, got in zip(r, magnetic):
+        rho = mpmath.mpf(float(ri)) / (2 * mpmath.mpf(R))
+        m = 1 / (1 + rho**2)
+        bracket = (2 - m) * mpmath.ellipk(m) - 2 * mpmath.ellipe(m)
+        want = -(mpmath.mpf(CFG.alpha) ** 3 / (4 * mpmath.pi**3 * mpmath.mpf(R) ** 3))
+        want *= mpmath.sqrt(1 + rho**2) * bracket
+        assert got == pytest.approx(float(want), rel=1e-15), ri
 
 
 def test_ring_magnetic_line_against_multiprecision():

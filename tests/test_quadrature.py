@@ -8,6 +8,7 @@ import pytest
 from positronium.quadrature import (
     Integral,
     QuadratureError,
+    gk15_panels,
     integrate,
     integrate_semi_infinite,
 )
@@ -157,3 +158,21 @@ def test_infinite_interval_routing():
         integrate_semi_infinite(Integral(math.exp, 0.0, 1.0))
     with pytest.raises(ValueError):
         integrate_semi_infinite(Integral(math.exp, -math.inf, math.inf))
+
+
+def test_gk15_panels_exact_degrees_and_estimate():
+    # Kronrod is exact to degree 23 and its Gauss-7 subset to degree 13 on
+    # each panel, so x^13 leaves a zero estimate and x^20 a positive one
+    edges = np.array([0.5, 1.0, 3.0, 4.0])
+    nodes, kronrod, gauss = gk15_panels(edges)
+    assert nodes.shape == kronrod.shape == gauss.shape == (15, 3)
+    assert np.all((edges[:-1] < nodes) & (nodes < edges[1:]))
+    assert np.count_nonzero(gauss[:, 0]) == 7
+    for p in (0, 5, 13, 20, 23):
+        exact = (edges[1:] ** (p + 1) - edges[:-1] ** (p + 1)) / (p + 1)  # per panel
+        assert np.sum(nodes**p * kronrod) == pytest.approx(exact.sum(), rel=1e-14)
+        estimate = np.abs(np.sum(nodes**p * (kronrod - gauss), axis=0))
+        if p <= 13:
+            assert np.all(estimate <= 1e-14 * exact)
+        else:
+            assert np.all(estimate > 1e-13 * exact)
