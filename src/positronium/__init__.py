@@ -46,7 +46,6 @@ from .models import (
     potential_v3,
     potential_v4,
     ring_energy_lines,
-    ring_pair_energy_ML,
     sample_curve,
     scaled_ring_radius,
     tune_ring_radius,
@@ -65,7 +64,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     integrate,
-    integrate_semi_infinite,
 )
 from .variational import (
     TrialScale,
@@ -87,7 +85,6 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "integrate",
-    "integrate_semi_infinite",
     # optimize
     "Bracket",
     "OptimizeError",
@@ -113,7 +110,6 @@ __all__ = [
     "potential_v3",
     "potential_v4",
     "ring_energy_lines",
-    "ring_pair_energy_ML",
     "sample_curve",
     "scaled_ring_radius",
     "tune_ring_radius",

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -118,6 +119,10 @@ class _Param(NamedTuple):
     required: bool = False
     choices: tuple[str, ...] | None = None
 
+
+# a negative number, exponent included: argparse's own pattern (Python 3.11)
+# has no exponent, so it would read "--target -5e-3" as two options
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 _TUNE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.R)
 
@@ -496,6 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, spec in _PARAM_SPECS.items():
         p = sub.add_parser(verb, help=_VERB_HELP[verb])
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for key, param in spec.items():
             if key == "spacing":
                 p.add_argument("--log", dest=key, action="store_const", const="log",

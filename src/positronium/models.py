@@ -31,11 +31,10 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
 * The magnetic line of the ring-ring energy contains (2-m)K - 2E with
   m = 1/(1 + r^2/4R^2).  For r >> R this is pi m^2/16 + O(m^3) while K and
   E are each ~pi/2: direct evaluation leaves pure noise, amplified by the
-  1/sqrt(m) prefactor into O(1) garbage at r ~ 1e6.  _ke_bracket switches
-  to the series below m = 1/2.
-* _ring_lines_array, the array form used by the variational bound, needs
-  no series: it sums (2-m)K - 2E = K sum 2^j c_j^2 from cancellation-free
-  AGM differences c_j instead.
+  1/sqrt(m) prefactor into O(1) garbage at r ~ 1e6.  _ring_lines takes it
+  as K * sum_j 2^j c_j^2 instead, a sum of positive terms from the
+  cancellation-free AGM differences c_j (see elliptic), for floats and
+  ndarrays alike.
 * The elliptic moduli are fed to the AGM as the exact pair
   k = 1/hypot(1, rho), k' = rho/hypot(1, rho); reconstructing k' from a
   rounded k fails once rho < 1e-8 and k rounds to 1.0.
@@ -44,12 +43,13 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .elliptic import _ellip_KE_pair
+from .elliptic import _agm, _agm_array
 from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
 from .quadrature import Integral, QuadratureError, QuadratureResult, integrate
 
@@ -69,7 +69,6 @@ __all__ = [
     "kinetic_term",
     "kinetic_excess",
     "ring_energy_lines",
-    "ring_pair_energy_ML",
     "potential_v3",
     "potential_v4",
     "potential_scaling_law",
@@ -105,9 +104,10 @@ _TRAPEZOID_MIN_RHO = 1e-3
 _TRAPEZOID_START_NODES = 16
 _TRAPEZOID_MAX_NODES = 2**15
 
-# sweep cap of the vectorised AGM in _ring_lines_array (it needs fewer than 10)
-_AGM_MAX_SWEEPS = 64
-_EPS = math.ulp(1.0)
+# above this momentum q = n/r, 2 q^2 overflows; sqrt(1 + q^2) rounds to q
+# from q = 2^27 on, so the kinetic terms take 2q there and every finite
+# value they gave before stays bit for bit
+_Q_SQUARE_MAX = math.sqrt(0.5 * sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,8 @@ def kinetic_term(cfg: PhysicalConfig, r: float) -> float:
     """2*sqrt(1 + n^2/r^2): two relativistic particles with p = n/r."""
     _require_positive_r(r)
     q = cfg.n / r
+    if q > _Q_SQUARE_MAX:
+        return 2.0 * q
     return 2.0 * math.sqrt(1.0 + q * q)
 
 
@@ -258,93 +260,31 @@ def kinetic_excess(cfg: PhysicalConfig, r: float) -> float:
     """kinetic_term - 2 without cancellation: 2q^2/(1 + sqrt(1+q^2))."""
     _require_positive_r(r)
     q = cfg.n / r
+    if q > _Q_SQUARE_MAX:
+        return 2.0 * q  # 2q - 2 + O(1/q), and 2 is far below ulp(2q)
     q2 = q * q
     return 2.0 * q2 / (1.0 + math.sqrt(1.0 + q2))
 
 
-def _ke_bracket(m: float, big_k: float, big_e: float) -> float:
-    """(2 - m)K - 2E, stable against the small-m cancellation.
-
-    The direct form subtracts two numbers of size ~pi while the true value
-    is pi m^2/16 (1 + O(m)); below m = 1/2 the Maclaurin series
-
-        (2 - m)K - 2E = pi * sum_{j>=2} c_j m^j,
-        c_j = a_j * 2j/(2j-1) - a_{j-1}/2,  a_j = ((2j-1)!!/(2j)!!)^2
-
-    is summed instead (all terms positive, plain geometric-ish decay).
-    """
-    if m > 0.5:
-        return (2.0 - m) * big_k - 2.0 * big_e
-    a_prev = 0.25  # a_1
-    total = 0.0
-    m_pow = m
-    for j in range(2, 200):
-        ratio = (2.0 * j - 1.0) / (2.0 * j)
-        a_j = a_prev * ratio * ratio
-        c_j = a_j * (2.0 * j) / (2.0 * j - 1.0) - 0.5 * a_prev
-        m_pow *= m
-        term = c_j * m_pow
-        total += term
-        if term <= 1e-17 * total:
-            break
-        a_prev = a_j
-    return math.pi * total
-
-
-def _ring_lines(R: float, alpha: float, mag_coupling: float, r: float) -> tuple[float, float]:
-    """The two lines of the ring-ring energy at separation r.
+def _ring_lines(R: float, alpha: float, mag_coupling: float, r: float | np.ndarray):
+    """The two lines of the ring-ring energy at separation r (a float, or an
+    ndarray of them: the variational bound samples it on node tables).
 
     electric = -(alpha/(pi R)) * k * K(k)
     magnetic = -(mag_coupling/(4 pi^3 R^3)) * (1/k) * [(2 - k^2)K - 2E]
 
-    with k = 1/sqrt(1 + r^2/4R^2).  mag_coupling is alpha^3 for the plain
-    ring pair and alpha^(1+2k) for the generalized-coupling family.
+    with k = 1/sqrt(1 + r^2/4R^2), and the bracket taken as K * S from the
+    AGM (see elliptic).  mag_coupling is alpha^3 for the plain ring pair and
+    alpha^(1+2k) for the generalized-coupling family.  Floats and arrays run
+    the same arithmetic; they differ only where math.hypot and np.hypot
+    round the modulus one ulp apart.
     """
+    hypot, agm = (np.hypot, _agm_array) if isinstance(r, np.ndarray) else (math.hypot, _agm)
     rho = r / (2.0 * R)
-    h = math.hypot(1.0, rho)
+    h = hypot(1.0, rho)
     k = 1.0 / h     # modulus
     kp = rho / h    # complementary modulus, exact even when k rounds to 1
-    big_k, big_e = _ellip_KE_pair(k, kp)
-    m = k * k
-    electric = -(alpha / (math.pi * R)) * k * big_k
-    magnetic = -(mag_coupling / (4.0 * math.pi**3 * R**3)) * h * _ke_bracket(m, big_k, big_e)
-    return electric, magnetic
-
-
-def _ring_lines_array(
-    R: float, alpha: float, mag_coupling: float, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """_ring_lines at every separation of the array r > 0, by one vectorised AGM.
-
-    The magnetic bracket needs no series switch here: with
-    c_1 = k^2/(2(1 + k')) and c_{j+1} = c_j^2/(2(a_j + b_j)), both exact
-    rewrites of c_j = (a_{j-1} - b_{j-1})/2,
-
-        (2 - m)K - 2E = K * sum_{j>=1} 2^j c_j^2,
-
-    a sum of positive terms.  Agrees with _ring_lines to ~1e-14 relative
-    (the scalar direct form loses a few ulp to cancellation just above
-    m = 1/2); _ring_lines itself stays as it is, bit for bit.
-    """
-    rho = r / (2.0 * R)
-    h = np.hypot(1.0, rho)
-    k = 1.0 / h
-    kp = rho / h
-    a = np.ones_like(kp)
-    b = kp
-    c = k * k / (2.0 * (1.0 + kp))
-    weight = 2.0
-    series = weight * c * c
-    for _ in range(_AGM_MAX_SWEEPS):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        c = c * c / (2.0 * (a + b))
-        weight *= 2.0
-        series += weight * c * c
-        if np.all(c <= _EPS * a):
-            break
-    else:  # pragma: no cover - quadratic convergence takes < 10 sweeps
-        raise RuntimeError("vectorised AGM failed to converge")
-    big_k = math.pi / (a + b)
+    big_k, series = agm(k, kp)
     electric = -(alpha / (math.pi * R)) * k * big_k
     magnetic = -(mag_coupling / (4.0 * math.pi**3 * R**3)) * h * (big_k * series)
     return electric, magnetic
@@ -353,28 +293,25 @@ def _ring_lines_array(
 def ring_energy_lines(params: RingParams, cfg: PhysicalConfig, r: float) -> tuple[float, float]:
     """(electric, magnetic) components of the ring pair energy, separately.
 
-    Exposed because the two lines scale differently (1/c and 1/c^3) under
-    the similarity map (r, R) -> (cr, cR), which the tests pin down exactly.
+    Their sum is negative for all r; it diverges like -ln(1/r) as r -> 0
+    and decays like -alpha/r as r -> infinity, with the next-order tail
+    -alpha^3/(8 pi^2 r^3) + alpha R^2 / r^3 (magnetic dipole-dipole plus
+    electric quadrupole of the ring charge).  The two lines scale
+    differently (1/c and 1/c^3) under the similarity map
+    (r, R) -> (cr, cR), which the tests pin down exactly.
     """
     _require_positive_r(r)
     return _ring_lines(params.R, cfg.alpha, cfg.alpha**3, r)
 
 
-def ring_pair_energy_ML(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
-    """Interaction energy of two co-planar charged current rings.
-
-    Negative for all r; diverges like -ln(1/r) as r -> 0 and decays like
-    -alpha/r as r -> infinity, with the next-order tail
-    -alpha^3/(8 pi^2 r^3) + alpha R^2 / r^3 (magnetic dipole-dipole plus
-    electric quadrupole of the ring charge).
-    """
-    electric, magnetic = ring_energy_lines(params, cfg, r)
+def _ring_interaction(R: float, alpha: float, mag_coupling: float, r: float) -> float:
+    electric, magnetic = _ring_lines(R, alpha, mag_coupling, r)
     return electric + magnetic
 
 
 def potential_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     """Ring pair with standard fields: kinetic term plus ring energy."""
-    return kinetic_term(cfg, r) + ring_pair_energy_ML(params, cfg, r)
+    return kinetic_term(cfg, r) + _ring_interaction(params.R, cfg.alpha, cfg.alpha**3, r)
 
 
 def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
@@ -467,11 +404,6 @@ def potential_v4(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     if params.kappa is None:
         raise ValueError("potential_v4 needs RingParams with kappa set")
     return kinetic_term(cfg, r) + _bltp_interaction(params.R, params.kappa, cfg.alpha, r)
-
-
-def _ring_interaction(R: float, alpha: float, mag_coupling: float, r: float) -> float:
-    electric, magnetic = _ring_lines(R, alpha, mag_coupling, r)
-    return electric + magnetic
 
 
 def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: float) -> float:

@@ -189,9 +189,8 @@ def find_local_minima(
     if points_per_decade < 10:
         raise ValueError("points_per_decade must be at least 10")
 
-    decades = math.log10(r_max / r_min)
-    count = max(3, int(math.ceil(points_per_decade * decades)) + 1)
     lg_lo, lg_hi = math.log10(r_min), math.log10(r_max)
+    count = max(3, int(math.ceil(points_per_decade * (lg_hi - lg_lo))) + 1)
     step = (lg_hi - lg_lo) / (count - 1)
     grid = [10.0 ** (lg_lo + i * step) for i in range(count)]
     grid[0], grid[-1] = r_min, r_max

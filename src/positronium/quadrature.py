@@ -1,4 +1,4 @@
-"""Adaptive one-dimensional quadrature on finite and semi-infinite intervals.
+"""Adaptive one-dimensional quadrature on finite intervals.
 
 The integrator drives the flux-quantization constraint and the angular
 integrals of the flux-constrained ring potential at separations below
@@ -16,15 +16,6 @@ gk15_panels lays the same rule, unrefined, on a given set of panels, for
 integrals whose integrand is sampled as an array: the variational bound
 builds one such node table per scan and reuses it for every trial scale
 (see variational).
-
-Semi-infinite integrals over [a, inf) are mapped onto t in [0, 1) by
-
-    x = a + t/(1-t),        dx = dt/(1-t)^2,
-
-so integral_a^inf f(x) dx = integral_0^1 f(a + t/(1-t)) / (1-t)^2 dt.  All
-rule nodes are interior, so neither t = 1 (x = inf) nor interval endpoints
-are ever evaluated; integrable endpoint blow-ups of the Jacobian-weighted
-integrand are handled by panel refinement like any other feature.
 """
 
 from __future__ import annotations
@@ -42,7 +33,6 @@ __all__ = [
     "QuadratureError",
     "gk15_panels",
     "integrate",
-    "integrate_semi_infinite",
 ]
 
 DEFAULT_REL_TOL = 1e-12
@@ -92,12 +82,7 @@ _UFLOW = 2.2250738585072014e-308
 
 @dataclass(frozen=True)
 class Integral:
-    """One quadrature problem: integrand, interval, tolerances.
-
-    ``upper`` may be ``math.inf``; such problems must go through
-    :func:`integrate_semi_infinite`, which applies the variable change
-    documented in the module docstring.
-    """
+    """One quadrature problem: integrand, finite interval, tolerances."""
 
     integrand: Callable[[float], float]
     lower: float
@@ -239,7 +224,7 @@ def integrate(spec: Integral) -> QuadratureResult:
     (floor-limited) bound rather than the request.
     """
     if math.isinf(spec.lower) or math.isinf(spec.upper):
-        raise ValueError("infinite interval: use integrate_semi_infinite")
+        raise ValueError(f"need a finite interval; got [{spec.lower!r}, {spec.upper!r}]")
     f = spec.integrand
 
     value, err, resabs = _gk15(f, spec.lower, spec.upper)
@@ -290,32 +275,3 @@ def integrate(spec: Integral) -> QuadratureResult:
     final_value = math.fsum(p[2] for p in pieces)
     final_err = math.fsum(p[3] for p in pieces)
     return QuadratureResult(final_value, final_err, evaluations)
-
-
-def integrate_semi_infinite(spec: Integral) -> QuadratureResult:
-    """Integrate ``spec.integrand`` over [lower, inf).
-
-    ``spec.upper`` must be ``math.inf``.  Applies x = lower + t/(1-t) with
-    Jacobian dx/dt = 1/(1-t)^2 and reuses the finite-interval machinery on
-    t in [0, 1).
-    """
-    if not math.isinf(spec.upper) or spec.upper < 0:
-        raise ValueError("integrate_semi_infinite requires upper == +inf")
-    if math.isinf(spec.lower):
-        raise ValueError("lower bound must be finite")
-    f = spec.integrand
-    shift = spec.lower
-
-    def mapped(t: float) -> float:
-        g = 1.0 / (1.0 - t)
-        return f(shift + t * g) * g * g
-
-    inner = Integral(
-        integrand=mapped,
-        lower=0.0,
-        upper=1.0,
-        rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol,
-        max_panels=spec.max_panels,
-    )
-    return integrate(inner)

@@ -19,7 +19,7 @@ a Laplace transform of r^2 U_R(r), and the kinetic weight
 x^2 (1+x^2)^-4 does not depend on a.  So the integrals are taken with one
 fixed GK15 rule on geometric panels, _PANELS_PER_DECADE to the decade,
 with the weights folded into the node table: r^2 U_R(r) is sampled once
-(one vectorised AGM over the nodes) and each E(a) costs one np.exp, one
+(one AGM over the node array) and each E(a) costs one np.exp, one
 np.sqrt and weighted sums.  minimize_over_a builds one table for its
 whole window; the single-a functions build one for [a, a].  The tables
 cover
@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import PhysicalConfig, RingParams, _ring_lines_array
+from .models import PhysicalConfig, RingParams, _ring_lines
 from .optimize import OptimizeError, find_local_minima
 from .quadrature import QuadratureError, gk15_panels
 
@@ -154,7 +154,7 @@ def _kinetic_at(table: _Table, a: float) -> float:
 
 def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> _Table:
     def weight(r: np.ndarray) -> np.ndarray:
-        electric, magnetic = _ring_lines_array(R, cfg.alpha, cfg.alpha**3, r)
+        electric, magnetic = _ring_lines(R, cfg.alpha, cfg.alpha**3, r)
         return r * r * (electric + magnetic)
 
     what = f"potential expectation for R={R!r}"

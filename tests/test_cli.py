@@ -126,6 +126,51 @@ def test_usage_errors_name_the_flag(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("text", ["-5e-3", "-1E+2", "-.5e1"])
+def test_negative_floats_in_exponent_notation_parse_as_values(text):
+    # argparse's own negative-number pattern has no exponent, so without
+    # help it takes "-5e-3" for an unknown option and "--target" goes empty
+    args = cli._build_parser().parse_args(["tune", "--target", text])
+    assert args.target == float(text)
+
+
+def test_negative_exponent_window_reaches_validation(capsys):
+    code, _, err = run_cli(capsys, "scan", "--model", "coulomb", "--rmin", "-1e-3")
+    assert code == 2
+    assert "--rmin: must be positive" in err
+
+
+def test_negative_exponent_target_spaced_and_joined_agree(capsys):
+    spaced = run_cli(capsys, "tune", "--model", "ring-ml", "--target", "-5e-3", "--json")
+    joined = run_cli(capsys, "tune", "--model", "ring-ml", "--target=-5e-3", "--json")
+    assert spaced[0] == joined[0] == 0
+    envelopes = [json.loads(out) for _, out, _ in (spaced, joined)]
+    for env in envelopes:
+        env.pop("meta")
+    assert envelopes[0] == envelopes[1]
+    assert envelopes[0]["params"]["target"] == -5e-3
+
+
+def test_extreme_windows_exit_cleanly(capsys):
+    # the window spans 600 decades: r_max/r_min overflows, its logarithms do not
+    code, out, _ = run_cli(
+        capsys, "minimize", "--model", "coulomb", "--rmin", "1e-300", "--rmax", "1e300", "--json"
+    )
+    assert code == 0
+    minima = json.loads(out)["results"]["minima"]
+    cfg = PhysicalConfig()
+    assert [m["r_star"] for m in minima] == [
+        pytest.approx(math.sqrt(4.0 - cfg.alpha**2) / cfg.alpha, rel=1e-6)
+    ]
+    # at r = 1e-200 the kinetic energy 2n/r is finite although (n/r)^2 is not
+    code, out, _ = run_cli(capsys, "scan", "--model", "coulomb", "--rmin", "1e-200", "--json")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["r"][0] == 1e-200
+    assert res["V"][0] == pytest.approx((2.0 - cfg.alpha) * 1e200, rel=1e-15)
+    assert all(math.isfinite(v) for v in res["V"])
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

@@ -3,9 +3,10 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from positronium.elliptic import _ellip_KE_pair, ellip_E, ellip_K, ellip_KE
+from positronium.elliptic import _agm, _agm_array, _ellip_KE_pair, ellip_E, ellip_K, ellip_KE
 from positronium.quadrature import Integral, integrate
 
 mpmath.mp.dps = 30
@@ -92,6 +93,18 @@ def test_agm_terminates_on_awkward_moduli():
         big_kc, big_ec = _ellip_KE_pair(kp, k)
         legendre = big_k * big_ec + big_kc * big_e - big_k * big_kc
         assert legendre == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("R", [2.661639e-5, 2.57e-5, 1e-3])
+def test_scalar_and_array_agm_agree_bit_for_bit(R):
+    # the moduli of the ring lines; the array sweeps every entry until the
+    # slowest has converged, and the extra sweeps must not move the others
+    rho = np.geomspace(1e-12, 1e6, 4001) / (2.0 * R)
+    h = np.hypot(1.0, rho)
+    k, kp = 1.0 / h, rho / h
+    big_k, series = _agm_array(k, kp)
+    for i in range(len(rho)):
+        assert (big_k[i], series[i]) == _agm(float(k[i]), float(kp[i])), rho[i]
 
 
 def test_monotonicity():

@@ -20,7 +20,7 @@ from positronium.models import (
     PotentialModel,
     RingParams,
     _bltp_integrals,
-    _ring_lines_array,
+    _ring_lines,
     _tight_minimum,
     bohr_energy,
     bohr_expansion_coeffs,
@@ -30,7 +30,6 @@ from positronium.models import (
     potential_v3,
     potential_v4,
     ring_energy_lines,
-    ring_pair_energy_ML,
     sample_curve,
     scaled_ring_radius,
     tune_ring_radius,
@@ -75,6 +74,15 @@ def test_kinetic_excess_matches_kinetic_term(r):
     assert kinetic_term(CFG, r) == pytest.approx(
         2.0 * math.sqrt(1.0 + (CFG.n / r) ** 2), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("r", [1e-150, 1.0e-154, 1e-200, 1e-300])
+def test_kinetic_terms_stay_finite_where_the_momentum_square_overflows(r):
+    # 2 sqrt(1 + q^2) is 2q to the last bit once q >= 2^27; (n/r)^2 overflows
+    # below r ~ 1e-154 although 2n/r does not
+    q = CFG.n / r
+    assert kinetic_term(CFG, r) == 2.0 * q
+    assert kinetic_excess(CFG, r) == pytest.approx(2.0 * q - 2.0, rel=1e-15)
 
 
 def test_kinetic_excess_survives_cancellation():
@@ -130,25 +138,53 @@ def test_ring_lines_against_scipy_elliptic():
 
 @pytest.mark.parametrize("R", [2.661639e-5, 2.57e-5, 1e-3])
 def test_array_ring_lines_match_the_scalar_lines(R):
-    # the vectorised AGM sums the magnetic bracket from c_j differences, the
-    # scalar one switches to the Maclaurin series below m = 1/2; both lines
-    # agree to 1e-14 relative on both sides of the switch and at every scale
+    # floats and arrays run one recurrence, so both lines agree bit for bit
+    # wherever math.hypot and np.hypot round the modulus alike; where they
+    # round it one ulp apart, the lines move by about an ulp too
     r = np.geomspace(1e-12, 1e6, 4001)
-    electric, magnetic = _ring_lines_array(R, CFG.alpha, CFG.alpha**3, r)
+    electric, magnetic = _ring_lines(R, CFG.alpha, CFG.alpha**3, r)
+    rho = r / (2.0 * R)
     params = RingParams(R)
     for i, ri in enumerate(r):
         want_e, want_m = ring_energy_lines(params, CFG, float(ri))
-        assert electric[i] == pytest.approx(want_e, rel=1e-14, abs=0.0), ri
-        assert magnetic[i] == pytest.approx(want_m, rel=1e-14, abs=0.0), ri
+        if np.hypot(1.0, rho[i]) == math.hypot(1.0, float(rho[i])):
+            assert (electric[i], magnetic[i]) == (want_e, want_m), ri
+        else:
+            assert electric[i] == pytest.approx(want_e, rel=1.1e-15, abs=0.0), ri
+            assert magnetic[i] == pytest.approx(want_m, rel=1.1e-15, abs=0.0), ri
+
+
+def _mp_ring_lines(R, r):
+    """(electric, magnetic) in mpmath's working precision, from the exact
+    values of the doubles R and r."""
+    rho = mpmath.mpf(r) / (2 * mpmath.mpf(R))
+    m = 1 / (1 + rho**2)
+    big_k, big_e = mpmath.ellipk(m), mpmath.ellipe(m)
+    alpha = mpmath.mpf(CFG.alpha)
+    electric = -(alpha / (mpmath.pi * R)) * mpmath.sqrt(m) * big_k
+    magnetic = -(alpha**3 / (4 * mpmath.pi**3 * mpmath.mpf(R) ** 3))
+    return electric, magnetic * mpmath.sqrt(1 + rho**2) * ((2 - m) * big_k - 2 * big_e)
+
+
+@pytest.mark.parametrize("R", [2.661639e-5, 2.57e-5, 1e-3])
+def test_scalar_ring_lines_against_multiprecision(R):
+    # 90 digits, because the magnetic bracket (2 - m)K - 2E cancels to
+    # pi m^2/16 ~ 1e-42 at r = 1e6; each line lands within 2e-15 of itself
+    params = RingParams(R)
+    with mpmath.workdps(90):
+        for r in np.geomspace(1e-12, 1e6, 301):
+            got = ring_energy_lines(params, CFG, float(r))
+            for line, want in zip(got, _mp_ring_lines(R, float(r))):
+                assert line == pytest.approx(float(want), rel=2e-15, abs=0.0), (r, got)
 
 
 def test_array_magnetic_line_against_multiprecision():
-    # just above m = 1/2 the scalar direct form (2 - m)K - 2E loses ~7e-15
-    # to cancellation; the array form's sum of positive terms does not
+    # the direct form (2 - m)K - 2E would lose ~7e-15 to cancellation just
+    # above m = 1/2; the sum of positive terms K S does not
     mpmath.mp.dps = 30
     R = 2.661639e-5
     r = np.array([1e-9, 0.5 * R, 1.8 * R, 1.9 * R, 2.0 * R, 4.0 * R, 2000.0 * R, 1e4])
-    _, magnetic = _ring_lines_array(R, CFG.alpha, CFG.alpha**3, r)
+    _, magnetic = _ring_lines(R, CFG.alpha, CFG.alpha**3, r)
     for ri, got in zip(r, magnetic):
         rho = mpmath.mpf(float(ri)) / (2 * mpmath.mpf(R))
         m = 1 / (1 + rho**2)
@@ -160,7 +196,7 @@ def test_array_magnetic_line_against_multiprecision():
 
 def test_ring_magnetic_line_against_multiprecision():
     # the (2 - m)K - 2E bracket cancels to O(m^2) at small m; check the
-    # series path against 30-digit arithmetic on both sides of the switch
+    # scalar lines against 30-digit arithmetic on both sides of m = 1/2
     mpmath.mp.dps = 30
     R = 2.661639e-5
     params = RingParams(R)
@@ -186,7 +222,7 @@ def test_ring_energy_multipole_tail():
     limit = CFG.alpha * R**2 - CFG.alpha**3 / (8.0 * math.pi**2)
     tails = {}
     for r in (0.01, 0.1):
-        tails[r] = (ring_pair_energy_ML(params, CFG, r) + CFG.alpha / r) * r**3
+        tails[r] = (sum(ring_energy_lines(params, CFG, r)) + CFG.alpha / r) * r**3
         assert tails[r] == pytest.approx(limit, rel=1e-4)
     assert abs(tails[0.1] - limit) < abs(tails[0.01] - limit)
 
@@ -209,7 +245,7 @@ def test_ring_similarity_scaling():
 def test_ring_interaction_is_attractive_everywhere():
     params = RingParams(2.661639e-5)
     for r in np.geomspace(1e-8, 1e3, 23):
-        assert ring_pair_energy_ML(params, CFG, float(r)) < 0.0
+        assert sum(ring_energy_lines(params, CFG, float(r))) < 0.0
 
 
 def test_ring_potential_positive_where_dipole_diverges():
@@ -386,9 +422,23 @@ def test_tuned_minimum_sits_at_zero_energy():
 def test_tenth_digit_sensitivity():
     # truncating the tuned coefficient after ten digits drops the tight
     # state to E ~ -1e-5: the zero is genuinely pinned at that precision
-    p = _tight_minimum(1, 0.4959783237, CFG)
-    assert p.v_star == pytest.approx(-1.0663352441042662e-05, rel=1e-6)
+    coeff = 0.4959783237
+    p = _tight_minimum(1, coeff, CFG)
     assert p.v_star < 0.0
+    assert p.v_star == pytest.approx(-1.0663e-5, rel=1e-4)
+    # At r* ~ 1.48e-5, V = T + U_e + U_m sums terms of size ~1.35e5, so a
+    # double V carries a rounding error of order ulp(|T| + |U_e| + |U_m|)
+    # = 5.8e-11, i.e. 5e-6 of V itself: a pinned double digit-for-digit
+    # only pins one rounding.  Compare with 40-digit V at the same r*.
+    R = coeff * CFG.alpha**2
+    r = p.r_star
+    kinetic = kinetic_term(CFG, r)
+    electric, magnetic = ring_energy_lines(RingParams(R), CFG, r)
+    with mpmath.workdps(40):
+        q = CFG.n / mpmath.mpf(r)
+        exact = 2 * mpmath.sqrt(1 + q**2) + sum(_mp_ring_lines(R, r))
+        error = abs(p.v_star - float(exact))
+    assert error <= 2.0 * math.ulp(abs(kinetic) + abs(electric) + abs(magnetic))
 
 
 def test_tight_well_closes_at_large_coefficient():
@@ -452,8 +502,8 @@ def test_model_call_dispatch():
     assert scaling(r) == potential_scaling_law(2, RingParams(R), CFG, r)
     assert COULOMB.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r
     assert DIPOLE.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r - dipole
-    assert ring_ml.binding(r) == kinetic_excess(CFG, r) + ring_pair_energy_ML(
-        RingParams(R), CFG, r
+    assert ring_ml.binding(r) == kinetic_excess(CFG, r) + sum(
+        ring_energy_lines(RingParams(R), CFG, r)
     )
     assert ring_bltp.binding(r) == kinetic_excess(CFG, r) + models._bltp_interaction(
         R, 1.8e5, CFG.alpha, r
@@ -506,7 +556,7 @@ def test_positive_separation_required():
     with pytest.raises(ValueError):
         kinetic_term(CFG, -1.0)
     with pytest.raises(ValueError):
-        ring_pair_energy_ML(RingParams(1e-5), CFG, 0.0)
+        sum(ring_energy_lines(RingParams(1e-5), CFG, 0.0))
 
 
 def test_energy_curve_invariants():

@@ -11,7 +11,7 @@ from scipy import integrate, optimize, special
 from positronium import variational
 from positronium.models import PhysicalConfig
 from positronium.optimize import Bracket, OptimizeError, minimize_scalar
-from positronium.quadrature import Integral, QuadratureError, integrate_semi_infinite
+from positronium.quadrature import QuadratureError
 from positronium.variational import (
     TrialScale,
     energy_expectation,
@@ -78,10 +78,11 @@ def oracle_energy(a: float, R: float) -> float:
 
 
 def test_trial_state_norm_is_one():
-    res = integrate_semi_infinite(
-        Integral(lambda x: x * x / (1.0 + x * x) ** 4, 0.0, math.inf, 1e-13, 0.0)
-    )
-    assert 32.0 / math.pi * res.value == pytest.approx(1.0, rel=1e-12)
+    # (32/pi) int_0^inf x^2 (1+x^2)^-4 dx = 1, on the kinetic node table
+    for a in (1e-7, 1.5726e-5, 1.0, 274.0):
+        table = variational._kinetic_table(a, a)
+        norm = table.integral(np.ones_like(table.nodes), a)
+        assert 32.0 / math.pi * norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kinetic_frozen_value():
