@@ -44,7 +44,6 @@ from .models import (
     kinetic_term,
     potential_scaling_law,
     potential_v3,
-    potential_v4,
     ring_energy_lines,
     sample_curve,
     scaled_ring_radius,
@@ -66,7 +65,6 @@ from .quadrature import (
     integrate,
 )
 from .variational import (
-    TrialScale,
     VariationalResult,
     energy_expectation,
     kinetic_expectation,
@@ -108,7 +106,6 @@ __all__ = [
     "kinetic_term",
     "potential_scaling_law",
     "potential_v3",
-    "potential_v4",
     "ring_energy_lines",
     "sample_curve",
     "scaled_ring_radius",
@@ -121,7 +118,6 @@ __all__ = [
     "solve_R_given_kappa",
     "tune_bltp",
     # variational
-    "TrialScale",
     "VariationalResult",
     "energy_expectation",
     "kinetic_expectation",

@@ -44,12 +44,10 @@ from .models import (
     PhysicalConfig,
     PotentialModel,
     RingParams,
-    _tight_minimum,
     bohr_energy,
     bohr_expansion_coeffs,
     potential_scaling_law,
     potential_v3,
-    potential_v4,
     scaled_ring_radius,
     tune_ring_radius,
 )
@@ -260,8 +258,9 @@ def criterion_7() -> CriterionResult:
     cfg = PhysicalConfig()
     checks = []
     for k in range(4):
+        model = PotentialModel("scaling", cfg, RingParams(scaled_ring_radius(k)), scaling_k=k)
         try:
-            energy = _tight_minimum(k, ZERO_ENERGY_RADIUS_COEFF, cfg).v_star
+            energy = model.tight_minimum().v_star
         except OptimizeError:
             energy = math.nan
         checks.append(_abs_check(f"k={k} tight minimum energy", energy, 0.0, 1e-4))
@@ -290,12 +289,9 @@ def criterion_8() -> CriterionResult:
             best.energy <= _VARIATIONAL_BOUND + 0.005,
         ),
     ]
-    hydro = minimize_scalar(
-        lambda a: variational.energy_expectation(a, _VARIATIONAL_R, cfg),
-        Bracket(100.0, 274.0, 1000.0),
-    )
+    hydro = variational.minimize_over_a(_VARIATIONAL_R, 100.0, 1000.0, cfg)[0]
     expected = 2.0 - cfg.alpha**2 / 4.0
-    checks.append(_abs_check("hydrogenic minimum energy", hydro.v_star, expected, 1e-7))
+    checks.append(_abs_check("hydrogenic minimum energy", hydro.energy, expected, 1e-7))
     return CriterionResult(8, "variational bound", tuple(checks))
 
 
@@ -371,7 +367,7 @@ def criterion_9() -> CriterionResult:
         "point charges": PotentialModel("coulomb", cfg)(r_far),
         "point dipoles": PotentialModel("coulomb-dipole", cfg)(r_far),
         "rings": potential_v3(ring, cfg, r_far),
-        "regulated rings": potential_v4(bltp, cfg, r_far),
+        "regulated rings": PotentialModel("ring-bltp", cfg, bltp)(r_far),
     }
     for k in range(4):
         far_values[f"scaling k={k}"] = potential_scaling_law(
@@ -382,10 +378,10 @@ def criterion_9() -> CriterionResult:
 
     R = 2.57e-5
     kappa = 1e3 / R
-    reg = RingParams(R, kappa)
+    reg = PotentialModel("ring-bltp", cfg, RingParams(R, kappa))
     plain = RingParams(R)
     worst_limit = max(
-        abs(potential_v4(reg, cfg, r) - potential_v3(plain, cfg, r))
+        abs(reg(r) - potential_v3(plain, cfg, r))
         for r in (5e-6, 2.57e-5, 1e-4, 274.0)
     )
     checks.append(_abs_check("regulator limit worst deviation", worst_limit, 0.0, 1e-6))

@@ -33,7 +33,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 from typing import Any, Callable, NamedTuple
 
@@ -46,42 +45,15 @@ from .models import (
     PhysicalConfig,
     PotentialModel,
     RingParams,
+    scaled_ring_radius,
 )
 from .optimize import find_local_minima
 
-__all__ = ["RunConfig", "ResultEnvelope", "main"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
     """Parameter validation failure; message names the offending flag."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: verb plus validated parameters."""
-
-    verb: str
-    params: dict[str, Any]
-    fmt: str = "json"
-    output: str | None = None
-
-
-@dataclass(frozen=True)
-class ResultEnvelope:
-    command: str
-    version: str
-    params: dict[str, Any]
-    results: Any
-    meta: dict[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "params": self.params,
-            "results": self.results,
-            "meta": self.meta,
-        }
 
 
 def _fail_usage(flag: str, message: str) -> None:
@@ -295,9 +267,16 @@ def _build_model(params: dict[str, Any]) -> PotentialModel:
     return PotentialModel(family, cfg, ring, scaling_k=k)
 
 
-def _window(params: dict[str, Any], family: str) -> tuple[float, float]:
-    """--rmin/--rmax, defaulting to the family's operational window."""
-    lo, hi = COULOMB_WINDOW if family == "coulomb" else BIOT_SAVART_WINDOW
+def _window(params: dict[str, Any], model: PotentialModel) -> tuple[float, float]:
+    """--rmin/--rmax, defaulting to the family's operational window.
+
+    The tight well of the scaling family sits near 0.28 alpha^(1+k), so its
+    window is BIOT_SAVART_WINDOW (the k = 1 one) times alpha^(k-1).
+    """
+    lo, hi = COULOMB_WINDOW if model.family == "coulomb" else BIOT_SAVART_WINDOW
+    if model.scaling_k is not None:
+        shift = model.cfg.alpha ** (model.scaling_k - 1)
+        lo, hi = lo * shift, hi * shift
     rmin = params["rmin"] if params["rmin"] is not None else lo
     rmax = params["rmax"] if params["rmax"] is not None else hi
     if not rmin > 0.0:
@@ -324,7 +303,7 @@ def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
 
 def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    rmin, rmax = _window(params, model.family)
+    rmin, rmax = _window(params, model)
     if params["points"] < 2:
         _fail_usage("--points", f"need at least 2; got {params['points']!r}")
     if params["spacing"] not in ("log", "linear"):
@@ -355,7 +334,7 @@ def _curve_csv(results: dict[str, Any]) -> str:
 
 def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    rmin, rmax = _window(params, model.family)
+    rmin, rmax = _window(params, model)
     ppd = params["points_per_decade"]
     if ppd < 10:
         _fail_usage("--points-per-decade", f"need at least 10; got {ppd!r}")
@@ -395,7 +374,8 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     if family == "ring-bltp":
         solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
         probe_R = _truncate_sig(solution.R, 10)
-        probe = flux._tight_minimum_bltp(probe_R, solution.kappa, cfg)
+        probe_model = PotentialModel("ring-bltp", cfg, RingParams(probe_R, solution.kappa))
+        probe = probe_model.tight_minimum(points_per_decade=40)
         results = {
             "kappa": solution.kappa,
             "R": solution.R,
@@ -414,9 +394,14 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     echo["k"] = k
     R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
     coeff = R / cfg.alpha ** (1 + k)
-    point = models._tight_minimum(k, coeff, cfg)
+
+    def tight_minimum(c: float):
+        params = RingParams(scaled_ring_radius(k, cfg.alpha, c))  # R = c alpha^(1+k)
+        return PotentialModel("scaling", cfg, params, scaling_k=k).tight_minimum()
+
+    point = tight_minimum(coeff)
     probe_coeff = _truncate_sig(coeff, 10)
-    probe = models._tight_minimum(k, probe_coeff, cfg)
+    probe = tight_minimum(probe_coeff)
     results = {
         "R": R,
         "coefficient": coeff,
@@ -482,15 +467,6 @@ def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     return echo, {"minima": payload, "count": len(payload), "bound": payload[0]["energy"]}
 
 
-def _cmd_reproduce(fmt: str) -> tuple[dict[str, Any], Any, int]:
-    results = acceptance.run_all()
-    report = acceptance.as_report_dict(results)
-    code = 0 if report["all_passed"] else 1
-    if fmt == "json":
-        return {}, report, code
-    return {}, acceptance.as_table(results), code
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="positronium",
@@ -536,31 +512,6 @@ _COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[dict[str, Any], Any]]] = {
 }
 
 
-def run(config: RunConfig) -> tuple[str, int]:
-    """Execute one resolved invocation; returns (output text, exit code)."""
-    started = time.perf_counter()
-    code = 0
-    if config.verb == "reproduce":
-        echo, results, code = _cmd_reproduce(config.fmt)
-        if config.fmt != "json":
-            return results, code
-    elif config.verb in _COMMANDS:
-        echo, results = _COMMANDS[config.verb](config.params)
-        if config.verb == "scan" and config.fmt == "csv":
-            return _curve_csv(results), 0
-    else:  # pragma: no cover - argparse restricts the verb set
-        raise UsageError(f"unknown verb {config.verb!r}")
-
-    envelope = ResultEnvelope(
-        command=config.verb,
-        version=__version__,
-        params=_sanitize(echo),
-        results=_sanitize(results),
-        meta={"elapsed_seconds": time.perf_counter() - started},
-    )
-    return json.dumps(envelope.to_dict(), indent=2), code
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -571,10 +522,28 @@ def main(argv: list[str] | None = None) -> int:
     verb = args.verb
     try:
         params = _resolve_params(verb, args)
-        fmt = "json" if args.as_json else {"scan": "csv", "reproduce": "table"}.get(verb, "json")
-        config = RunConfig(verb=verb, params=params, fmt=fmt, output=args.output)
-        text, code = run(config)
-        _emit(text, config.output)
+        started = time.perf_counter()
+        code, text = 0, None  # text stays None for the JSON envelope
+        if verb == "reproduce":
+            criteria = acceptance.run_all()
+            echo, results = {}, acceptance.as_report_dict(criteria)
+            code = 0 if results["all_passed"] else 1
+            if not args.as_json:
+                text = acceptance.as_table(criteria)
+        else:
+            echo, results = _COMMANDS[verb](params)
+            if verb == "scan" and not args.as_json:
+                text = _curve_csv(results)
+        if text is None:
+            envelope = {
+                "command": verb,
+                "version": __version__,
+                "params": _sanitize(echo),
+                "results": _sanitize(results),
+                "meta": {"elapsed_seconds": time.perf_counter() - started},
+            }
+            text = json.dumps(envelope, indent=2)
+        _emit(text, args.output)
         return code
     except ValueError as err:  # UsageError included
         sys.stderr.write(f"error: {err}\n")

@@ -13,6 +13,12 @@ at u_min ~ 2.0811 for every alpha.  Below kappa_min the constraint has NO
 solution; above it there are two radii, one each side of u_min.  This
 module works on the outer branch (u > u_min, the larger radius), where
 kappa(u) is monotone and the reference kappa ~ 1.8e5, R ~ 2.57e-5 sits.
+
+tune_bltp walks the same constraint in u and reads the depth of the
+regulated tight well at each (R(u), kappa(u)) from
+PotentialModel("ring-bltp", ...).tight_minimum, whose window is relative
+to R; the tuning scan runs at 40 grid points per decade and the reported
+minimum at 60.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .models import PhysicalConfig, RingParams, potential_v4
+from .models import PhysicalConfig, PotentialModel, RingParams
 from .optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
-    deepest_minimum,
     find_root,
     minimize_scalar,
 )
@@ -164,24 +169,6 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
     return FluxSolution(kappa=kappa, R=R, residual=residual)
 
 
-def _tight_minimum_bltp(
-    R: float, kappa: float, cfg: PhysicalConfig, points_per_decade: int = 40
-) -> StationaryPoint:
-    """Deepest minimum of the regulated ring potential in r in (0.05R, 10R);
-    raises OptimizeError when the well has closed.
-
-    The tight well sits at r ~ 0.67R, so a window relative to the ring scale
-    covers it at any alpha, as in models._tight_minimum.
-    """
-    params = RingParams(R, kappa)
-
-    def f(r: float) -> float:
-        return potential_v4(params, cfg, r)
-
-    context = f"at R={R!r}, kappa={kappa!r}"
-    return deepest_minimum(f, 0.05 * R, 10.0 * R, points_per_decade, context)
-
-
 def tune_bltp(
     alpha: float = PhysicalConfig().alpha,
     target_energy: float = 0.0,
@@ -200,8 +187,8 @@ def tune_bltp(
     cfg = PhysicalConfig(alpha=alpha, n=n)
 
     def gap(u: float) -> float:
-        R, kappa = _ring_at(u, alpha)
-        return _tight_minimum_bltp(R, kappa, cfg).v_star - target_energy
+        model = PotentialModel("ring-bltp", cfg, RingParams(*_ring_at(u, alpha)))
+        return model.tight_minimum(points_per_decade=40).v_star - target_energy
 
     # coarse scan in u; outside (2.5, 8) the tight well is either far too
     # deep or already closed for any target near zero
@@ -230,6 +217,6 @@ def tune_bltp(
     R, kappa = _ring_at(u_star, alpha)
     residual = R - flux_rhs(kappa, R, alpha)
     solution = FluxSolution(kappa=kappa, R=R, residual=residual)
-    # refine the reported minimum a touch beyond the tuning resolution
-    point = _tight_minimum_bltp(R, kappa, cfg, points_per_decade=60)
+    # the reported minimum at the default 60 points per decade, finer than the scan
+    point = PotentialModel("ring-bltp", cfg, RingParams(R, kappa)).tight_minimum()
     return solution, point

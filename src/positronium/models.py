@@ -11,14 +11,16 @@ mass).  Five interaction families, one FAMILIES entry each:
 * ring-ml         charged current rings, standard fields (elliptic
                   integrals)                                -> potential_v3
 * ring-bltp       charged current rings, Bopp-regulated fields with
-                  inverse length kappa (angular quadratures) -> potential_v4
+                  inverse length kappa (angular quadratures)
 * scaling         the ring family with magnetic coupling alpha^(1+2k)
                   in place of alpha^3 and natural radius alpha^(1+k)
                                                     -> potential_scaling_law
 
 ring-ml is the k = 1 member of scaling.  PotentialModel binds a family to
 its parameters: model(r) is the kinetic term plus the family's
-interaction, model.binding(r) the kinetic excess plus the same one.
+interaction, model.binding(r) the kinetic excess plus the same one, and
+model.tight_minimum() the tightly bound well of the three ring families,
+searched in a window each family declares relative to its own scale.
 
 Numerical conditioning notes, load-bearing and easy to get wrong:
 
@@ -70,7 +72,6 @@ __all__ = [
     "kinetic_excess",
     "ring_energy_lines",
     "potential_v3",
-    "potential_v4",
     "potential_scaling_law",
     "scaled_ring_radius",
     "sample_curve",
@@ -150,12 +151,16 @@ class Family:
     (K - alpha/r) - alpha^3/(8 pi^2 r^3), and a single summed interaction
     K + (-alpha/r - alpha^3/(8 pi^2 r^3)) differs from it in the last ulp
     at 934 of 4,001 log-spaced r in [1e-7, 1e4].
+
+    ``tight_window(model)`` is the r window in which the family's tightly
+    bound well is searched; the point families have none.
     """
 
     energy: Callable[[float, PotentialModel, float], float]
     R: bool = False  # takes a ring radius
     kappa: bool = False  # takes the Bopp regulator scale
     exponents: tuple[int, ...] = ()  # scaling exponents k it accepts
+    tight_window: Callable[[PotentialModel], tuple[float, float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,27 @@ class PotentialModel:
     def binding(self, r: float) -> float:
         """V(r) - 2, evaluated without the rest-energy cancellation."""
         return FAMILIES[self.family].energy(kinetic_excess(self.cfg, r), self, r)
+
+    def tight_minimum(self, points_per_decade: int = 60) -> StationaryPoint:
+        """Deepest minimum of the potential in the family's tight-well window.
+
+        Raises ValueError for the point families, which have no tight well,
+        and OptimizeError naming the window, R and k (or kappa) when the
+        window holds no interior minimum: the well has closed.
+        """
+        spec = FAMILIES[self.family]
+        if spec.tight_window is None:
+            raise ValueError(f"the {self.family} family has no tight well")
+        lo, hi = spec.tight_window(self)
+        energy, cfg = spec.energy, self.cfg
+
+        def potential(r: float) -> float:  # self(r), the family looked up once
+            return energy(kinetic_term(cfg, r), self, r)
+
+        kappa = self.params.kappa
+        shape = f"k={_exponent(self)}" if kappa is None else f"kappa={kappa!r}"
+        context = f"at R={self.params.R!r}, {shape}"
+        return deepest_minimum(potential, lo, hi, points_per_decade, context)
 
 
 @dataclass(frozen=True)
@@ -395,17 +421,6 @@ def _bltp_interaction(R: float, kappa: float, alpha: float, r: float) -> float:
     return -c * i1 - c**3 * i2
 
 
-def potential_v4(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
-    """Ring pair with Bopp-regulated fields (finite flux, parameter kappa).
-
-    Reduces to potential_v3 pointwise as kappa*R -> infinity.
-    """
-    _require_positive_r(r)
-    if params.kappa is None:
-        raise ValueError("potential_v4 needs RingParams with kappa set")
-    return kinetic_term(cfg, r) + _bltp_interaction(params.R, params.kappa, cfg.alpha, r)
-
-
 def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     """Ring family with magnetic coupling alpha^(1+2k), electric unchanged.
 
@@ -433,22 +448,44 @@ def _coulomb_dipole(kinetic: float, model: PotentialModel, r: float) -> float:
     return _coulomb(kinetic, model, r) - model.cfg.alpha**3 / (8.0 * math.pi**2 * r**3)
 
 
+def _exponent(model: PotentialModel) -> int:
+    """The scaling exponent k; ring-ml is k = 1 (_rings inlines this: hot path)."""
+    return 1 if model.scaling_k is None else model.scaling_k
+
+
 def _rings(kinetic: float, model: PotentialModel, r: float) -> float:
     k = 1 if model.scaling_k is None else model.scaling_k  # ring-ml is k = 1
     alpha = model.cfg.alpha
     return kinetic + _ring_interaction(model.params.R, alpha, alpha ** (1 + 2 * k), r)
 
 
+def _rings_window(model: PotentialModel) -> tuple[float, float]:
+    """The well of the k-family sits near r = 0.28 alpha^(1+k); x =
+    r/alpha^(1+k) in (1e-3, 10) covers it with margin at any R for which
+    it exists (it closes for R/alpha^(1+k) beyond ~0.56)."""
+    s = model.cfg.alpha ** (1 + _exponent(model))
+    return 1e-3 * s, 10.0 * s
+
+
 def _regulated_rings(kinetic: float, model: PotentialModel, r: float) -> float:
     return kinetic + _bltp_interaction(model.params.R, model.params.kappa, model.cfg.alpha, r)
+
+
+def _regulated_rings_window(model: PotentialModel) -> tuple[float, float]:
+    """The regulated well sits near r = 0.67 R, so (0.05 R, 10 R) covers it
+    at any alpha."""
+    R = model.params.R
+    return 0.05 * R, 10.0 * R
 
 
 FAMILIES: dict[str, Family] = {
     "coulomb": Family(_coulomb),
     "coulomb-dipole": Family(_coulomb_dipole),
-    "ring-ml": Family(_rings, R=True),
-    "ring-bltp": Family(_regulated_rings, R=True, kappa=True),
-    "scaling": Family(_rings, R=True, exponents=_SCALING_EXPONENTS),
+    "ring-ml": Family(_rings, R=True, tight_window=_rings_window),
+    "ring-bltp": Family(
+        _regulated_rings, R=True, kappa=True, tight_window=_regulated_rings_window
+    ),
+    "scaling": Family(_rings, R=True, exponents=_SCALING_EXPONENTS, tight_window=_rings_window),
 }
 
 
@@ -486,25 +523,6 @@ def sample_curve(
     return EnergyCurve(model=model, grid=tuple(float(r) for r in grid), values=tuple(values))
 
 
-def _tight_minimum(k: int, coeff: float, cfg: PhysicalConfig) -> StationaryPoint:
-    """Deepest minimum of the scaled ring family in its tight-well window.
-
-    The well of the k-family sits near r = 0.28 * alpha^(1+k); scanning
-    x = r/alpha^(1+k) over (1e-3, 10) covers it with margin at any coeff
-    for which the well exists.  Raises OptimizeError when the window holds
-    no interior minimum (the well closes for coeff beyond ~0.56).
-    """
-    alpha = cfg.alpha
-    s = alpha ** (1 + k)
-    R = coeff * s
-    mag = alpha ** (1 + 2 * k)
-
-    def f(r: float) -> float:
-        return kinetic_term(cfg, r) + _ring_interaction(R, alpha, mag, r)
-
-    return deepest_minimum(f, 1e-3 * s, 10.0 * s, 60, f"for coeff={coeff!r}, k={k}")
-
-
 def tune_ring_radius(
     model_family: str,
     cfg: PhysicalConfig,
@@ -528,7 +546,9 @@ def tune_ring_radius(
     c_lo, c_hi = 0.42, 0.55
 
     def gap(c: float) -> float:
-        return _tight_minimum(k, c, cfg).v_star - target_energy
+        params = RingParams(scaled_ring_radius(k, cfg.alpha, c))  # R = c alpha^(1+k)
+        model = PotentialModel("scaling", cfg, params, scaling_k=k)  # ring-ml is k = 1
+        return model.tight_minimum().v_star - target_energy
 
     try:
         c_star = find_root(gap, c_lo, c_hi, tol=0.0)

@@ -58,7 +58,6 @@ from .optimize import OptimizeError, find_local_minima
 from .quadrature import QuadratureError, gk15_panels
 
 __all__ = [
-    "TrialScale",
     "VariationalResult",
     "kinetic_expectation",
     "potential_expectation",
@@ -73,17 +72,6 @@ _PANELS_PER_DECADE = 8
 
 
 @dataclass(frozen=True)
-class TrialScale:
-    """Length scale a of the hydrogenic trial orbital exp(-q/a)."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise ValueError(f"trial scale a must be positive; got {self.a!r}")
-
-
-@dataclass(frozen=True)
 class VariationalResult:
     """One local minimum of the variational energy over the trial scale."""
 
@@ -94,8 +82,9 @@ class VariationalResult:
     R: float
 
 
-def _scale(a: TrialScale | float) -> float:
-    value = a.a if isinstance(a, TrialScale) else float(a)
+def _scale(a: float) -> float:
+    """The trial scale a of the orbital exp(-q/a), checked positive."""
+    value = float(a)
     if not value > 0.0:
         raise ValueError(f"trial scale a must be positive; got {a!r}")
     return value
@@ -165,7 +154,7 @@ def _potential_at(table: _Table, a: float) -> float:
     return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a)
 
 
-def kinetic_expectation(a: TrialScale | float) -> float:
+def kinetic_expectation(a: float) -> float:
     """<2 sqrt(1 - Laplacian)> in the trial state of scale a.
 
     Monotone decreasing in a, from 16/(3 pi a) at small a (ultra-
@@ -176,7 +165,7 @@ def kinetic_expectation(a: TrialScale | float) -> float:
 
 
 def potential_expectation(
-    a: TrialScale | float, R: float, cfg: PhysicalConfig | None = None
+    a: float, R: float, cfg: PhysicalConfig | None = None
 ) -> float:
     """<U_R> in the trial state of scale a; tends to -alpha/a for a >> R."""
     av = _scale(a)
@@ -186,7 +175,7 @@ def potential_expectation(
 
 
 def energy_expectation(
-    a: TrialScale | float, R: float, cfg: PhysicalConfig | None = None
+    a: float, R: float, cfg: PhysicalConfig | None = None
 ) -> float:
     """Upper bound E(a) = <T>(a) + <U_R>(a) on the pair ground state."""
     return kinetic_expectation(a) + potential_expectation(a, R, cfg)

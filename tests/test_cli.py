@@ -206,6 +206,26 @@ def test_minimize_reports_absence_honestly(capsys):
     assert env["results"]["minima"] == []
 
 
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_default_scaling_window_follows_the_exponent(capsys, k):
+    # the k-family's tight well sits near 0.28 alpha^(1+k), so the default
+    # window is (1e-7, 1e-3) alpha^(k-1); a fixed (1e-7, 1e-3) found no
+    # minimum at k = 0 and k = 3
+    code, out, _ = run_cli(
+        capsys, "minimize", "--model", "scaling", "--k", str(k),
+        "--R-coeff", "0.49597832375", "--json",
+    )
+    assert code == 0
+    env = json.loads(out)
+    shift = models.ALPHA_FS ** (k - 1)
+    assert (env["params"]["rmin"], env["params"]["rmax"]) == (1e-7 * shift, 1e-3 * shift)
+    assert env["results"]["count"] >= 1
+    best = min(env["results"]["minima"], key=lambda p: p["binding"])
+    assert best["r_star"] == pytest.approx(0.28 * models.ALPHA_FS ** (1 + k), rel=0.1)
+    if k == 3:
+        assert best["r_star"] == pytest.approx(7.906e-10, rel=1e-4)
+
+
 def test_tune_ring_ml(capsys):
     code, out, _ = run_cli(capsys, "tune", "--model", "ring-ml", "--json")
     assert code == 0

@@ -19,7 +19,13 @@ from positronium.flux import (
     solve_R_given_kappa,
     tune_bltp,
 )
-from positronium.models import ALPHA_FS, BIOT_SAVART_WINDOW, PhysicalConfig
+from positronium.models import (
+    ALPHA_FS,
+    BIOT_SAVART_WINDOW,
+    PhysicalConfig,
+    PotentialModel,
+    RingParams,
+)
 from positronium.optimize import OptimizeError
 
 
@@ -230,7 +236,7 @@ def test_closed_tight_well_names_the_window_and_the_ring():
     R, kappa = 3.472926418068485e-05, 230353.2824185002
     where = rf"in \(.+\) at R={re.escape(repr(R))}, kappa={re.escape(repr(kappa))}"
     with pytest.raises(OptimizeError, match=where):
-        flux._tight_minimum_bltp(R, kappa, PhysicalConfig())
+        PotentialModel("ring-bltp", PhysicalConfig(), RingParams(R, kappa)).tight_minimum(40)
 
 
 def test_solution_invariants_are_enforced():

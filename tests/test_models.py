@@ -1,6 +1,7 @@
 """Potential families: closed forms, asymptotics, scaling laws, tuning."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -21,20 +22,18 @@ from positronium.models import (
     RingParams,
     _bltp_integrals,
     _ring_lines,
-    _tight_minimum,
     bohr_energy,
     bohr_expansion_coeffs,
     kinetic_excess,
     kinetic_term,
     potential_scaling_law,
     potential_v3,
-    potential_v4,
     ring_energy_lines,
     sample_curve,
     scaled_ring_radius,
     tune_ring_radius,
 )
-from positronium.optimize import OptimizeError, find_local_minima, find_root
+from positronium.optimize import OptimizeError, deepest_minimum, find_local_minima, find_root
 from positronium.quadrature import QuadratureError
 
 CFG = PhysicalConfig()
@@ -287,17 +286,17 @@ def test_regulated_rings_approach_plain_rings():
     reg_model = PotentialModel("ring-bltp", CFG, reg)
     plain_model = PotentialModel("ring-ml", CFG, plain)
     for r in (5e-6, 2.57e-5, 1e-4, 274.0):
-        assert abs(potential_v4(reg, CFG, r) - potential_v3(plain, CFG, r)) <= 1e-8
+        assert abs(reg_model(r) - potential_v3(plain, CFG, r)) <= 1e-8
         assert abs(reg_model.binding(r) - plain_model.binding(r)) <= 1e-8
 
 
 def test_regulated_rings_are_weaker_than_plain_rings():
     # dropping flux can only reduce the attraction
     R = 2.57e-5
-    reg = RingParams(R, kappa=2.0 / R)
+    reg = PotentialModel("ring-bltp", CFG, RingParams(R, kappa=2.0 / R))
     plain = RingParams(R)
     for r in (1e-5, 1e-4):
-        assert potential_v4(reg, CFG, r) > potential_v3(plain, CFG, r)
+        assert reg(r) > potential_v3(plain, CFG, r)
 
 
 BLTP_R = 2.5698078287e-5
@@ -365,7 +364,7 @@ def test_bltp_trapezoid_cap_raises_with_the_ring_parameters(monkeypatch):
 def test_regulated_potential_returns_plain_floats():
     params = RingParams(BLTP_R, 1.8052024923e5)
     for r in (1e-8, 1.7e-5, 274.0):
-        assert type(potential_v4(params, CFG, r)) is float
+        assert type(PotentialModel("ring-bltp", CFG, params)(r)) is float
         assert type(PotentialModel("ring-bltp", CFG, params).binding(r)) is float
         assert all(type(x) is float for x in _bltp_integrals(params.R, params.kappa, r))
 
@@ -396,7 +395,7 @@ def test_rest_energy_asymptote_across_families():
         COULOMB(r),
         DIPOLE(r),
         potential_v3(RingParams(scaled_ring_radius(1)), CFG, r),
-        potential_v4(RingParams(2.57e-5, 1.8e5), CFG, r),
+        PotentialModel("ring-bltp", CFG, RingParams(2.57e-5, 1.8e5))(r),
     ]
     values += [
         potential_scaling_law(k, RingParams(scaled_ring_radius(k)), CFG, r) for k in range(4)
@@ -413,8 +412,46 @@ def test_tune_ring_radius_frozen_coefficient():
     assert abs(coeff - ZERO_ENERGY_RADIUS_COEFF) <= 0.5e-9 * ZERO_ENERGY_RADIUS_COEFF
 
 
+def _ring_ml(coeff: float) -> PotentialModel:
+    return PotentialModel("ring-ml", CFG, RingParams(scaled_ring_radius(1, CFG.alpha, coeff)))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_tight_minimum_scans_the_scaled_window(k):
+    # the search is deepest_minimum over r/alpha^(1+k) in (1e-3, 10) at 60
+    # points per decade, on the ring lines with coupling alpha^(1+2k)
+    s = CFG.alpha ** (1 + k)
+    for coeff in (0.45, ZERO_ENERGY_RADIUS_COEFF, 0.53):
+        R = coeff * s
+
+        def f(r, R=R):
+            electric, magnetic = _ring_lines(R, CFG.alpha, CFG.alpha ** (1 + 2 * k), r)
+            return kinetic_term(CFG, r) + (electric + magnetic)
+
+        want = deepest_minimum(f, 1e-3 * s, 10.0 * s, 60, "")
+        got = PotentialModel("scaling", CFG, RingParams(R), scaling_k=k).tight_minimum()
+        assert (got.r_star, got.v_star) == (want.r_star, want.v_star)
+        if k == 1:
+            assert _ring_ml(coeff).tight_minimum() == got
+
+
+def test_tight_minimum_of_the_regulated_rings_scans_relative_to_R():
+    R, kappa = 2.5698078287e-5, 1.8052024923e5
+    model = PotentialModel("ring-bltp", CFG, RingParams(R, kappa))
+    want = deepest_minimum(model, 0.05 * R, 10.0 * R, 40, "")
+    got = model.tight_minimum(points_per_decade=40)
+    assert (got.r_star, got.v_star) == (want.r_star, want.v_star)
+    assert 0.05 * R < got.r_star < 10.0 * R
+
+
+def test_point_families_have_no_tight_well():
+    for model in (COULOMB, DIPOLE):
+        with pytest.raises(ValueError, match="no tight well"):
+            model.tight_minimum()
+
+
 def test_tuned_minimum_sits_at_zero_energy():
-    p = _tight_minimum(1, TUNED_COEFF, CFG)
+    p = _ring_ml(TUNED_COEFF).tight_minimum()
     assert p.r_star == pytest.approx(1.4845784693223017e-05, rel=1e-9)
     assert abs(p.v_star) <= 1e-9
 
@@ -423,7 +460,7 @@ def test_tenth_digit_sensitivity():
     # truncating the tuned coefficient after ten digits drops the tight
     # state to E ~ -1e-5: the zero is genuinely pinned at that precision
     coeff = 0.4959783237
-    p = _tight_minimum(1, coeff, CFG)
+    p = _ring_ml(coeff).tight_minimum()
     assert p.v_star < 0.0
     assert p.v_star == pytest.approx(-1.0663e-5, rel=1e-4)
     # At r* ~ 1.48e-5, V = T + U_e + U_m sums terms of size ~1.35e5, so a
@@ -442,8 +479,10 @@ def test_tenth_digit_sensitivity():
 
 
 def test_tight_well_closes_at_large_coefficient():
-    with pytest.raises(OptimizeError, match=r"in \(.+\) for coeff=0\.7, k=1"):
-        _tight_minimum(1, 0.7, CFG)
+    model = _ring_ml(0.7)
+    where = rf"in \(.+\) at R={re.escape(repr(model.params.R))}, k=1"
+    with pytest.raises(OptimizeError, match=where):
+        model.tight_minimum()
 
 
 def test_tune_rejects_unknown_family_and_exponent():
@@ -498,7 +537,9 @@ def test_model_call_dispatch():
     assert COULOMB(r) == kinetic_term(CFG, r) - CFG.alpha / r
     assert DIPOLE(r) == kinetic_term(CFG, r) - CFG.alpha / r - dipole
     assert ring_ml(r) == potential_v3(RingParams(R), CFG, r)
-    assert ring_bltp(r) == potential_v4(RingParams(R, 1.8e5), CFG, r)
+    assert ring_bltp(r) == kinetic_term(CFG, r) + models._bltp_interaction(
+        R, 1.8e5, CFG.alpha, r
+    )
     assert scaling(r) == potential_scaling_law(2, RingParams(R), CFG, r)
     assert COULOMB.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r
     assert DIPOLE.binding(r) == kinetic_excess(CFG, r) - CFG.alpha / r - dipole
@@ -544,8 +585,6 @@ def test_model_family_validation():
 
 
 def test_missing_kappa_is_rejected_at_evaluation():
-    with pytest.raises(ValueError):
-        potential_v4(RingParams(1e-5), CFG, 1e-5)
     with pytest.raises(ValueError):
         PotentialModel("ring-bltp", CFG, RingParams(1e-5)).binding(1e-5)
 

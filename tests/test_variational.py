@@ -13,7 +13,6 @@ from positronium.models import PhysicalConfig
 from positronium.optimize import Bracket, OptimizeError, minimize_scalar
 from positronium.quadrature import QuadratureError
 from positronium.variational import (
-    TrialScale,
     energy_expectation,
     kinetic_expectation,
     minimize_over_a,
@@ -200,12 +199,12 @@ def test_energy_is_continuous_in_the_scale():
     assert abs(step) <= abs(slope) * a0 * 2e-6 + 1e-7
 
 
-def test_trial_scale_wrapper():
-    assert kinetic_expectation(TrialScale(2.0)) == kinetic_expectation(2.0)
-    with pytest.raises(ValueError):
-        TrialScale(0.0)
-    with pytest.raises(ValueError):
-        kinetic_expectation(-1.0)
+def test_trial_scale_must_be_positive():
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError, match="trial scale a must be positive"):
+            kinetic_expectation(a)
+        with pytest.raises(ValueError, match="trial scale a must be positive"):
+            energy_expectation(a, R_REF)
 
 
 def test_window_validation_and_empty_window():
