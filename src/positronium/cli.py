@@ -83,13 +83,15 @@ def _sanitize(obj: Any) -> Any:
 class _Param(NamedTuple):
     """One flag of a verb: ``--name`` parses with ``convert``; argparse
     stores None when it is unset, so the config file can fill it in before
-    ``default`` does."""
+    ``default`` does.  A set value must be one of ``choices`` and pass
+    ``domain``, a ``(test, phrase)`` pair: "must be <phrase>" otherwise."""
 
     convert: Callable[[str], Any]
     default: Any
     help: str
     required: bool = False
-    choices: tuple[str, ...] | None = None
+    choices: tuple[Any, ...] | None = None
+    domain: tuple[Callable[[Any], bool], str] | None = None
 
 
 # a negative number, exponent included: argparse's own pattern (Python 3.11)
@@ -98,36 +100,43 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 _TUNE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.R)
 
-_ALPHA = _Param(float, ALPHA_FS, "fine-structure constant, in (0, 1)")
-_N = _Param(int, 1, "principal quantum number n >= 1")
-_PPD = "scan resolution in grid points per decade (>= 10)"
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_ALPHA = _Param(float, ALPHA_FS, "fine-structure constant",
+                domain=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
+_N = _Param(int, 1, "principal quantum number", domain=(lambda v: v >= 1, "at least 1"))
+# the grid bounds keep a scan's arrays, and its run time, in reach
+_PPD = _Param(int, 40, "scan resolution in grid points per decade",
+              domain=(lambda v: 10 <= v <= 10**4, "in [10, 10000]"))
 _MODEL_PARAMS = {
     "model": _Param(str, None, "interaction family", True, tuple(FAMILIES)),
     "alpha": _ALPHA,
     "n": _N,
-    "R": _Param(float, None, "ring radius"),
-    "R_over_alpha2": _Param(float, None, "ring radius in units of alpha^2"),
-    "R_coeff": _Param(float, None, "ring radius in units of alpha^(1+k)"),
-    "kappa": _Param(float, None, "Bopp regulator scale (ring-bltp only)"),
-    "k": _Param(int, None, "scaling exponent in {0,1,2,3} (scaling only; default 1)"),
-    "rmin": _Param(float, None, "lower end of the r window"),
+    "R": _Param(float, None, "ring radius", domain=_POSITIVE),
+    "R_over_alpha2": _Param(float, None, "ring radius in units of alpha^2", domain=_POSITIVE),
+    "R_coeff": _Param(float, None, "ring radius in units of alpha^(1+k)", domain=_POSITIVE),
+    "kappa": _Param(float, None, "Bopp regulator scale (ring-bltp only)", domain=_POSITIVE),
+    "k": _Param(int, None, "scaling exponent (scaling only; default 1)",
+                choices=FAMILIES["scaling"].exponents),
+    "rmin": _Param(float, None, "lower end of the r window", domain=_POSITIVE),
     "rmax": _Param(float, None, "upper end of the r window"),
 }
 
-# per-verb parameter tables; the parser, the config-file keys and the
-# resolved params echo all come from these
+# per-verb parameter tables; the parser, the config-file keys, the value
+# checks and the resolved params echo all come from these
 _PARAM_SPECS: dict[str, dict[str, _Param]] = {
     "scan": {
         **_MODEL_PARAMS,
-        "points": _Param(int, 400, "number of grid points (>= 2)"),
-        "spacing": _Param(str, "log", "log-spaced grid (the default)"),
+        "points": _Param(int, 400, "number of grid points",
+                         domain=(lambda v: 2 <= v <= 10**6, "in [2, 1000000]")),
+        "spacing": _Param(str, "log", "log-spaced grid (the default)",
+                          choices=("log", "linear")),
         "quantity": _Param(
             str, "potential",
             "emit the raw potential (default) or the rest-subtracted binding energy",
             choices=("potential", "binding"),
         ),
     },
-    "minimize": {**_MODEL_PARAMS, "points_per_decade": _Param(int, 40, _PPD)},
+    "minimize": {**_MODEL_PARAMS, "points_per_decade": _PPD},
     "tune": {
         "model": _Param(str, None, "ring family to tune", True, _TUNE_FAMILIES),
         "alpha": _ALPHA,
@@ -136,17 +145,17 @@ _PARAM_SPECS: dict[str, dict[str, _Param]] = {
         "target": _Param(float, 0.0, "target energy of the tight minimum"),
     },
     "flux-solve": {
-        "kappa": _Param(float, None, "Bopp regulator scale", True),
+        "kappa": _Param(float, None, "Bopp regulator scale", True, domain=_POSITIVE),
         "alpha": _ALPHA,
     },
     "variational": {
-        "R": _Param(float, None, "ring radius", True),
+        "R": _Param(float, None, "ring radius", True, domain=_POSITIVE),
         "alpha": _ALPHA,
         "n": _N,
-        "a": _Param(float, None, "single-point mode: evaluate E(a) only"),
-        "a_min": _Param(float, 1e-7, "lower end of the trial-scale window"),
-        "a_max": _Param(float, 1e4, "upper end of the trial-scale window"),
-        "points_per_decade": _Param(int, 40, _PPD),
+        "a": _Param(float, None, "single-point mode: evaluate E(a) only", domain=_POSITIVE),
+        "a_min": _Param(float, 1e-7, "lower end of the trial-scale window", domain=_POSITIVE),
+        "a_max": _Param(float, 1e4, "upper end of the trial-scale window", domain=_POSITIVE),
+        "points_per_decade": _PPD,
     },
     "reproduce": {},
 }
@@ -162,7 +171,7 @@ _VERB_HELP = {
 
 
 def _flag(key: str) -> str:
-    return f"--{key.replace('_', '-')}"
+    return "--log/--linear" if key == "spacing" else f"--{key.replace('_', '-')}"
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -198,53 +207,34 @@ def _resolve_params(verb: str, args: argparse.Namespace) -> dict[str, Any]:
                 _fail_usage("--config", f"key {key!r}: cannot parse {file_values[key]!r}")
         if value is None:
             value = param.default
+        flag = _flag(key)
         if param.required and value is None:
-            _fail_usage(_flag(key), "is required")
+            _fail_usage(flag, "is required")
         if isinstance(value, float) and not math.isfinite(value):
-            _fail_usage(_flag(key), f"must be finite; got {value!r}")
+            _fail_usage(flag, f"must be finite; got {value!r}")
+        if value is not None and param.choices and value not in param.choices:
+            _fail_usage(flag, f"must be one of {', '.join(map(str, param.choices))}; got {value!r}")
+        if value is not None and param.domain and not param.domain[0](value):
+            _fail_usage(flag, f"must be {param.domain[1]}; got {value!r}")
         resolved[key] = value
     return resolved
-
-
-def _positive(params: dict[str, Any], *keys: str) -> None:
-    for key in keys:
-        value = params.get(key)
-        if value is not None and not value > 0.0:
-            _fail_usage(_flag(key), f"must be positive; got {value!r}")
-
-
-def _physical_config(params: dict[str, Any]) -> PhysicalConfig:
-    """PhysicalConfig from --alpha (and --n where the verb has it)."""
-    alpha, n = params["alpha"], params.get("n", 1)
-    if not 0.0 < alpha < 1.0:
-        _fail_usage("--alpha", f"must lie in (0, 1); got {alpha!r}")
-    if n < 1:
-        _fail_usage("--n", f"must be a positive integer; got {n!r}")
-    return PhysicalConfig(alpha=alpha, n=n)
 
 
 def _scaling_exponent(family: str, k: int | None) -> int | None:
     """--k for ``family``: 1 when unset for the scaling family, and
     rejected for the families that take no exponent."""
-    exponents = FAMILIES[family].exponents
-    if not exponents:
+    if not FAMILIES[family].exponents:
         if k is not None:
             _fail_usage("--k", f"only the scaling family takes an exponent; model is {family!r}")
         return None
-    k = 1 if k is None else k
-    if k not in exponents:
-        _fail_usage("--k", f"must be in {{0,1,2,3}}; got {k!r}")
-    return k
+    return 1 if k is None else k
 
 
 def _build_model(params: dict[str, Any]) -> PotentialModel:
     """Construct the requested PotentialModel, naming flags on failure."""
     family = params["model"]
-    if family not in FAMILIES:
-        _fail_usage("--model", f"must be one of {tuple(FAMILIES)}; got {family!r}")
     spec = FAMILIES[family]
-    _positive(params, "R", "R_over_alpha2", "R_coeff", "kappa")
-    cfg = _physical_config(params)
+    cfg = PhysicalConfig(params["alpha"], params["n"])
     k = _scaling_exponent(family, params["k"])
 
     given = [name for name in ("R", "R_over_alpha2", "R_coeff") if params[name] is not None]
@@ -279,8 +269,6 @@ def _window(params: dict[str, Any], model: PotentialModel) -> tuple[float, float
         lo, hi = lo * shift, hi * shift
     rmin = params["rmin"] if params["rmin"] is not None else lo
     rmax = params["rmax"] if params["rmax"] is not None else hi
-    if not rmin > 0.0:
-        _fail_usage("--rmin", f"must be positive; got {rmin!r}")
     if not rmin < rmax:
         _fail_usage("--rmax", f"must exceed --rmin; got rmin={rmin!r}, rmax={rmax!r}")
     return rmin, rmax
@@ -304,13 +292,6 @@ def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
 def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
     rmin, rmax = _window(params, model)
-    if params["points"] < 2:
-        _fail_usage("--points", f"need at least 2; got {params['points']!r}")
-    if params["spacing"] not in ("log", "linear"):
-        _fail_usage("--spacing", f"must be 'log' or 'linear'; got {params['spacing']!r}")
-    if params["quantity"] not in ("potential", "binding"):
-        _fail_usage("--quantity", f"must be 'potential' or 'binding'; got {params['quantity']!r}")
-
     energy = model.binding if params["quantity"] == "binding" else model
     curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
     echo = _echo_model_params(model)
@@ -336,8 +317,6 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
     rmin, rmax = _window(params, model)
     ppd = params["points_per_decade"]
-    if ppd < 10:
-        _fail_usage("--points-per-decade", f"need at least 10; got {ppd!r}")
 
     # minimize the rest-subtracted form (same minimizers, far better
     # conditioned); report both the raw value and the binding value
@@ -359,9 +338,7 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     family = params["model"]
-    if family not in _TUNE_FAMILIES:
-        _fail_usage("--model", f"tuning supports {_TUNE_FAMILIES}; got {family!r}")
-    cfg = _physical_config(params)
+    cfg = PhysicalConfig(params["alpha"], params["n"])
     k = _scaling_exponent(family, params["k"])
     target = params["target"]
     echo = {
@@ -417,8 +394,7 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 
 def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    _positive(params, "kappa")
-    solution = flux.solve_R_given_kappa(params["kappa"], _physical_config(params).alpha)
+    solution = flux.solve_R_given_kappa(params["kappa"], params["alpha"])
     echo = {"kappa": params["kappa"], "alpha": params["alpha"]}
     results = {
         "kappa": solution.kappa,
@@ -430,8 +406,7 @@ def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
 
 def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    _positive(params, "R", "a", "a_min", "a_max")
-    cfg = _physical_config(params)
+    cfg = PhysicalConfig(params["alpha"], params["n"])
     R = params["R"]
     echo: dict[str, Any] = {"R": R, "alpha": cfg.alpha, "n": cfg.n}
 
@@ -444,8 +419,6 @@ def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
     if not params["a_min"] < params["a_max"]:
         _fail_usage("--a-max", f"must exceed --a-min; got ({params['a_min']!r}, {params['a_max']!r})")
-    if params["points_per_decade"] < 10:
-        _fail_usage("--points-per-decade", f"need at least 10; got {params['points_per_decade']!r}")
     echo.update(
         a_min=params["a_min"],
         a_max=params["a_max"],
@@ -485,8 +458,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--linear", dest=key, action="store_const", const="linear",
                                help="linearly spaced grid")
             else:
+                text = param.help if param.domain is None else \
+                    f"{param.help}; must be {param.domain[1]}"
                 p.add_argument(_flag(key), dest=key, type=param.convert, default=None,
-                               choices=param.choices, help=param.help)
+                               choices=param.choices, help=text)
         p.add_argument("--json", dest="as_json", action="store_true", default=False,
                        help="emit the JSON envelope")
         p.add_argument("--output", type=str, default=None, help="write to this file")

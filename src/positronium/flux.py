@@ -180,32 +180,32 @@ def tune_bltp(
     Parameterized by u = kappa * R, which makes the constraint explicit:
     R(u) = (alpha^2/2pi) G(u) and kappa(u) = u / R(u).  The well depth
     E_min(u) rises steeply through zero near u ~ 4.6; a coarse logarithmic
-    scan brackets the crossing and Brent refinement pins it down.  Returns
+    scan stops at the first crossing and Brent refinement pins it down.  Returns
     the flux solution together with the tight minimum; |E_min - target| at
     the returned point is at the 1e-8 level or better.
     """
     cfg = PhysicalConfig(alpha=alpha, n=n)
 
+    @functools.cache  # find_root re-reads both bracket ends the scan has evaluated
     def gap(u: float) -> float:
         model = PotentialModel("ring-bltp", cfg, RingParams(*_ring_at(u, alpha)))
         return model.tight_minimum(points_per_decade=40).v_star - target_energy
 
-    # coarse scan in u; outside (2.5, 8) the tight well is either far too
-    # deep or already closed for any target near zero
-    scan_u = [2.5 * (8.0 / 2.5) ** (i / 24.0) for i in range(25)]
+    # coarse scan in u up to the first sign change; outside (2.5, 8) the
+    # tight well is either far too deep or already closed for any target
+    # near zero
     scanned: list[tuple[float, float | None]] = []
-    for u in scan_u:
+    for i in range(25):
+        u = 2.5 * (8.0 / 2.5) ** (i / 24.0)
         try:
-            scanned.append((u, gap(u)))
+            g = gap(u)
         except OptimizeError:
-            scanned.append((u, None))
-
-    bracket = None
-    for (u_a, g_a), (u_b, g_b) in zip(scanned, scanned[1:]):
-        if g_a is not None and g_b is not None and g_a * g_b <= 0.0:
-            bracket = (u_a, u_b)
+            g = None
+        u_a, g_a = scanned[-1] if scanned else (u, None)
+        if g is not None and g_a is not None and g_a * g <= 0.0:
             break
-    if bracket is None:
+        scanned.append((u, g))
+    else:
         lines = ", ".join(
             f"u={u:.4g}: {'well closed' if g is None else f'{g:.6g}'}" for u, g in scanned
         )
@@ -213,7 +213,7 @@ def tune_bltp(
             f"no crossing of target_energy={target_energy!r} in the scan ({lines})"
         )
 
-    u_star = find_root(gap, bracket[0], bracket[1], tol=0.0)
+    u_star = find_root(gap, u_a, u, tol=0.0)
     R, kappa = _ring_at(u_star, alpha)
     residual = R - flux_rhs(kappa, R, alpha)
     solution = FluxSolution(kappa=kappa, R=R, residual=residual)

@@ -1,10 +1,15 @@
 """Command-line interface: formats, envelopes, exit codes, config files."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positronium import cli, models
 from positronium.models import PhysicalConfig, PotentialModel
@@ -347,3 +352,161 @@ def test_reproduce_reports_the_honest_failures(capsys):
     for c in report["criteria"]:
         for check in c["checks"]:
             assert {"name", "computed", "expected", "tolerance", "delta", "passed"} <= set(check)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        # each of these ran out of memory or ran for hours before the bounds
+        (("scan", "--model", "coulomb", "--points", "1000000000"), "--points"),
+        (("minimize", "--model", "coulomb", "--points-per-decade", "100000000"),
+         "--points-per-decade"),
+        (("variational", "--R", "2.6e-5", "--points-per-decade", "100000000"),
+         "--points-per-decade"),
+    ],
+)
+def test_grid_requests_are_bounded(argv, flag):
+    code, err = _exit_code_and_stderr(list(argv))
+    assert code == 2
+    assert f"{flag}: must be in [" in err
+
+
+def test_config_spacing_names_the_spacing_flags(capsys, tmp_path):
+    # the file key is "spacing", but no --spacing flag exists
+    config = tmp_path / "scan.conf"
+    config.write_text("model = coulomb\nspacing = zig\n")
+    code, _, err = run_cli(capsys, "scan", "--config", str(config))
+    assert code == 2
+    assert "--log/--linear: must be one of log, linear; got 'zig'" in err
+
+
+# every verb's declared flag domains, drawn from both sides: a value outside
+# must stop at validation with exit 2 and name its flag, from the command
+# line and from --config alike; a value inside must resolve unchanged
+
+_VALID_ARGV = {
+    "scan": {"model": "coulomb"},
+    "minimize": {"model": "coulomb"},
+    "tune": {"model": "ring-ml"},
+    "flux-solve": {"kappa": "1.8e5"},
+    "variational": {"R": "2.6e-5"},
+}
+
+_DECLARED = [
+    (verb, key)
+    for verb, spec in cli._PARAM_SPECS.items()
+    for key, param in spec.items()
+    if param.choices or param.domain
+]
+
+# the edges of every numeric domain, written out apart from the table:
+# (values just inside, values just outside)
+_DOMAIN_EDGES = {
+    "alpha": ([5e-324, 1.0 - 2.0**-53], [0.0, 1.0]),
+    "n": ([1], [0]),
+    "points": ([2, 10**6], [1, 10**6 + 1]),
+    "points_per_decade": ([10, 10**4], [9, 10**4 + 1]),
+    **{key: ([5e-324], [0.0, -0.0])
+       for key in ("R", "R_over_alpha2", "R_coeff", "kappa", "rmin", "a", "a_min", "a_max")},
+}
+_EDGES = [v for inside, outside in _DOMAIN_EDGES.values() for v in inside + outside]
+
+
+def _candidates(param):
+    if param.convert is str:
+        return st.one_of(st.sampled_from(tuple(models.FAMILIES)), st.text("abcxyz-", min_size=1))
+    if param.convert is int:
+        return st.one_of(
+            st.integers(-20, 20), st.integers(-100, 2 * 10**4),
+            st.integers(-2 * 10**6, 2 * 10**6),
+            st.sampled_from([v for v in _EDGES if isinstance(v, int)]),
+        )
+    return st.one_of(
+        st.floats(-2.0, 2.0), st.floats(-1e300, 1e300),
+        st.sampled_from([v for v in _EDGES if isinstance(v, float)]),
+    )
+
+
+def _admits(param, value):
+    return value in param.choices if param.choices else param.domain[0](value)
+
+
+def _text(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _argv(verb, key, value=None, config=None):
+    """A valid command line for ``verb``, with ``key`` set to ``value`` by
+    its flag, or left to the ``config`` file."""
+    argv = [verb] + [f"{cli._flag(k)}={v}" for k, v in _VALID_ARGV[verb].items() if k != key]
+    if value is not None:
+        argv.append(f"--{value}" if key == "spacing" else f"{cli._flag(key)}={_text(value)}")
+    if config is not None:
+        argv += ["--config", str(config)]
+    return argv
+
+
+def _write_config(path, key, value):
+    path.write_text(f"{key} = {_text(value)}\n")
+    return path
+
+
+def _unreachable(params):
+    raise AssertionError(f"validation passed {params}")
+
+
+def _exit_code_and_stderr(argv):
+    """cli.main's exit code and stderr; a value that gets past validation
+    fails the test here rather than run a verb at that value."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.dict(cli._COMMANDS, {verb: _unreachable for verb in cli._COMMANDS}):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "verb,key", [(v, k) for v, k in _DECLARED if cli._PARAM_SPECS[v][k].domain]
+)
+def test_declared_domains_have_their_documented_edges(verb, key):
+    param = cli._PARAM_SPECS[verb][key]
+    inside, outside = _DOMAIN_EDGES[key]
+    assert all(_admits(param, v) for v in inside)
+    assert not any(_admits(param, v) for v in outside)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("domains") / "params.conf"
+
+
+@pytest.mark.parametrize("verb,key", _DECLARED)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_values_outside_a_declared_domain_exit_2_naming_the_flag(config_path, verb, key, data):
+    param = cli._PARAM_SPECS[verb][key]
+    value = data.draw(_candidates(param).filter(lambda v: not _admits(param, v)), label=key)
+    runs = [_argv(verb, key, config=_write_config(config_path, key, value))]
+    if key != "spacing":  # --log and --linear carry no value
+        runs.append(_argv(verb, key, value))
+    for argv in runs:
+        code, err = _exit_code_and_stderr(argv)
+        assert code == 2, argv
+        assert f"{cli._flag(key)}: " in err, (argv, err)
+
+
+@pytest.mark.parametrize("verb,key", _DECLARED)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_values_inside_a_declared_domain_resolve(config_path, verb, key, data):
+    param = cli._PARAM_SPECS[verb][key]
+    if param.choices:
+        value = data.draw(st.sampled_from(param.choices), label=key)
+    else:
+        value = data.draw(_candidates(param).filter(lambda v: _admits(param, v)), label=key)
+    parser = cli._build_parser()
+    for argv in (
+        _argv(verb, key, value),
+        _argv(verb, key, config=_write_config(config_path, key, value)),
+    ):
+        assert cli._resolve_params(verb, parser.parse_args(argv))[key] == value

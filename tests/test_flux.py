@@ -260,3 +260,36 @@ def test_tune_bltp_reference_configuration():
     # the constraint itself holds at the tuned pair
     rhs = ALPHA_FS**2 / (2.0 * math.pi) * flux_constraint_integral(solution.kappa * solution.R)
     assert rhs == pytest.approx(solution.R, rel=1e-12)
+
+
+@pytest.mark.parametrize("target,calls", [(0.0, 22), (-1e-3, 21), (1e-3, 23)])
+def test_tune_bltp_stops_at_the_first_crossing(monkeypatch, target, calls):
+    # the u scan stops at its first sign change (scan point 14 of 25 at
+    # target 0) and Brent reuses both ends of that bracket; one more
+    # minimum is the reported one at 60 points per decade.  Scanning all
+    # 25 points and re-evaluating the ends took 35 calls at target 0.
+    tight_minimum = PotentialModel.tight_minimum
+    counted = []
+
+    def counting(self, *args, **kwargs):
+        counted.append(self.params)
+        return tight_minimum(self, *args, **kwargs)
+
+    monkeypatch.setattr(PotentialModel, "tight_minimum", counting)
+    solution, point = tune_bltp(target_energy=target)
+    assert len(counted) == calls
+    assert len(set(counted)) == calls - 1  # the reported minimum repeats the root's ring
+    assert abs(point.v_star - target) <= 1e-8
+
+
+def test_tune_bltp_without_crossing_lists_the_whole_scan():
+    # the tight well climbs to about +2e4 before it closes near u = 6.3,
+    # so a target of 1e5 has no crossing and the error reports every one
+    # of the 25 scan points, closed wells included
+    with pytest.raises(FluxError, match="no crossing of target_energy=100000.0") as info:
+        tune_bltp(target_energy=1e5)
+    assert "well closed" in str(info.value)
+    listed = re.findall(r"u=([0-9.]+):", str(info.value))
+    assert [float(u) for u in listed] == [
+        pytest.approx(2.5 * 3.2 ** (i / 24.0), rel=1e-3) for i in range(25)
+    ]
