@@ -3,8 +3,8 @@ electron-positron pair, from point charges to flux-quantized current rings.
 
 The package is organized bottom-up:
 
-* quadrature - deterministic adaptive integration (embedded 15-point rule)
-               and the same rule on fixed panels for sampled integrands
+* quadrature - the one rule for non-periodic integrals: Gauss-Kronrod 15
+               on fixed panels, weight folded in, Gauss-7 error check
 * elliptic   - complete elliptic integrals K, E by the AGM
 * optimize   - bracketed scalar minimization, log-grid scans, root finding
 * models     - the interaction families, PotentialModel and ring tuning
@@ -58,12 +58,7 @@ from .optimize import (
     find_root,
     minimize_scalar,
 )
-from .quadrature import (
-    Integral,
-    QuadratureError,
-    QuadratureResult,
-    integrate,
-)
+from .quadrature import QuadratureError
 from .variational import (
     VariationalResult,
     energy_expectation,
@@ -79,10 +74,7 @@ __all__ = [
     "ellip_K",
     "ellip_KE",
     # quadrature
-    "Integral",
     "QuadratureError",
-    "QuadratureResult",
-    "integrate",
     # optimize
     "Bracket",
     "OptimizeError",

@@ -105,6 +105,7 @@ _ALPHA = _Param(float, ALPHA_FS, "fine-structure constant",
                 domain=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
 _N = _Param(int, 1, "principal quantum number", domain=(lambda v: v >= 1, "at least 1"))
 # the grid bounds keep a scan's arrays, and its run time, in reach
+_MAX_POINTS = 10**6
 _PPD = _Param(int, 40, "scan resolution in grid points per decade",
               domain=(lambda v: 10 <= v <= 10**4, "in [10, 10000]"))
 _MODEL_PARAMS = {
@@ -127,7 +128,7 @@ _PARAM_SPECS: dict[str, dict[str, _Param]] = {
     "scan": {
         **_MODEL_PARAMS,
         "points": _Param(int, 400, "number of grid points",
-                         domain=(lambda v: 2 <= v <= 10**6, "in [2, 1000000]")),
+                         domain=(lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")),
         "spacing": _Param(str, "log", "log-spaced grid (the default)",
                           choices=("log", "linear")),
         "quantity": _Param(
@@ -272,6 +273,24 @@ def _window(params: dict[str, Any], model: PotentialModel) -> tuple[float, float
     if not rmin < rmax:
         _fail_usage("--rmax", f"must exceed --rmin; got rmin={rmin!r}, rmax={rmax!r}")
     return rmin, rmax
+
+
+def _check_grid(verb: str, params: dict[str, Any]) -> None:
+    """Exit 2 naming --points-per-decade when the log grid that minimize or
+    a variational scan lays, ceil(ppd * decades) + 1 points (see
+    find_local_minima), would pass the --points cap."""
+    if verb == "minimize":
+        lo, hi = _window(params, _build_model(params))
+    elif verb == "variational" and params["a"] is None:
+        lo, hi = params["a_min"], params["a_max"]
+    else:
+        return
+    ppd = params["points_per_decade"]
+    decades = math.log10(hi) - math.log10(lo)
+    if math.ceil(ppd * decades) + 1 > _MAX_POINTS:
+        top = math.floor((_MAX_POINTS - 1) / decades)
+        _fail_usage("--points-per-decade", f"must be in [10, {top}] for a window of "
+                    f"{decades:.6g} decades (at most {_MAX_POINTS} grid points); got {ppd}")
 
 
 def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
@@ -497,6 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     verb = args.verb
     try:
         params = _resolve_params(verb, args)
+        _check_grid(verb, params)
         started = time.perf_counter()
         code, text = 0, None  # text stays None for the JSON envelope
         if verb == "reproduce":

@@ -14,6 +14,12 @@ solution; above it there are two radii, one each side of u_min.  This
 module works on the outer branch (u > u_min, the larger radius), where
 kappa(u) is monotone and the reference kappa ~ 1.8e5, R ~ 2.57e-5 sits.
 
+G is the package's GK15 panel rule (see quadrature) with cos(2 phi)
+folded into the weights; it holds 1e-14 relative from u = 0.1 to past
+1e15, so the solver serves every finite kappa above kappa_min (u up to
+about 2e306; only kappa = the largest float has no representable root
+bracket).
+
 tune_bltp walks the same constraint in u and reads the depth of the
 regulated tight well at each (R(u), kappa(u)) from
 PotentialModel("ring-bltp", ...).tight_minimum, whose window is relative
@@ -27,6 +33,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import PhysicalConfig, PotentialModel, RingParams
 from .optimize import (
     Bracket,
@@ -35,7 +43,7 @@ from .optimize import (
     find_root,
     minimize_scalar,
 )
-from .quadrature import Integral, integrate
+from .quadrature import PanelTable, angular_edges
 
 __all__ = [
     "FluxError",
@@ -83,24 +91,42 @@ class FluxSolution:
             )
 
 
+@functools.lru_cache(maxsize=4)
+def _G_table(decades: int) -> tuple[PanelTable, np.ndarray]:
+    """The rule for G on angular_edges(10^-decades), cos(2 phi) folded in
+    (twice, for the fold about pi/2), and sin phi at its nodes."""
+    table = PanelTable.build(
+        "flux integral G",
+        angular_edges(10.0**-decades),
+        lambda phi: 2.0 * np.cos(2.0 * phi),
+        _REL_TOL,
+        _ABS_TOL,
+    )
+    return table, np.sin(table.nodes)
+
+
 def flux_constraint_integral(u: float) -> float:
     """G(u) = int_0^pi cos(2 phi) (1 - exp(-2 u sin phi)) / sin phi dphi.
 
-    The integrand is analytic on the whole interval (the apparent 1/sin
-    endpoint singularity cancels; the endpoint limit is 2u).  Formed with
-    expm1 so small u keeps full relative precision.
+    The integrand is entire (the apparent 1/sin endpoint singularity
+    cancels; the endpoint limit is 2u), even about pi/2, and varies on the
+    scale 1/u near phi = 0 and pi.  So G is one fixed GK15 rule on [0, pi/2]
+    (see quadrature): a panel [0, lo], then geometric panels up to pi/2,
+    with lo = 10^-d the largest power of ten at or below both 1e-9 and
+    1e-2/u (d <= 308, so that pi/2 / lo stays finite; 2u lo <= 0.05 for
+    every u a solve reaches).  Tables are kept for the last four d; one
+    serves every u <= 1e7.  The 1 - exp is formed with expm1, so small u
+    keeps full relative precision up to the cancellation of cos(2 phi)
+    against G ~ 4u^2/3 (about 1e-15/u relative, or 1e-15 absolute).
+    Above half the largest float the integrand's endpoint value 2u
+    overflows, and QuadratureError names u.
     """
-    if not u >= 0.0:
-        raise ValueError(f"u must be non-negative; got {u!r}")
+    if not 0.0 <= u < math.inf:
+        raise ValueError(f"u must be finite and non-negative; got {u!r}")
     if u == 0.0:
         return 0.0
-    two_u = 2.0 * u
-
-    def kernel(phi: float) -> float:
-        t = math.sin(phi)
-        return math.cos(2.0 * phi) * (-math.expm1(-two_u * t)) / t
-
-    return integrate(Integral(kernel, 0.0, math.pi, _REL_TOL, _ABS_TOL)).value
+    table, sines = _G_table(min(308, max(9, 2 + math.ceil(math.log10(u)))))
+    return table.integral(-np.expm1(-2.0 * u * sines) / sines, u=u)
 
 
 def flux_rhs(kappa: float, R: float, alpha: float = PhysicalConfig().alpha) -> float:
@@ -161,6 +187,21 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
     u_hi = 2.0 * u_min
     while excess(u_hi) <= 0.0:
         u_hi *= 2.0
+    # kappa(u_hi) overflows only for kappa above about 9e307: bisect back
+    # into [u_hi / 2, u_hi], where kappa(u) < kappa at the left end, until
+    # it is finite (it never is within a few ulps of the largest float)
+    u_lo = 0.5 * u_hi
+    while excess(u_hi) == math.inf:
+        u_mid = 0.5 * (u_lo + u_hi)
+        if not u_lo < u_mid < u_hi:
+            raise FluxError(
+                f"flux constraint unsolvable in floating point at kappa={kappa!r}: "
+                f"kappa(u) overflows between u={u_lo!r} and u={u_hi!r}"
+            )
+        if excess(u_mid) <= 0.0:
+            u_lo = u_mid
+        else:
+            u_hi = u_mid
     R = find_root(excess, u_min, u_hi, tol=0.0) / kappa
 
     residual = R - flux_rhs(kappa, R, alpha)

@@ -40,6 +40,10 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
 * The elliptic moduli are fed to the AGM as the exact pair
   k = 1/hypot(1, rho), k' = rho/hypot(1, rho); reconstructing k' from a
   rounded k fails once rho < 1e-8 and k rounds to 1.0.
+* The Bopp-regulated pair takes two angular integrals per r.  A periodic
+  trapezoid rule serves rho = r/2R >= 1e-3, and below that the package's
+  GK15 panel rule (see quadrature) on panels graded towards phi = 0;
+  rho = 1e-3 is the only place a rule is chosen (see _bltp_integrals).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from .elliptic import _agm, _agm_array
 from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
-from .quadrature import Integral, QuadratureError, QuadratureResult, integrate
+from .quadrature import PanelTable, QuadratureError, angular_edges
 
 __all__ = [
     "ALPHA_FS",
@@ -346,8 +350,8 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
     I1 = int_0^pi          (1 - exp(-2 kappa R d(phi))) / d(phi) dphi
     I2 = int_0^pi cos(2phi)(1 - exp(-2 kappa R d(phi))) / d(phi) dphi
 
-    with d(phi) = sqrt(sin^2 phi + rho^2), rho = r/2R; 1 - exp is formed
-    with expm1 so the small-argument regime keeps full precision.  Both
+    with d(phi) = hypot(sin phi, rho), rho = r/2R; 1 - exp is formed with
+    expm1 so the small-argument regime keeps full precision.  Both
     integrands depend on phi only through sin^2 phi, so they are pi-periodic
     and analytic in the strip |Im phi| < asinh(rho), where the plain
     trapezoid rule on [0, pi) converges exponentially (Trefethen & Weideman,
@@ -356,37 +360,38 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
     midpoints until successive I1 and I2 agree to _V4_REL_TOL/_V4_ABS_TOL,
     samples the kernel once per node for both integrals, and gives up past
     2^15 nodes.  The node count it needs grows like 1/asinh(rho), so below
-    rho = 1e-3 adaptive GK15 quadrature, which resolves the narrow peak at
-    phi = 0 with local panels, is cheaper and is used instead.
+    rho = 1e-3 the GK15 panel rule of quadrature is cheaper and is used
+    instead, folded about pi/2 on angular_edges(lo).  The kernel's
+    narrowest feature near phi = 0 is the peak of width rho; where
+    scale * rho < 1e-8 (scale = 2 kappa R) the kernel is flat across it
+    to 1e-8, and the next feature is the width 1/scale of the expm1
+    factor.  So lo = 1e-2 max(rho, min(1, 1e-8/scale)).  hypot keeps
+    d > 0 at every node even where sin^2 phi and rho^2 both underflow.
     """
     rho = r / (2.0 * R)
-    rho2 = rho * rho
     scale = 2.0 * kappa * R
-
-    def kernel(phi: float) -> float:
-        s = math.sin(phi)
-        d = math.sqrt(s * s + rho2)
-        return -math.expm1(-scale * d) / d
-
-    def kernel_cos(phi: float) -> float:
-        return math.cos(2.0 * phi) * kernel(phi)
-
-    try:
-        if rho >= _TRAPEZOID_MIN_RHO:
-            return _bltp_trapezoid(rho2, scale)
-        i1 = integrate(Integral(kernel, 0.0, math.pi, _V4_REL_TOL, _V4_ABS_TOL)).value
-        i2 = integrate(Integral(kernel_cos, 0.0, math.pi, _V4_REL_TOL, _V4_ABS_TOL)).value
-    except QuadratureError as err:
-        raise QuadratureError(
-            f"ring quadrature failed at r={r!r}, R={R!r}, kappa={kappa!r}: {err}",
-            best_estimate=err.best_estimate,
-            abscissa=err.abscissa,
-        ) from err
+    if rho >= _TRAPEZOID_MIN_RHO:
+        return _bltp_trapezoid(rho * rho, scale, r, R, kappa)
+    lo = 1e-2 * max(rho, 1e-8 / max(scale, 1e-8))  # no division by scale = 0
+    table = PanelTable.build("ring quadrature", angular_edges(lo), _twice, _V4_REL_TOL, _V4_ABS_TOL)
+    s = np.sin(table.nodes)
+    d = np.hypot(s, rho)
+    f = -np.expm1(-scale * d) / d
+    i1 = table.integral(f, r=r, R=R, kappa=kappa)
+    i2 = table.integral((1.0 - 2.0 * s * s) * f, r=r, R=R, kappa=kappa)  # cos(2 phi) f
     return i1, i2
 
 
-def _bltp_trapezoid(rho2: float, scale: float) -> tuple[float, float]:
-    """Nested periodic trapezoid rule for (I1, I2) of _bltp_integrals."""
+def _twice(phi: np.ndarray) -> np.ndarray:
+    """The weight of an integral over [0, pi] folded about pi/2."""
+    return np.full_like(phi, 2.0)
+
+
+def _bltp_trapezoid(
+    rho2: float, scale: float, r: float, R: float, kappa: float
+) -> tuple[float, float]:
+    """Nested periodic trapezoid rule for (I1, I2) of _bltp_integrals; its
+    QuadratureError names r, R and kappa."""
 
     def sums(phi: np.ndarray) -> tuple[float, float]:
         s = np.sin(phi)
@@ -410,8 +415,8 @@ def _bltp_trapezoid(rho2: float, scale: float) -> tuple[float, float]:
         ):
             return i1, i2
     raise QuadratureError(
-        f"periodic trapezoid rule unconverged at {n} nodes",
-        best_estimate=QuadratureResult(i1, err1, n),
+        f"ring quadrature at r={r!r}, R={R!r}, kappa={kappa!r}: periodic trapezoid "
+        f"rule unconverged at {n} nodes (last change {max(err1, err2):.3g})"
     )
 
 

@@ -5,7 +5,7 @@ The engines used throughout the package:
 * :func:`minimize_scalar` -- bracketed minimization combining golden-section
   contraction with parabolic-interpolation steps (superlinear on smooth
   wells, never worse than golden section).  Derivative-free on purpose: the
-  ring-regularized potentials involve elliptic integrals and adaptive
+  ring-regularized potentials involve elliptic integrals and angular
   quadratures whose derivatives are not worth maintaining.
 * :func:`find_local_minima` -- enumeration of every interior minimum of a
   function over a range by scanning a log-spaced grid and refining each

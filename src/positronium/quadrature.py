@@ -1,26 +1,29 @@
-"""Adaptive one-dimensional quadrature on finite intervals.
+"""Fixed Gauss-Kronrod 7/15 panel rule for non-periodic integrals.
 
-The integrator drives the flux-quantization constraint and the angular
-integrals of the flux-constrained ring potential at separations below
-r = 2e-3 R (larger ones use a periodic trapezoid rule in models).  It is an
-embedded-rule scheme: each panel is evaluated with a 15-point Kronrod rule
-whose 7-point Gauss subset provides the error estimate, and the panel with
-the largest estimated error is bisected until the summed estimate meets the
-requested tolerance.
-Subdivision order is deterministic (worst error first, ties broken by
-creation order), all accumulation is compensated, and the nodes are fixed
-constants -- identical inputs therefore yield bit-identical results across
-runs and platforms.
+Every non-periodic integral of the package is taken with one rule: the
+15-point Kronrod rule on a fixed set of panels, with the embedded 7-point
+Gauss rule as its error check (the GK15 pair of QUADPACK; Piessens et al.,
+1983).  A PanelTable holds the nodes and the weights of such a rule, with
+a weight function of the integrand folded in, so an integral that is
+needed for many values of a parameter samples only the parameter-dependent
+factor at the nodes and takes weighted sums:
 
-gk15_panels lays the same rule, unrefined, on a given set of panels, for
-integrals whose integrand is sampled as an array: the variational bound
-builds one such node table per scan and reuses it for every trial scale
-(see variational).
+* variational: <T> and <U_R> for every trial scale of a scan;
+* flux: G(u) for every u, folded about pi/2, on a panel [0, lo] and
+  geometric panels from lo to pi/2;
+* models: the Bopp angular pair at rho = r/2R < 1e-3, on the same layout
+  (larger rho use a periodic trapezoid rule, see models).
+
+Each panel's Kronrod-minus-Gauss-7 difference bounds its error from above
+(the 15-point sum is far more accurate than the 7-point one), and their
+summed magnitude is checked against the table's tolerance on every
+integral: QuadratureError names the integral and its parameters when it
+is exceeded.  The nodes are fixed constants and the sums run in a fixed
+order, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,16 +31,12 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Integral",
-    "QuadratureResult",
+    "PanelTable",
     "QuadratureError",
+    "angular_edges",
+    "geometric_edges",
     "gk15_panels",
-    "integrate",
 ]
-
-DEFAULT_REL_TOL = 1e-12
-DEFAULT_ABS_TOL = 1e-14
-DEFAULT_MAX_PANELS = 4096
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; the rule is symmetric)
 # with their weights, and the weights of the embedded 7-point Gauss rule.
@@ -76,115 +75,14 @@ _KRONROD = np.array(_WGK + _WGK[-2::-1])
 _GAUSS = np.zeros(15)
 _GAUSS[1::2] = _WG + _WG[-2::-1]
 
-_EPS = math.ulp(1.0)
-_UFLOW = 2.2250738585072014e-308
-
-
-@dataclass(frozen=True)
-class Integral:
-    """One quadrature problem: integrand, finite interval, tolerances."""
-
-    integrand: Callable[[float], float]
-    lower: float
-    upper: float
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    max_panels: int = DEFAULT_MAX_PANELS
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper; got [{self.lower!r}, {self.upper!r}]")
-        if not (self.rel_tol > 0.0 and self.abs_tol >= 0.0):
-            raise ValueError("need rel_tol > 0 and abs_tol >= 0")
-        if self.max_panels < 1:
-            raise ValueError("need max_panels >= 1")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+# geometric panels per decade of angular_edges: the Gauss-7 estimate of G(u)
+# is about 1.5e-16 relative there
+_ANGULAR_PANELS_PER_DECADE = 8
 
 
 class QuadratureError(RuntimeError):
-    """Raised on non-convergence or a non-finite integrand sample.
-
-    ``best_estimate`` carries the value/error reached so far (non-convergence
-    case); ``abscissa`` identifies the offending point (non-finite case).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        best_estimate: QuadratureResult | None = None,
-        abscissa: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.abscissa = abscissa
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
-    """One Gauss-Kronrod 7/15 panel: (integral, error estimate, resabs).
-
-    The error heuristic follows the classic embedded-rule practice: compare
-    Kronrod against Gauss, then damp by the panel's own variation measure so
-    smooth panels are not over-refined.
-    """
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-
-    fc = f(center)
-    if not math.isfinite(fc):
-        raise QuadratureError(
-            f"integrand returned non-finite value {fc!r} at x={center!r}", abscissa=center
-        )
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    samples = [(center, fc)]
-
-    for i in range(7):
-        offset = half * _XGK[i]
-        x_lo = center - offset
-        x_hi = center + offset
-        f_lo = f(x_lo)
-        if not math.isfinite(f_lo):
-            raise QuadratureError(
-                f"integrand returned non-finite value {f_lo!r} at x={x_lo!r}", abscissa=x_lo
-            )
-        f_hi = f(x_hi)
-        if not math.isfinite(f_hi):
-            raise QuadratureError(
-                f"integrand returned non-finite value {f_hi!r} at x={x_hi!r}", abscissa=x_hi
-            )
-        fsum = f_lo + f_hi
-        resk += _WGK[i] * fsum
-        resabs += _WGK[i] * (abs(f_lo) + abs(f_hi))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * fsum
-        samples.append((x_lo, f_lo))
-        samples.append((x_hi, f_hi))
-
-    # variation measure relative to the panel mean
-    mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for i in range(7):
-        x_lo_val = samples[2 * i + 1][1]
-        x_hi_val = samples[2 * i + 2][1]
-        resasc += _WGK[i] * (abs(x_lo_val - mean) + abs(x_hi_val - mean))
-
-    value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPS):
-        err = max(_EPS * 50.0 * resabs, err)
-    return value, err, resabs
+    """A rule's own error estimate exceeds its tolerance, or it did not
+    converge; the message names the integral and its parameters."""
 
 
 def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,9 +93,15 @@ def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at the eight Kronrod-only nodes), both scaled to the panel widths.
     Summing f(nodes) * kronrod gives the 15-point rule over the union of
     the panels; the column sums of f(nodes) * (kronrod - gauss) are each
-    panel's Kronrod-minus-Gauss error estimate.
+    panel's Kronrod-minus-Gauss error estimate.  ``edges`` must be finite
+    and strictly increasing, with at least two of them.
     """
     edges = np.asarray(edges, dtype=float)
+    if not (
+        edges.ndim == 1 and edges.size >= 2 and np.all(edges[1:] > edges[:-1])
+        and math.isfinite(edges[0]) and math.isfinite(edges[-1])
+    ):
+        raise ValueError(f"need finite, strictly increasing panel edges; got {edges!r}")
     center = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (
@@ -207,71 +111,69 @@ def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def integrate(spec: Integral) -> QuadratureResult:
-    """Adaptively integrate ``spec`` over its finite interval.
+def geometric_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
+    """Edges of ceil(per_decade * log10(hi/lo)) geometric panels, at least
+    one, from lo to hi (0 < lo < hi, hi/lo finite)."""
+    panels = max(1, math.ceil(per_decade * math.log10(hi / lo)))
+    return lo * (hi / lo) ** (np.arange(panels + 1) / panels)
 
-    Deterministic: the refinement sequence depends only on the inputs.
-    Raises :class:`QuadratureError` when the panel budget is exhausted
-    (carrying the best estimate) or the integrand goes non-finite (carrying
-    the abscissa).
 
-    Roundoff floor: each panel's error estimate is clipped from below at
-    ~50 ulp of its own |f| mass, and that floor is additive, so no amount
-    of subdivision pushes the total estimate under ~50 eps * integral|f|.
-    Once the total reaches that floor the result is accepted even if the
-    requested tolerance is smaller: the value cannot be improved in double
-    precision, and the returned ``error_estimate`` still reports the honest
-    (floor-limited) bound rather than the request.
+def angular_edges(lo: float) -> np.ndarray:
+    """Edges of the panel [0, lo] and of geometric panels from lo to pi/2.
+
+    The layout of the angular integrals of flux and models, folded about
+    pi/2: their integrands are smooth on [0, pi/2] but vary on a scale that
+    can be many decades below 1 near phi = 0, and lo sits well below it.
     """
-    if math.isinf(spec.lower) or math.isinf(spec.upper):
-        raise ValueError(f"need a finite interval; got [{spec.lower!r}, {spec.upper!r}]")
-    f = spec.integrand
+    return np.concatenate(([0.0], geometric_edges(lo, math.pi / 2.0, _ANGULAR_PANELS_PER_DECADE)))
 
-    value, err, resabs = _gk15(f, spec.lower, spec.upper)
-    evaluations = 15
-    # heap entries: (-error, creation index, a, b, value, error, resabs)
-    counter = 0
-    heap = [(-err, counter, spec.lower, spec.upper, value, err, resabs)]
-    done: list[tuple[float, float, float, float, float]] = []  # (a, b, value, error, resabs)
-    panels = 1
 
-    while True:
-        total_err = math.fsum(entry[5] for entry in heap) + math.fsum(p[3] for p in done)
-        total_val = math.fsum(entry[4] for entry in heap) + math.fsum(p[2] for p in done)
-        total_resabs = math.fsum(entry[6] for entry in heap) + math.fsum(p[4] for p in done)
-        roundoff_floor = 50.0 * _EPS * total_resabs
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_val), roundoff_floor):
-            break
-        if not heap:
-            # every remaining panel is at floating-point width; cannot refine
+@dataclass(frozen=True)
+class PanelTable:
+    """The GK15 rule on fixed panels, a weight function folded in.
+
+    ``integral(values)`` is the rule's sum of weight(t) * values over the
+    nodes t (shape (15, panels), as ``values``).  It raises QuadratureError
+    when the summed Kronrod-minus-Gauss-7 differences exceed
+    max(rel_tol * |integral|, abs_tol); ``what`` names the integral there,
+    and the keyword arguments of ``integral`` name its parameters.
+    """
+
+    what: str
+    nodes: np.ndarray
+    # weight(nodes) times the Kronrod and the Kronrod-minus-Gauss-7 weights
+    weights: np.ndarray
+    rel_tol: float
+    abs_tol: float = 0.0
+
+    @classmethod
+    def build(
+        cls,
+        what: str,
+        edges: np.ndarray,
+        weight: Callable[[np.ndarray], np.ndarray],
+        rel_tol: float,
+        abs_tol: float = 0.0,
+    ) -> PanelTable:
+        nodes, kronrod, gauss = gk15_panels(edges)
+        w = weight(nodes)
+        return cls(what, nodes, np.stack([w * kronrod, w * (kronrod - gauss)]), rel_tol, abs_tol)
+
+    def integral(self, values: np.ndarray, **at: float) -> float:
+        # per-panel Kronrod sums and Kronrod-minus-Gauss differences
+        panels = np.einsum("np,knp->kp", values, self.weights)
+        total = float(panels[0].sum())
+        estimate = float(np.abs(panels[1]).sum())
+        if not estimate <= max(self.rel_tol * abs(total), self.abs_tol):
+            params = ", ".join(f"{name}={value!r}" for name, value in at.items())
+            where = f"{self.what} at {params}" if at else self.what
+            bad = ~np.isfinite(values * self.weights[0])
+            if bad.any():
+                raise QuadratureError(
+                    f"{where}: non-finite integrand at node {float(self.nodes[bad][0])!r}"
+                )
             raise QuadratureError(
-                "tolerance unreachable: all panels at floating-point resolution",
-                best_estimate=QuadratureResult(total_val, total_err, evaluations),
+                f"{where}: Gauss-7 error estimate {estimate:.3g} exceeds "
+                f"max({self.rel_tol:g} of the integral {total!r}, {self.abs_tol:g})"
             )
-        if panels >= spec.max_panels:
-            raise QuadratureError(
-                f"no convergence within {spec.max_panels} panels",
-                best_estimate=QuadratureResult(total_val, total_err, evaluations),
-            )
-        _, _, a, b, v, e, ra = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            # panel too narrow to split; freeze it
-            done.append((a, b, v, e, ra))
-            continue
-        v_lo, e_lo, ra_lo = _gk15(f, a, mid)
-        v_hi, e_hi, ra_hi = _gk15(f, mid, b)
-        evaluations += 30
-        panels += 1
-        counter += 1
-        heapq.heappush(heap, (-e_lo, counter, a, mid, v_lo, e_lo, ra_lo))
-        counter += 1
-        heapq.heappush(heap, (-e_hi, counter, mid, b, v_hi, e_hi, ra_hi))
-
-    pieces = [(entry[2], entry[3], entry[4], entry[5]) for entry in heap] + [
-        p[:4] for p in done
-    ]
-    pieces.sort()  # left-to-right final summation, independent of pop order
-    final_value = math.fsum(p[2] for p in pieces)
-    final_err = math.fsum(p[3] for p in pieces)
-    return QuadratureResult(final_value, final_err, evaluations)
+        return total

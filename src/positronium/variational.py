@@ -55,7 +55,7 @@ import numpy as np
 
 from .models import PhysicalConfig, RingParams, _ring_lines
 from .optimize import OptimizeError, find_local_minima
-from .quadrature import QuadratureError, gk15_panels
+from .quadrature import PanelTable, geometric_edges
 
 __all__ = [
     "VariationalResult",
@@ -90,45 +90,15 @@ def _scale(a: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A fixed GK15 rule on geometric panels of [lo, hi], a weight folded in.
-
-    ``integral(values, a)`` is the rule's sum of weight(t) * values over
-    the nodes t (shape (15, panels), as ``values``) for trial scale a;
-    ``what`` names the integral in its QuadratureError.
-    """
-
-    what: str
-    nodes: np.ndarray
-    # weight(nodes) times the Kronrod and the Kronrod-minus-Gauss-7 weights
-    weights: np.ndarray
-
-    @classmethod
-    def build(
-        cls, what: str, lo: float, hi: float, weight: Callable[[np.ndarray], np.ndarray]
-    ) -> _Table:
-        panels = max(1, math.ceil(_PANELS_PER_DECADE * math.log10(hi / lo)))
-        edges = lo * (hi / lo) ** (np.arange(panels + 1) / panels)  # geometric
-        nodes, kronrod, gauss = gk15_panels(edges)
-        w = weight(nodes)
-        return cls(what, nodes, np.stack([w * kronrod, w * (kronrod - gauss)]))
-
-    def integral(self, values: np.ndarray, a: float) -> float:
-        # per-panel Kronrod sums and Kronrod-minus-Gauss differences
-        panels = np.einsum("np,knp->kp", values, self.weights)
-        total = float(panels[0].sum())
-        estimate = float(np.abs(panels[1]).sum())
-        if not estimate <= _REL_TOL * abs(total):
-            raise QuadratureError(
-                f"{self.what} at a={a!r}: Gauss-7 error estimate {estimate:.3g} exceeds "
-                f"{_REL_TOL:g} of the integral {total!r}"
-            )
-        return total
+def _table(
+    what: str, lo: float, hi: float, weight: Callable[[np.ndarray], np.ndarray]
+) -> PanelTable:
+    """The GK15 rule on geometric panels of [lo, hi], ``weight`` folded in."""
+    return PanelTable.build(what, geometric_edges(lo, hi, _PANELS_PER_DECADE), weight, _REL_TOL)
 
 
-def _kinetic_table(a_min: float, a_max: float) -> _Table:
-    return _Table.build(
+def _kinetic_table(a_min: float, a_max: float) -> PanelTable:
+    return _table(
         "kinetic expectation",
         1e-6 * min(a_min, 1.0),
         1e4 * max(a_max, 1.0),
@@ -136,22 +106,22 @@ def _kinetic_table(a_min: float, a_max: float) -> _Table:
     )
 
 
-def _kinetic_at(table: _Table, a: float) -> float:
+def _kinetic_at(table: PanelTable, a: float) -> float:
     u = table.nodes / a
-    return 64.0 / math.pi * table.integral(np.sqrt(1.0 + u * u), a)
+    return 64.0 / math.pi * table.integral(np.sqrt(1.0 + u * u), a=a)
 
 
-def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> _Table:
+def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> PanelTable:
     def weight(r: np.ndarray) -> np.ndarray:
         electric, magnetic = _ring_lines(R, cfg.alpha, cfg.alpha**3, r)
         return r * r * (electric + magnetic)
 
     what = f"potential expectation for R={R!r}"
-    return _Table.build(what, 1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, weight)
+    return _table(what, 1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, weight)
 
 
-def _potential_at(table: _Table, a: float) -> float:
-    return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a)
+def _potential_at(table: PanelTable, a: float) -> float:
+    return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a=a)
 
 
 def kinetic_expectation(a: float) -> float:

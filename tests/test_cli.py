@@ -363,6 +363,11 @@ def test_reproduce_reports_the_honest_failures(capsys):
          "--points-per-decade"),
         (("variational", "--R", "2.6e-5", "--points-per-decade", "100000000"),
          "--points-per-decade"),
+        # an in-range resolution over a 600-decade window is 6,000,001 points
+        (("minimize", "--model", "coulomb", "--rmin", "1e-300", "--rmax", "1e300",
+          "--points-per-decade", "10000"), "--points-per-decade"),
+        (("variational", "--R", "2.6e-5", "--a-min", "1e-300", "--a-max", "1e300",
+          "--points-per-decade", "10000"), "--points-per-decade"),
     ],
 )
 def test_grid_requests_are_bounded(argv, flag):

@@ -5,21 +5,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
 from positronium.elliptic import _agm, _agm_array, _ellip_KE_pair, ellip_E, ellip_K, ellip_KE
-from positronium.quadrature import Integral, integrate
 
 mpmath.mp.dps = 30
 
 
 def _quad_K(k: float) -> float:
-    # the defining integral, evaluated by the adaptive quadrature so the
-    # AGM path is checked against something that shares no code with it
+    # the defining integral, evaluated by QUADPACK so the AGM path is
+    # checked against something that shares no code with it
     def kernel(t: float) -> float:
         s = k * math.sin(t)
         return 1.0 / math.sqrt((1.0 - s) * (1.0 + s))
 
-    return integrate(Integral(kernel, 0.0, math.pi / 2.0, 1e-13, 1e-15)).value
+    return integrate.quad(kernel, 0.0, math.pi / 2.0, epsabs=1e-15, epsrel=1e-13)[0]
 
 
 def _quad_E(k: float) -> float:
@@ -27,7 +27,7 @@ def _quad_E(k: float) -> float:
         s = k * math.sin(t)
         return math.sqrt((1.0 - s) * (1.0 + s))
 
-    return integrate(Integral(kernel, 0.0, math.pi / 2.0, 1e-13, 1e-15)).value
+    return integrate.quad(kernel, 0.0, math.pi / 2.0, epsabs=1e-15, epsrel=1e-13)[0]
 
 
 def test_frozen_half_modulus():

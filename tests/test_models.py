@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positronium import models
+from positronium.flux import flux_constraint_integral
 from positronium.models import (
     ALPHA_FS,
     ZERO_ENERGY_RADIUS_COEFF,
@@ -333,12 +334,12 @@ def _assert_bltp_matches_oracle(r, kappa_R):
     assert abs(i2 - o2) <= 1e-13 * abs(o1)
 
 
-# r = 1e-9, 1e-8 and 0.999 * _SWITCH_R take the adaptive path (rho < 1e-3);
+# r = 1e-9, 1e-8 and 0.999 * _SWITCH_R take the panel rule (rho < 1e-3);
 # _SWITCH_R (rho = 1e-3) and every larger r the periodic trapezoid rule
 _SWITCH_R = 2.0 * BLTP_R * models._TRAPEZOID_MIN_RHO
 
 
-@pytest.mark.parametrize("kappa_R", [1.0, 4.64, 1e3])
+@pytest.mark.parametrize("kappa_R", [1e-3, 1.0, 4.64, 1e3, 1e6])
 @pytest.mark.parametrize(
     "r", [float(r) for r in np.geomspace(1e-9, 1e6, 16)] + [_SWITCH_R * 0.999, _SWITCH_R]
 )
@@ -353,6 +354,22 @@ def test_bltp_integrals_against_scipy_quad(r, kappa_R):
 )
 def test_bltp_integrals_property_against_scipy_quad(log_r, log_kappa_R):
     _assert_bltp_matches_oracle(10.0**log_r, 10.0**log_kappa_R)
+
+
+def test_regulated_potential_is_finite_at_near_contact():
+    # at r = 1e-300 both sin^2 phi and rho^2 underflow near phi = 0, which
+    # would make d = 0 there; hypot keeps d > 0 at every node
+    model = PotentialModel("ring-bltp", CFG, RingParams(BLTP_R, 4.64 / BLTP_R))
+    i1, i2 = _bltp_integrals(BLTP_R, 4.64 / BLTP_R, 1e-300)
+    assert math.isfinite(model(1e-300)) and math.isfinite(model.binding(1e-300))
+    # rho = 2e-296 is 0 to double precision: the kernel is
+    # (1 - exp(-2 kappa R sin phi)) / sin phi, and I2 the flux integral G(kappa R)
+    o1 = 2.0 * scipy.integrate.quad(
+        lambda p: -math.expm1(-9.28 * math.sin(p)) / math.sin(p), 0.0, math.pi / 2,
+        epsabs=0.0, epsrel=2e-14,
+    )[0]
+    assert i1 == pytest.approx(o1, rel=1e-13)
+    assert i2 == pytest.approx(flux_constraint_integral(4.64), rel=1e-13)
 
 
 def test_bltp_trapezoid_cap_raises_with_the_ring_parameters(monkeypatch):

@@ -14,7 +14,7 @@ EXPORTS = {
     # elliptic
     "ellip_E", "ellip_K", "ellip_KE",
     # quadrature
-    "Integral", "QuadratureError", "QuadratureResult", "integrate",
+    "QuadratureError",
     # optimize
     "Bracket", "OptimizeError", "StationaryPoint", "deepest_minimum", "find_local_minima",
     "find_root", "minimize_scalar",
@@ -34,7 +34,7 @@ EXPORTS = {
 
 
 def test_package_exports_are_pinned():
-    assert len(positronium.__all__) == len(set(positronium.__all__)) == 44
+    assert len(positronium.__all__) == len(set(positronium.__all__)) == 41
     assert set(positronium.__all__) == EXPORTS
     for name in EXPORTS:
         assert hasattr(positronium, name), name

@@ -1,44 +1,55 @@
-"""Adaptive Gauss-Kronrod integration: closed forms, laws, failure modes."""
+"""The GK15 panel rule: closed forms, laws, its error check, failure modes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from positronium.flux import flux_constraint_integral
 from positronium.quadrature import (
-    Integral,
+    PanelTable,
     QuadratureError,
+    angular_edges,
+    geometric_edges,
     gk15_panels,
-    integrate,
 )
 
 
+def _integral(f, edges, rel_tol=1e-12, abs_tol=1e-14):
+    """The rule for f on the given panels, weight 1."""
+    table = PanelTable.build("test integral", edges, np.ones_like, rel_tol, abs_tol)
+    return table.integral(f(table.nodes))
+
+
 def test_linear_integrand_converges_on_first_panel():
-    res = integrate(Integral(lambda x: x, 0.0, 1.0))
-    assert res.value == pytest.approx(0.5, rel=1e-15)
-    assert res.evaluations == 15
+    table = PanelTable.build("line", [0.0, 1.0], np.ones_like, 1e-12)
+    assert table.nodes.size == 15
+    assert table.integral(table.nodes) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_sine_arch():
-    res = integrate(Integral(math.sin, 0.0, math.pi))
-    assert res.value == pytest.approx(2.0, rel=1e-14)
+    assert _integral(np.sin, np.linspace(0.0, math.pi, 5)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_cubic_with_negative_bounds():
     # int_{-1}^{2} (3x^2 - 2x) dx = [x^3 - x^2] = 6
-    res = integrate(Integral(lambda x: 3.0 * x * x - 2.0 * x, -1.0, 2.0))
-    assert res.value == pytest.approx(6.0, rel=1e-14)
+    value = _integral(lambda x: 3.0 * x * x - 2.0 * x, [-1.0, 2.0])
+    assert value == pytest.approx(6.0, rel=1e-14)
 
 
 def test_oscillatory_cancellation():
-    res = integrate(Integral(lambda x: math.cos(7.0 * x), 0.0, 2.0 * math.pi))
-    assert abs(res.value) <= 1e-12
+    assert abs(_integral(lambda x: np.cos(7.0 * x), np.linspace(0.0, 2.0 * math.pi, 65))) <= 1e-12
 
 
 def test_error_estimate_is_honest():
+    # the summed Kronrod-minus-Gauss-7 differences bound the actual error
     exact = 1.0 - math.exp(-5.0)
-    res = integrate(Integral(lambda x: math.exp(-x), 0.0, 5.0))
-    assert abs(res.value - exact) <= max(res.error_estimate, 5e-15 * exact)
+    for panels in (1, 2, 4):
+        table = PanelTable.build("exp", np.linspace(0.0, 5.0, panels + 1), np.ones_like, 1.0)
+        values = np.exp(-table.nodes)
+        estimate = np.abs(np.sum(values * table.weights[1], axis=0)).sum()
+        assert abs(table.integral(values) - exact) <= max(estimate, 5e-15 * exact)
 
 
 def test_linearity_and_additivity_on_seeded_polynomials():
@@ -51,94 +62,92 @@ def test_linearity_and_additivity_on_seeded_polynomials():
             b, mid = a + 1.0, a + 0.4
 
         def p(x):
-            return float(np.polyval(c_p, x))
+            return np.polyval(c_p, x)
 
         def q(x):
-            return float(np.polyval(c_q, x))
+            return np.polyval(c_q, x)
 
         def exact(c, lo, hi):
             anti = np.polyint(c)
             return float(np.polyval(anti, hi) - np.polyval(anti, lo))
 
         scale = max(1.0, abs(exact(c_p, a, b)), abs(exact(c_q, a, b)))
-        combo = integrate(Integral(lambda x: 2.0 * p(x) - 3.0 * q(x), a, b, 1e-12, 1e-14))
+        combo = _integral(lambda x: 2.0 * p(x) - 3.0 * q(x), [a, b])
         linear = 2.0 * exact(c_p, a, b) - 3.0 * exact(c_q, a, b)
-        assert abs(combo.value - linear) / scale <= 1e-12
+        assert abs(combo - linear) / scale <= 1e-12
 
-        left = integrate(Integral(p, a, mid, 1e-12, 1e-14)).value
-        right = integrate(Integral(p, mid, b, 1e-12, 1e-14)).value
-        whole = integrate(Integral(p, a, b, 1e-12, 1e-14)).value
+        left = _integral(p, [a, mid])
+        right = _integral(p, [mid, b])
+        whole = _integral(p, [a, b])
         assert abs(left + right - whole) / scale <= 1e-12
 
 
 def test_determinism():
-    spec = Integral(lambda x: math.sin(3.0 * x) / (1.0 + x * x), 0.0, 8.0, 1e-12, 0.0)
-    first = integrate(spec)
-    second = integrate(spec)
-    assert first.value == second.value
-    assert first.error_estimate == second.error_estimate
-    assert first.evaluations == second.evaluations
+    edges = np.linspace(0.0, 8.0, 33)
+
+    def run():
+        table = PanelTable.build("damped sine", edges, lambda x: 1.0 / (1.0 + x * x), 1e-12)
+        return table.nodes, table.integral(np.sin(3.0 * table.nodes))
+
+    (nodes_1, first), (nodes_2, second) = run(), run()
+    assert np.array_equal(nodes_1, nodes_2)
+    assert first == second
 
 
 def test_roundoff_floor_accepts_noise_limited_results():
-    # with a tolerance below ~50 eps * integral|f| the per-panel error
-    # floors are additive, so subdivision alone can never reach the request;
-    # the integrator must recognize the floor and accept.  This kernel (an
-    # oscillating-sign integrand with |value| ~ 0.1 but mass ~ 1.5) used to
-    # subdivide until the panel budget blew up.
-    two_u = 2.0 * 0.3222988
-
-    def kernel(phi):
-        t = math.sin(phi)
-        return math.cos(2.0 * phi) * (-math.expm1(-two_u * t)) / t
-
-    res = integrate(Integral(kernel, 0.0, math.pi, 1e-13, 1e-15))
-    assert res.value == pytest.approx(0.1085387247796919, rel=1e-10)
-    assert res.error_estimate <= 1e-12
-    assert res.evaluations < 1000
+    # an oscillating-sign kernel with |value| ~ 0.1 but mass ~ 1.5 (the flux
+    # integral at u = 0.3222988): its estimate sits at the roundoff floor,
+    # inside the tolerance, and the result is accepted
+    assert flux_constraint_integral(0.3222988) == pytest.approx(0.1085387247796919, rel=1e-10)
 
 
-def test_budget_exhaustion_carries_best_estimate():
-    spec = Integral(lambda x: math.sin(50.0 / x), 0.01, 10.0, 1e-13, 0.0, 8)
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate(spec)
-    best = excinfo.value.best_estimate
-    assert best is not None
-    assert best.evaluations == 15 + 30 * 7
-    assert math.isfinite(best.value)
+def test_estimate_over_tolerance_raises_naming_the_integral():
+    table = PanelTable.build(
+        "wild integral", geometric_edges(0.01, 10.0, 3), np.ones_like, 1e-13
+    )
+    with pytest.raises(QuadratureError, match=r"wild integral at u=2\.5, n=3: Gauss-7 error"):
+        table.integral(np.sin(50.0 / table.nodes), u=2.5, n=3)
 
 
 def test_non_finite_sample_names_the_abscissa():
-    def kernel(x):
-        return math.nan if x > 0.5 else 1.0
-
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate(Integral(kernel, 0.0, 1.0))
-    assert excinfo.value.abscissa is not None
-    assert excinfo.value.abscissa > 0.5
+    table = PanelTable.build("step", [0.0, 0.5, 1.0], np.ones_like, 1e-12)
+    values = np.where(table.nodes > 0.5, math.nan, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite integrand at node") as excinfo:
+        table.integral(values)
+    node = float(re.search(r"at node (\S+)", str(excinfo.value)).group(1))
+    assert 0.5 < node < 1.0
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"lower": 1.0, "upper": 0.0},
-        {"lower": 1.0, "upper": 1.0},
-        {"rel_tol": 0.0},
-        {"rel_tol": -1e-12},
-        {"abs_tol": -1.0},
-        {"max_panels": 0},
+        {"edges": [1.0, 0.0]},
+        {"edges": [1.0, 1.0]},
+        {"edges": [0.0]},
+        {"edges": [0.0, 0.5, 0.5, 1.0]},
+        {"edges": [[0.0, 1.0]]},
+        {"edges": [0.0, math.nan]},
     ],
 )
 def test_problem_validation(kwargs):
-    base = {"integrand": math.sin, "lower": 0.0, "upper": 1.0}
+    base = {"what": "x", "edges": [0.0, 1.0], "weight": np.ones_like, "rel_tol": 1e-12}
     base.update(kwargs)
-    with pytest.raises(ValueError):
-        Integral(**base)
+    with pytest.raises(ValueError, match="strictly increasing panel edges"):
+        PanelTable.build(**base)
 
 
 def test_infinite_interval_routing():
-    with pytest.raises(ValueError, match="finite interval"):
-        integrate(Integral(math.exp, 0.0, math.inf))
+    with pytest.raises(ValueError, match="finite"):
+        gk15_panels(np.array([0.0, math.inf]))
+
+
+def test_angular_edges_layout():
+    # [0, lo], then 8 geometric panels per decade up to pi/2
+    edges = angular_edges(1e-9)
+    assert edges[0] == 0.0 and edges[1] == 1e-9 and edges[-1] == pytest.approx(math.pi / 2)
+    assert edges.size == 2 + math.ceil(8 * math.log10(math.pi / 2 / 1e-9))
+    ratios = edges[2:] / edges[1:-1]
+    assert np.allclose(ratios, ratios[0], rtol=1e-12) and ratios[0] < 10 ** (1 / 8)
 
 
 def test_gk15_panels_exact_degrees_and_estimate():

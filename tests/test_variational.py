@@ -80,7 +80,7 @@ def test_trial_state_norm_is_one():
     # (32/pi) int_0^inf x^2 (1+x^2)^-4 dx = 1, on the kinetic node table
     for a in (1e-7, 1.5726e-5, 1.0, 274.0):
         table = variational._kinetic_table(a, a)
-        norm = table.integral(np.ones_like(table.nodes), a)
+        norm = table.integral(np.ones_like(table.nodes), a=a)
         assert 32.0 / math.pi * norm == pytest.approx(1.0, rel=1e-12)
 
 
