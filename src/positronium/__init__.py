@@ -3,7 +3,7 @@ electron-positron pair, from point charges to flux-quantized current rings.
 
 The package is organized bottom-up:
 
-* quadrature - the one rule for non-periodic integrals: Gauss-Kronrod 15
+* quadrature - the one rule for every integral: Gauss-Kronrod 15
                on fixed panels, weight folded in, Gauss-7 error check
 * elliptic   - complete elliptic integrals K, E by the AGM
 * optimize   - bracketed scalar minimization, log-grid scans, root finding

@@ -371,7 +371,7 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
         probe_R = _truncate_sig(solution.R, 10)
         probe_model = PotentialModel("ring-bltp", cfg, RingParams(probe_R, solution.kappa))
-        probe = probe_model.tight_minimum(points_per_decade=40)
+        probe = probe_model.tight_minimum()
         results = {
             "kappa": solution.kappa,
             "R": solution.R,

@@ -23,8 +23,7 @@ bracket).
 tune_bltp walks the same constraint in u and reads the depth of the
 regulated tight well at each (R(u), kappa(u)) from
 PotentialModel("ring-bltp", ...).tight_minimum, whose window is relative
-to R; the tuning scan runs at 40 grid points per decade and the reported
-minimum at 60.
+to R; the minimum it reports is the one of the root's own ring.
 """
 
 from __future__ import annotations
@@ -228,9 +227,12 @@ def tune_bltp(
     cfg = PhysicalConfig(alpha=alpha, n=n)
 
     @functools.cache  # find_root re-reads both bracket ends the scan has evaluated
+    def ring(u: float) -> tuple[float, float, StationaryPoint]:
+        R, kappa = _ring_at(u, alpha)
+        return R, kappa, PotentialModel("ring-bltp", cfg, RingParams(R, kappa)).tight_minimum()
+
     def gap(u: float) -> float:
-        model = PotentialModel("ring-bltp", cfg, RingParams(*_ring_at(u, alpha)))
-        return model.tight_minimum(points_per_decade=40).v_star - target_energy
+        return ring(u)[2].v_star - target_energy
 
     # coarse scan in u up to the first sign change; outside (2.5, 8) the
     # tight well is either far too deep or already closed for any target
@@ -254,10 +256,7 @@ def tune_bltp(
             f"no crossing of target_energy={target_energy!r} in the scan ({lines})"
         )
 
-    u_star = find_root(gap, u_a, u, tol=0.0)
-    R, kappa = _ring_at(u_star, alpha)
+    # find_root returns a point it has evaluated, so its ring and minimum are cached
+    R, kappa, point = ring(find_root(gap, u_a, u, tol=0.0))
     residual = R - flux_rhs(kappa, R, alpha)
-    solution = FluxSolution(kappa=kappa, R=R, residual=residual)
-    # the reported minimum at the default 60 points per decade, finer than the scan
-    point = PotentialModel("ring-bltp", cfg, RingParams(R, kappa)).tight_minimum()
-    return solution, point
+    return FluxSolution(kappa=kappa, R=R, residual=residual), point

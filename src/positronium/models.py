@@ -40,14 +40,14 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
 * The elliptic moduli are fed to the AGM as the exact pair
   k = 1/hypot(1, rho), k' = rho/hypot(1, rho); reconstructing k' from a
   rounded k fails once rho < 1e-8 and k rounds to 1.0.
-* The Bopp-regulated pair takes two angular integrals per r.  A periodic
-  trapezoid rule serves rho = r/2R >= 1e-3, and below that the package's
-  GK15 panel rule (see quadrature) on panels graded towards phi = 0;
-  rho = 1e-3 is the only place a rule is chosen (see _bltp_integrals).
+* The Bopp-regulated pair takes two angular integrals per r, both from
+  one cached GK15 panel table (see quadrature) on panels graded towards
+  phi = 0, at every r (see _bltp_integrals).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ import numpy as np
 
 from .elliptic import _agm, _agm_array
 from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
-from .quadrature import PanelTable, QuadratureError, angular_edges
+from .quadrature import PanelTable, angular_edges
 
 __all__ = [
     "ALPHA_FS",
@@ -104,10 +104,9 @@ _SCALING_EXPONENTS = (0, 1, 2, 3)
 _V4_REL_TOL = 1e-13
 _V4_ABS_TOL = 1e-14
 
-# the periodic trapezoid rule serves rho = r/2R >= 1e-3 (see _bltp_integrals)
-_TRAPEZOID_MIN_RHO = 1e-3
-_TRAPEZOID_START_NODES = 16
-_TRAPEZOID_MAX_NODES = 2**15
+# ring radii whose cube is a normal float: the ring prefactors take R^3 and
+# (alpha/R)^3, which overflow or divide by zero outside this range
+_R_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 
 # above this momentum q = n/r, 2 q^2 overflows; sqrt(1 + q^2) rounds to q
 # from q = 2^27 on, so the kinetic terms take 2q there and every finite
@@ -140,6 +139,11 @@ class RingParams:
     def __post_init__(self) -> None:
         if not self.R > 0.0:
             raise ValueError(f"ring radius R must be positive; got {self.R!r}")
+        if not _R_RANGE[0] <= self.R <= _R_RANGE[1]:
+            raise ValueError(
+                f"ring radius R must lie in [{_R_RANGE[0]:.4g}, {_R_RANGE[1]:.4g}], where "
+                f"R^3 is a normal float; got {self.R!r}"
+            )
         if self.kappa is not None and not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive when given; got {self.kappa!r}")
 
@@ -202,8 +206,9 @@ class PotentialModel:
         """V(r) - 2, evaluated without the rest-energy cancellation."""
         return FAMILIES[self.family].energy(kinetic_excess(self.cfg, r), self, r)
 
-    def tight_minimum(self, points_per_decade: int = 60) -> StationaryPoint:
-        """Deepest minimum of the potential in the family's tight-well window.
+    def tight_minimum(self) -> StationaryPoint:
+        """Deepest minimum of the potential in the family's tight-well window,
+        scanned at 60 grid points per decade (see deepest_minimum).
 
         Raises ValueError for the point families, which have no tight well,
         and OptimizeError naming the window, R and k (or kappa) when the
@@ -221,7 +226,7 @@ class PotentialModel:
         kappa = self.params.kappa
         shape = f"k={_exponent(self)}" if kappa is None else f"kappa={kappa!r}"
         context = f"at R={self.params.R!r}, {shape}"
-        return deepest_minimum(potential, lo, hi, points_per_decade, context)
+        return deepest_minimum(potential, lo, hi, 60, context)
 
 
 @dataclass(frozen=True)
@@ -351,73 +356,42 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
     I2 = int_0^pi cos(2phi)(1 - exp(-2 kappa R d(phi))) / d(phi) dphi
 
     with d(phi) = hypot(sin phi, rho), rho = r/2R; 1 - exp is formed with
-    expm1 so the small-argument regime keeps full precision.  Both
-    integrands depend on phi only through sin^2 phi, so they are pi-periodic
-    and analytic in the strip |Im phi| < asinh(rho), where the plain
-    trapezoid rule on [0, pi) converges exponentially (Trefethen & Weideman,
-    "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
-    For rho >= 1e-3 the rule is nested: it starts at 16 nodes, adds the
-    midpoints until successive I1 and I2 agree to _V4_REL_TOL/_V4_ABS_TOL,
-    samples the kernel once per node for both integrals, and gives up past
-    2^15 nodes.  The node count it needs grows like 1/asinh(rho), so below
-    rho = 1e-3 the GK15 panel rule of quadrature is cheaper and is used
-    instead, folded about pi/2 on angular_edges(lo).  The kernel's
-    narrowest feature near phi = 0 is the peak of width rho; where
-    scale * rho < 1e-8 (scale = 2 kappa R) the kernel is flat across it
-    to 1e-8, and the next feature is the width 1/scale of the expm1
-    factor.  So lo = 1e-2 max(rho, min(1, 1e-8/scale)).  hypot keeps
-    d > 0 at every node even where sin^2 phi and rho^2 both underflow.
+    expm1 so the small-argument regime keeps full precision, and hypot
+    keeps d > 0 at every node even where sin^2 phi and rho^2 both
+    underflow.  Both kernels are even about pi/2, so at every r they are
+    taken with the GK15 panel rule of quadrature folded about pi/2, on
+    angular_edges(lo).  The kernel's narrowest feature near phi = 0 is the peak of
+    width rho; where scale * rho < 1e-8 (scale = 2 kappa R) the kernel is
+    flat across it to 1e-8, and the next feature is the width 1/scale of
+    the expm1 factor.  So lo is 1e-2 min(1, max(rho, 1e-8/scale)), the cap
+    at 1 keeping lo below pi/2 for far rings, rounded down to a power of
+    ten 10^-d (d <= 308) so that one cached table serves a range of r.
+    QuadratureError names r, R and kappa when a panel estimate fails.
     """
     rho = r / (2.0 * R)
     scale = 2.0 * kappa * R
-    if rho >= _TRAPEZOID_MIN_RHO:
-        return _bltp_trapezoid(rho * rho, scale, r, R, kappa)
-    lo = 1e-2 * max(rho, 1e-8 / max(scale, 1e-8))  # no division by scale = 0
-    table = PanelTable.build("ring quadrature", angular_edges(lo), _twice, _V4_REL_TOL, _V4_ABS_TOL)
-    s = np.sin(table.nodes)
+    # no division by scale = 0; the floor 1e-306 is the cap d <= 308
+    feature = min(1.0, max(rho, 1e-8 / max(scale, 1e-8), 1e-306))
+    table, s, cos2 = _bltp_table(2 - math.floor(math.log10(feature)))
     d = np.hypot(s, rho)
     f = -np.expm1(-scale * d) / d
     i1 = table.integral(f, r=r, R=R, kappa=kappa)
-    i2 = table.integral((1.0 - 2.0 * s * s) * f, r=r, R=R, kappa=kappa)  # cos(2 phi) f
-    return i1, i2
+    return i1, table.integral(cos2 * f, r=r, R=R, kappa=kappa)
 
 
-def _twice(phi: np.ndarray) -> np.ndarray:
-    """The weight of an integral over [0, pi] folded about pi/2."""
-    return np.full_like(phi, 2.0)
-
-
-def _bltp_trapezoid(
-    rho2: float, scale: float, r: float, R: float, kappa: float
-) -> tuple[float, float]:
-    """Nested periodic trapezoid rule for (I1, I2) of _bltp_integrals; its
-    QuadratureError names r, R and kappa."""
-
-    def sums(phi: np.ndarray) -> tuple[float, float]:
-        s = np.sin(phi)
-        d = np.sqrt(s * s + rho2)
-        f = -np.expm1(-scale * d) / d
-        return float(np.sum(f)), float(np.sum(np.cos(2.0 * phi) * f))
-
-    n = _TRAPEZOID_START_NODES
-    sum1, sum2 = sums(np.arange(n) * (math.pi / n))
-    i1, i2 = sum1 * math.pi / n, sum2 * math.pi / n
-    while 2 * n <= _TRAPEZOID_MAX_NODES:
-        mid1, mid2 = sums((np.arange(n) + 0.5) * (math.pi / n))
-        sum1 += mid1
-        sum2 += mid2
-        n *= 2
-        new1, new2 = sum1 * math.pi / n, sum2 * math.pi / n
-        err1, err2 = abs(new1 - i1), abs(new2 - i2)
-        i1, i2 = new1, new2
-        if err1 <= max(_V4_REL_TOL * abs(i1), _V4_ABS_TOL) and err2 <= max(
-            _V4_REL_TOL * abs(i2), _V4_ABS_TOL
-        ):
-            return i1, i2
-    raise QuadratureError(
-        f"ring quadrature at r={r!r}, R={R!r}, kappa={kappa!r}: periodic trapezoid "
-        f"rule unconverged at {n} nodes (last change {max(err1, err2):.3g})"
+@functools.lru_cache(maxsize=4)
+def _bltp_table(decades: int) -> tuple[PanelTable, np.ndarray, np.ndarray]:
+    """The rule for the Bopp pair on angular_edges(10^-decades), weight 2
+    for the fold about pi/2, with sin phi and cos 2phi at its nodes."""
+    table = PanelTable.build(
+        "ring quadrature",
+        angular_edges(10.0**-decades),
+        lambda phi: np.full_like(phi, 2.0),
+        _V4_REL_TOL,
+        _V4_ABS_TOL,
     )
+    s = np.sin(table.nodes)
+    return table, s, 1.0 - 2.0 * s * s
 
 
 def _bltp_interaction(R: float, kappa: float, alpha: float, r: float) -> float:

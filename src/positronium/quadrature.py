@@ -1,8 +1,8 @@
-"""Fixed Gauss-Kronrod 7/15 panel rule for non-periodic integrals.
+"""Fixed Gauss-Kronrod 7/15 panel rule for every integral of the package.
 
-Every non-periodic integral of the package is taken with one rule: the
-15-point Kronrod rule on a fixed set of panels, with the embedded 7-point
-Gauss rule as its error check (the GK15 pair of QUADPACK; Piessens et al.,
+Every integral of the package is taken with one rule: the 15-point
+Kronrod rule on a fixed set of panels, with the embedded 7-point Gauss
+rule as its error check (the GK15 pair of QUADPACK; Piessens et al.,
 1983).  A PanelTable holds the nodes and the weights of such a rule, with
 a weight function of the integrand folded in, so an integral that is
 needed for many values of a parameter samples only the parameter-dependent
@@ -11,8 +11,7 @@ factor at the nodes and takes weighted sums:
 * variational: <T> and <U_R> for every trial scale of a scan;
 * flux: G(u) for every u, folded about pi/2, on a panel [0, lo] and
   geometric panels from lo to pi/2;
-* models: the Bopp angular pair at rho = r/2R < 1e-3, on the same layout
-  (larger rho use a periodic trapezoid rule, see models).
+* models: the Bopp angular pair at every r, on the same layout.
 
 Each panel's Kronrod-minus-Gauss-7 difference bounds its error from above
 (the 15-point sum is far more accurate than the 7-point one), and their
@@ -113,9 +112,14 @@ def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def geometric_edges(lo: float, hi: float, per_decade: int) -> np.ndarray:
     """Edges of ceil(per_decade * log10(hi/lo)) geometric panels, at least
-    one, from lo to hi (0 < lo < hi, hi/lo finite)."""
-    panels = max(1, math.ceil(per_decade * math.log10(hi / lo)))
-    return lo * (hi / lo) ** (np.arange(panels + 1) / panels)
+    one, from lo to hi (0 < lo < hi, both finite)."""
+    ratio = hi / lo
+    if ratio < math.inf:
+        panels = max(1, math.ceil(per_decade * math.log10(ratio)))
+        return lo * ratio ** (np.arange(panels + 1) / panels)
+    # the window spans more than the float range: hi/lo overflows, its logarithms do not
+    panels = math.ceil(per_decade * (math.log10(hi) - math.log10(lo)))
+    return np.geomspace(lo, hi, panels + 1)
 
 
 def angular_edges(lo: float) -> np.ndarray:

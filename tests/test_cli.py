@@ -176,6 +176,38 @@ def test_extreme_windows_exit_cleanly(capsys):
     assert all(math.isfinite(v) for v in res["V"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minimize", "--model", "ring-ml", "--R", "1e200"),
+        ("minimize", "--model", "ring-bltp", "--R", "1e-300", "--kappa", "1"),
+        ("variational", "--R", "1e200", "--a", "1"),
+    ],
+)
+def test_ring_radius_past_the_float_range_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "ring radius R" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--a", "1e-300"),
+        ("--a", "1e300"),
+        ("--a-min", "1e-300", "--a-max", "1e300"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trial_scales_past_the_float_range_are_a_numerical_failure(capsys, argv):
+    # the node tables then span more than the float range: hi/lo overflows.
+    # The integrands overflow at such scales too (numpy warns of overflow
+    # and invalid values), and the rule's non-finite check names a
+    code, _, err = run_cli(capsys, "variational", "--R", "2.6e-5", *argv)
+    assert code == 3
+    assert "numerical failure" in err and " a=" in err
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

@@ -291,7 +291,7 @@ def test_closed_tight_well_names_the_window_and_the_ring():
     R, kappa = 3.472926418068485e-05, 230353.2824185002
     where = rf"in \(.+\) at R={re.escape(repr(R))}, kappa={re.escape(repr(kappa))}"
     with pytest.raises(OptimizeError, match=where):
-        PotentialModel("ring-bltp", PhysicalConfig(), RingParams(R, kappa)).tight_minimum(40)
+        PotentialModel("ring-bltp", PhysicalConfig(), RingParams(R, kappa)).tight_minimum()
 
 
 def test_solution_invariants_are_enforced():
@@ -317,12 +317,13 @@ def test_tune_bltp_reference_configuration():
     assert rhs == pytest.approx(solution.R, rel=1e-12)
 
 
-@pytest.mark.parametrize("target,calls", [(0.0, 21), (-1e-3, 21), (1e-3, 21)])
+@pytest.mark.parametrize("target,calls", [(0.0, 20), (-1e-3, 20), (1e-3, 20)])
 def test_tune_bltp_stops_at_the_first_crossing(monkeypatch, target, calls):
     # the u scan stops at its first sign change (scan point 14 of 25 at
-    # target 0) and Brent reuses both ends of that bracket; one more
-    # minimum is the reported one at 60 points per decade.  Scanning all
-    # 25 points and re-evaluating the ends took 35 calls at target 0.
+    # target 0) and Brent reuses both ends of that bracket; the reported
+    # minimum is the one of the root's own ring, which Brent has evaluated.
+    # Scanning all 25 points and re-evaluating the ends took 35 calls at
+    # target 0, and a separate reported minimum one more.
     tight_minimum = PotentialModel.tight_minimum
     counted = []
 
@@ -332,8 +333,7 @@ def test_tune_bltp_stops_at_the_first_crossing(monkeypatch, target, calls):
 
     monkeypatch.setattr(PotentialModel, "tight_minimum", counting)
     solution, point = tune_bltp(target_energy=target)
-    assert len(counted) == calls
-    assert len(set(counted)) == calls - 1  # the reported minimum repeats the root's ring
+    assert len(counted) == len(set(counted)) == calls  # every ring once
     assert abs(point.v_star - target) <= 1e-8
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -307,16 +308,20 @@ def _bltp_oracle(r, kappa_R):
     """(I1, I2) of the regulated ring pair from scipy's QUADPACK.
 
     Both kernels are symmetric about pi/2, so the oracle integrates
-    [0, pi/2] with breakpoints at the width rho = r/2R of the peak at 0.
+    [0, pi/2].  Between the peak width rho = r/2R at 0 and 1 the kernel
+    falls off like 1/phi over up to fifteen decades, so the oracle breaks
+    the interval at rho/10 and at every decade above it, and at the width
+    1/(2 kappa R) of the expm1 factor.
     """
     rho = r / (2.0 * BLTP_R)
     scale = 2.0 * kappa_R
 
     def kernel(phi):
-        d = math.sqrt(math.sin(phi) ** 2 + rho * rho)
+        d = math.hypot(math.sin(phi), rho)
         return -math.expm1(-scale * d) / d
 
-    points = [x for x in (rho, 10.0 * rho, 100.0 * rho) if x < 1.0] or None
+    breaks = (*(rho * 10.0**j for j in range(-1, 20)), 1.0 / scale)
+    points = sorted({x for x in breaks if x < 1.0}) or None
     opts = dict(points=points, epsabs=0.0, epsrel=2e-14, limit=500)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
@@ -327,21 +332,52 @@ def _bltp_oracle(r, kappa_R):
     return 2.0 * i1, 2.0 * i2
 
 
+def _bltp_mpmath(r, kappa_R):
+    """(I1, I2) at 30 digits, with breakpoints at rho/10, rho, 10 rho and
+    1/(2 kappa R)."""
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(r) / (2 * mpmath.mpf(BLTP_R))
+        scale = 2 * mpmath.mpf(kappa_R)
+
+        def kernel(phi):
+            d = mpmath.sqrt(mpmath.sin(phi) ** 2 + rho**2)
+            return -mpmath.expm1(-scale * d) / d
+
+        breaks = (rho / 10, rho, 10 * rho, 1 / scale)
+        points = [0, *sorted(x for x in breaks if x < mpmath.pi / 2), mpmath.pi / 2]
+        i1 = 2 * mpmath.quad(kernel, points)
+        i2 = 2 * mpmath.quad(lambda p: mpmath.cos(2 * p) * kernel(p), points)
+        return float(i1), float(i2)
+
+
+@pytest.mark.parametrize(
+    "r,kappa_R", [(1e-14, 1e3), (5.6e-14, 1e3), (1e-11, 4.64), (3e-11, 1.0), (1e-9, 1e-3)]
+)
+def test_bltp_oracle_against_mpmath_near_contact(r, kappa_R):
+    # where rho is many decades below 1/(2 kappa R) the kernel is 1/phi in
+    # between; an oracle with breakpoints only at rho, 10 rho and 100 rho
+    # missed by up to 1e-12 of I1 here
+    o1, o2 = _bltp_oracle(r, kappa_R)
+    m1, m2 = _bltp_mpmath(r, kappa_R)
+    assert abs(o1 - m1) <= 1e-15 * abs(m1)
+    assert abs(o2 - m2) <= 1e-15 * abs(m1)
+
+
 def _assert_bltp_matches_oracle(r, kappa_R):
     i1, i2 = _bltp_integrals(BLTP_R, kappa_R / BLTP_R, r)
     o1, o2 = _bltp_oracle(r, kappa_R)
-    assert abs(i1 - o1) <= 1e-13 * abs(o1)
-    assert abs(i2 - o2) <= 1e-13 * abs(o1)
+    assert abs(i1 - o1) <= 1e-14 * abs(o1)
+    assert abs(i2 - o2) <= 1e-14 * abs(o1)
 
 
-# r = 1e-9, 1e-8 and 0.999 * _SWITCH_R take the panel rule (rho < 1e-3);
-# _SWITCH_R (rho = 1e-3) and every larger r the periodic trapezoid rule
-_SWITCH_R = 2.0 * BLTP_R * models._TRAPEZOID_MIN_RHO
-
-
+# near contact one r per decade from 1e-14; and r at rho = r/2R = 0.999e-3
+# and 1e-3, either side of a table boundary (lo = 1e-6 below, 1e-5 at it)
 @pytest.mark.parametrize("kappa_R", [1e-3, 1.0, 4.64, 1e3, 1e6])
 @pytest.mark.parametrize(
-    "r", [float(r) for r in np.geomspace(1e-9, 1e6, 16)] + [_SWITCH_R * 0.999, _SWITCH_R]
+    "r",
+    [float(r) for r in np.geomspace(1e-14, 1e-10, 5)]
+    + [float(r) for r in np.geomspace(1e-9, 1e6, 16)]
+    + [5.1344760417426006e-08, 5.1396156574000005e-08],
 )
 def test_bltp_integrals_against_scipy_quad(r, kappa_R):
     _assert_bltp_matches_oracle(r, kappa_R)
@@ -349,7 +385,7 @@ def test_bltp_integrals_against_scipy_quad(r, kappa_R):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    log_r=st.floats(min_value=-9.0, max_value=6.0),
+    log_r=st.floats(min_value=-14.0, max_value=6.0),
     log_kappa_R=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_bltp_integrals_property_against_scipy_quad(log_r, log_kappa_R):
@@ -372,9 +408,21 @@ def test_regulated_potential_is_finite_at_near_contact():
     assert i2 == pytest.approx(flux_constraint_integral(4.64), rel=1e-13)
 
 
-def test_bltp_trapezoid_cap_raises_with_the_ring_parameters(monkeypatch):
-    monkeypatch.setattr(models, "_TRAPEZOID_MAX_NODES", 32)
-    with pytest.raises(QuadratureError, match=r"r=1e-06, R=2\.5698078287e-05, kappa="):
+@pytest.fixture
+def fresh_bltp_tables():
+    models._bltp_table.cache_clear()
+    yield
+    models._bltp_table.cache_clear()
+
+
+def test_bltp_panel_estimate_failure_names_the_ring_parameters(monkeypatch, fresh_bltp_tables):
+    # no rule meets a zero tolerance: the Gauss-7 estimate is never exactly 0
+    monkeypatch.setattr(models, "_V4_REL_TOL", 0.0)
+    monkeypatch.setattr(models, "_V4_ABS_TOL", 0.0)
+    with pytest.raises(
+        QuadratureError, match=r"ring quadrature at r=1e-06, R=2\.5698078287e-05, kappa=180000\.0: "
+        r"Gauss-7 error estimate"
+    ):
         _bltp_integrals(BLTP_R, 1.8e5, 1e-6)
 
 
@@ -455,8 +503,8 @@ def test_tight_minimum_scans_the_scaled_window(k):
 def test_tight_minimum_of_the_regulated_rings_scans_relative_to_R():
     R, kappa = 2.5698078287e-5, 1.8052024923e5
     model = PotentialModel("ring-bltp", CFG, RingParams(R, kappa))
-    want = deepest_minimum(model, 0.05 * R, 10.0 * R, 40, "")
-    got = model.tight_minimum(points_per_decade=40)
+    want = deepest_minimum(model, 0.05 * R, 10.0 * R, 60, "")
+    got = model.tight_minimum()
     assert (got.r_star, got.v_star) == (want.r_star, want.v_star)
     assert 0.05 * R < got.r_star < 10.0 * R
 
@@ -584,6 +632,26 @@ def test_ring_params_validation():
         RingParams(-1e-5)
     with pytest.raises(ValueError):
         RingParams(1e-5, kappa=0.0)
+
+
+@pytest.mark.parametrize("R", [1e200, 6e102, 2e-103, 1e-300])
+def test_ring_radius_whose_cube_leaves_the_float_range_is_rejected(R):
+    # the ring prefactors take R^3 and (alpha/R)^3; past these radii they
+    # overflow or divide by zero in floating point
+    with pytest.raises(ValueError, match=rf"ring radius R .* got {re.escape(repr(R))}"):
+        RingParams(R)
+
+
+def test_ring_radius_range_ends_evaluate_finitely():
+    low = sys.float_info.min ** (1 / 3)
+    high = sys.float_info.max ** (1 / 3)
+    for R in (low, high):
+        for model in (
+            PotentialModel("ring-ml", CFG, RingParams(R)),
+            PotentialModel("scaling", CFG, RingParams(R), scaling_k=0),
+            PotentialModel("ring-bltp", CFG, RingParams(R, 1.0)),
+        ):
+            assert math.isfinite(model(R)) and math.isfinite(model.binding(R))
 
 
 def test_model_family_validation():

@@ -150,6 +150,23 @@ def test_angular_edges_layout():
     assert np.allclose(ratios, ratios[0], rtol=1e-12) and ratios[0] < 10 ** (1 / 8)
 
 
+def test_geometric_edges_within_the_float_range():
+    # the tables of every window in the float range keep their edges bit for bit
+    edges = geometric_edges(1e-9, 1e3, 8)
+    assert edges.size == 8 * 12 + 1
+    assert np.array_equal(edges, 1e-9 * (1e3 / 1e-9) ** (np.arange(97) / 96))
+
+
+def test_geometric_edges_spanning_more_than_the_float_range():
+    # hi/lo overflows; the decades come from the two logarithms
+    edges = geometric_edges(1e-300, 1e300, 8)
+    assert edges.size == 8 * 600 + 1
+    assert edges[0] == 1e-300 and edges[-1] == 1e300
+    assert np.all(np.isfinite(edges)) and np.all(edges[1:] > edges[:-1])
+    ratios = edges[1:] / edges[:-1]
+    assert np.allclose(ratios, 10 ** (1 / 8), rtol=1e-12)
+
+
 def test_gk15_panels_exact_degrees_and_estimate():
     # Kronrod is exact to degree 23 and its Gauss-7 subset to degree 13 on
     # each panel, so x^13 leaves a zero estimate and x^20 a positive one
