@@ -338,8 +338,11 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     ppd = params["points_per_decade"]
 
     # minimize the rest-subtracted form (same minimizers, far better
-    # conditioned); report both the raw value and the binding value
-    minima = find_local_minima(model.binding, rmin, rmax, points_per_decade=ppd)
+    # conditioned); report both the raw value and the binding value.  The
+    # grid takes the array form in one call, the refinement the float one
+    minima = find_local_minima(
+        model.binding, rmin, rmax, points_per_decade=ppd, f_grid=model.binding
+    )
     payload = [
         {
             "r_star": p.r_star,

@@ -43,11 +43,22 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
 * The Bopp-regulated pair takes two angular integrals per r, both from
   one cached GK15 panel table (see quadrature) on panels graded towards
   phi = 0, at every r (see _bltp_integrals).
+* Every energy takes a float or a 1-D ndarray of them through the same
+  function, and the two agree bit for bit.  The array forms take the
+  float branches element by element: np.where past the overflow of q^2
+  in the kinetic terms, np.float_power for r^3 and math.hypot for the
+  ring modulus (np.power and np.hypot round differently from float ** and
+  math.hypot), and the Bopp pair's sums run in the float order.  Arrays
+  are evaluated under np.errstate: past the float range they give the
+  inf, 0 or -0.0 the floats give, without a warning.  tight_minimum
+  scans its grid with one array call and refines with floats, so it
+  returns what a float scan returns.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -57,7 +68,7 @@ import numpy as np
 
 from .elliptic import _agm, _agm_array
 from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
-from .quadrature import PanelTable, angular_edges
+from .quadrature import PanelTable, QuadratureError, angular_edges
 
 __all__ = [
     "ALPHA_FS",
@@ -103,6 +114,8 @@ _SCALING_EXPONENTS = (0, 1, 2, 3)
 # absolute error budget is what limits the final energy accuracy
 _V4_REL_TOL = 1e-13
 _V4_ABS_TOL = 1e-14
+# nodes per array pass of the Bopp pair over many r: 512 KiB per array
+_BLTP_CHUNK = 1 << 16
 
 # ring radii whose cube is a normal float: the ring prefactors take R^3 and
 # (alpha/R)^3, which overflow or divide by zero outside this range
@@ -112,6 +125,8 @@ _R_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 # from q = 2^27 on, so the kinetic terms take 2q there and every finite
 # value they gave before stays bit for bit
 _Q_SQUARE_MAX = math.sqrt(0.5 * sys.float_info.max)
+
+_SUBNORMAL_MIN = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -152,11 +167,12 @@ class RingParams:
 class Family:
     """What a model family takes, and its energy.
 
-    ``energy(kinetic, model, r)`` adds the family's interaction at r to a
-    kinetic part: kinetic_term for the potential, kinetic_excess for the
-    binding energy.  Taking the kinetic part as an argument keeps each
-    family's order of operations: coulomb-dipole is
-    (K - alpha/r) - alpha^3/(8 pi^2 r^3), and a single summed interaction
+    ``energy(kinetic, model, r)`` adds the family's interaction at r (a
+    float, or a 1-D ndarray of them) to a kinetic part: kinetic_term for
+    the potential, kinetic_excess for the binding energy.  Taking the
+    kinetic part as an argument keeps each family's order of operations:
+    coulomb-dipole is (K - alpha/r) - alpha^3/(8 pi^2 r^3), and a single
+    summed interaction
     K + (-alpha/r - alpha^3/(8 pi^2 r^3)) differs from it in the last ulp
     at 934 of 4,001 log-spaced r in [1e-7, 1e4].
 
@@ -178,7 +194,8 @@ class PotentialModel:
     ``family`` names a FAMILIES entry, which says whether ``params`` (ring
     radius R, and kappa for the regulated rings) and ``scaling_k`` are
     taken.  Instances are callables: model(r) evaluates the potential,
-    model.binding(r) the conditioned V - 2.
+    model.binding(r) the conditioned V - 2, each at a float r or at every
+    element of a 1-D ndarray (bit for bit the float values).
     """
 
     family: str
@@ -199,16 +216,26 @@ class PotentialModel:
         elif self.scaling_k is not None:
             raise ValueError(f"{self.family} takes no scaling exponent")
 
-    def __call__(self, r: float) -> float:
-        return FAMILIES[self.family].energy(kinetic_term(self.cfg, r), self, r)
+    def __call__(self, r: float | np.ndarray) -> float | np.ndarray:
+        return self._energy(kinetic_term, r)
 
-    def binding(self, r: float) -> float:
+    def binding(self, r: float | np.ndarray) -> float | np.ndarray:
         """V(r) - 2, evaluated without the rest-energy cancellation."""
-        return FAMILIES[self.family].energy(kinetic_excess(self.cfg, r), self, r)
+        return self._energy(kinetic_excess, r)
+
+    def _energy(self, kinetic: Callable, r: float | np.ndarray) -> float | np.ndarray:
+        energy = FAMILIES[self.family].energy
+        if isinstance(r, np.ndarray):
+            # overflow past the float range gives the inf or 0 the float
+            # branches give, without a warning
+            with np.errstate(all="ignore"):
+                return energy(kinetic(self.cfg, r), self, r)
+        return energy(kinetic(self.cfg, r), self, r)
 
     def tight_minimum(self) -> StationaryPoint:
         """Deepest minimum of the potential in the family's tight-well window,
-        scanned at 60 grid points per decade (see deepest_minimum).
+        scanned at 60 grid points per decade (see deepest_minimum): the grid
+        in one array call, the refinement in float calls.
 
         Raises ValueError for the point families, which have no tight well,
         and OptimizeError naming the window, R and k (or kappa) when the
@@ -226,7 +253,7 @@ class PotentialModel:
         kappa = self.params.kappa
         shape = f"k={_exponent(self)}" if kappa is None else f"kappa={kappa!r}"
         context = f"at R={self.params.R!r}, {shape}"
-        return deepest_minimum(potential, lo, hi, 60, context)
+        return deepest_minimum(potential, lo, hi, 60, context, f_grid=self)
 
 
 @dataclass(frozen=True)
@@ -277,13 +304,25 @@ def _require_positive_r(r: float) -> None:
         raise ValueError(f"separation r must be positive; got {r!r}")
 
 
+def _momenta(cfg: PhysicalConfig, r: np.ndarray) -> np.ndarray:
+    """q = n/r at every element of r, each checked as _require_positive_r
+    checks a float."""
+    bad = ~(r > 0.0)
+    if bad.any():
+        _require_positive_r(float(r[bad][0]))
+    return cfg.n / r
+
+
 def _require_exponent(k: int | None) -> None:
     if k not in _SCALING_EXPONENTS:
         raise ValueError(f"scaling exponent k must be in {{0,1,2,3}}; got {k!r}")
 
 
-def kinetic_term(cfg: PhysicalConfig, r: float) -> float:
+def kinetic_term(cfg: PhysicalConfig, r: float | np.ndarray) -> float | np.ndarray:
     """2*sqrt(1 + n^2/r^2): two relativistic particles with p = n/r."""
+    if isinstance(r, np.ndarray):
+        q = _momenta(cfg, r)  # the float branches below, element by element
+        return np.where(q > _Q_SQUARE_MAX, 2.0 * q, 2.0 * np.sqrt(1.0 + q * q))
     _require_positive_r(r)
     q = cfg.n / r
     if q > _Q_SQUARE_MAX:
@@ -291,8 +330,12 @@ def kinetic_term(cfg: PhysicalConfig, r: float) -> float:
     return 2.0 * math.sqrt(1.0 + q * q)
 
 
-def kinetic_excess(cfg: PhysicalConfig, r: float) -> float:
+def kinetic_excess(cfg: PhysicalConfig, r: float | np.ndarray) -> float | np.ndarray:
     """kinetic_term - 2 without cancellation: 2q^2/(1 + sqrt(1+q^2))."""
+    if isinstance(r, np.ndarray):
+        q = _momenta(cfg, r)  # the float branches below, element by element
+        q2 = q * q
+        return np.where(q > _Q_SQUARE_MAX, 2.0 * q, 2.0 * q2 / (1.0 + np.sqrt(1.0 + q2)))
     _require_positive_r(r)
     q = cfg.n / r
     if q > _Q_SQUARE_MAX:
@@ -301,7 +344,13 @@ def kinetic_excess(cfg: PhysicalConfig, r: float) -> float:
     return 2.0 * q2 / (1.0 + math.sqrt(1.0 + q2))
 
 
-def _ring_lines(R: float, alpha: float, mag_coupling: float, r: float | np.ndarray):
+def _ring_lines(
+    R: float,
+    alpha: float,
+    mag_coupling: float,
+    r: float | np.ndarray,
+    hypot: Callable[[float, np.ndarray], np.ndarray] | None = None,
+):
     """The two lines of the ring-ring energy at separation r (a float, or an
     ndarray of them: the variational bound samples it on node tables).
 
@@ -311,17 +360,36 @@ def _ring_lines(R: float, alpha: float, mag_coupling: float, r: float | np.ndarr
     with k = 1/sqrt(1 + r^2/4R^2), and the bracket taken as K * S from the
     AGM (see elliptic).  mag_coupling is alpha^3 for the plain ring pair and
     alpha^(1+2k) for the generalized-coupling family.  Floats and arrays run
-    the same arithmetic; they differ only where math.hypot and np.hypot
-    round the modulus one ulp apart.
+    the same arithmetic and agree bit for bit: both take h = hypot(1, rho)
+    with math.hypot.  An array caller that needs no float twin may pass
+    ``hypot=np.hypot`` (the variational node tables do): ten times faster,
+    and an ulp off at about one rho in 500 between 0.003 and 40.
     """
-    hypot, agm = (np.hypot, _agm_array) if isinstance(r, np.ndarray) else (math.hypot, _agm)
     rho = r / (2.0 * R)
-    h = hypot(1.0, rho)
+    array = isinstance(rho, np.ndarray)
+    if not array:
+        h, agm = math.hypot(1.0, rho), _agm
+    elif hypot is None:
+        ones = itertools.repeat(1.0, rho.size)
+        h = np.fromiter(map(math.hypot, ones, rho.ravel().tolist()), float, rho.size)
+        h, agm = h.reshape(rho.shape), _agm_array
+    else:
+        h, agm = hypot(1.0, rho), _agm_array
     k = 1.0 / h     # modulus
     kp = rho / h    # complementary modulus, exact even when k rounds to 1
     big_k, series = agm(k, kp)
     electric = -(alpha / (math.pi * R)) * k * big_k
-    magnetic = -(mag_coupling / (4.0 * math.pi**3 * R**3)) * h * (big_k * series)
+    bracket = big_k * series
+    prefactor = -(mag_coupling / (4.0 * math.pi**3 * R**3))
+    scaled = prefactor * h
+    # far out the prefactor times h can overflow while the line, ~1/h^3, is
+    # a finite float or underflows to -0.0: take h * K S first there
+    if array:
+        magnetic = np.where(np.isinf(scaled), prefactor * (h * bracket), scaled * bracket)
+    elif math.isinf(scaled):
+        magnetic = prefactor * (h * bracket)
+    else:
+        magnetic = scaled * bracket
     return electric, magnetic
 
 
@@ -349,7 +417,7 @@ def potential_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     return kinetic_term(cfg, r) + _ring_interaction(params.R, cfg.alpha, cfg.alpha**3, r)
 
 
-def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
+def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
     """The two angular quadratures of the Bopp-regulated ring pair.
 
     I1 = int_0^pi          (1 - exp(-2 kappa R d(phi))) / d(phi) dphi
@@ -367,16 +435,57 @@ def _bltp_integrals(R: float, kappa: float, r: float) -> tuple[float, float]:
     at 1 keeping lo below pi/2 for far rings, rounded down to a power of
     ten 10^-d (d <= 308) so that one cached table serves a range of r.
     QuadratureError names r, R and kappa when a panel estimate fails.
+
+    An ndarray r gives the pair at each element, bit for bit as a float r
+    would: its elements are grouped by table, and each group takes one pass
+    over an (r x node) array, in chunks of at most _BLTP_CHUNK nodes.  Its
+    QuadratureError is the one the floats would raise, one by one.
     """
     rho = r / (2.0 * R)
     scale = 2.0 * kappa * R
+    if not isinstance(rho, np.ndarray):
+        return _bltp_pass(_bltp_decades(rho, scale), rho, scale, r, R, kappa)
+    decades = np.array([_bltp_decades(x, scale) for x in rho.tolist()], dtype=int)
+    i1, i2 = np.empty_like(rho), np.empty_like(rho)
+    try:
+        for d in dict.fromkeys(decades.tolist()):
+            group = np.flatnonzero(decades == d)
+            step = max(1, _BLTP_CHUNK // _bltp_table(d)[0].nodes.size)
+            for start in range(0, group.size, step):
+                part = group[start:start + step]
+                i1[part], i2[part] = _bltp_pass(d, rho[part, None, None], scale, r[part], R, kappa)
+    except QuadratureError:
+        for x in r.tolist():  # the error of the first failing r, as a float r raises it
+            _bltp_integrals(R, kappa, x)
+        raise
+    return i1, i2
+
+
+def _bltp_decades(rho: float, scale: float) -> int:
+    """d of the table 10^-d that _bltp_integrals takes at rho = r/2R."""
     # no division by scale = 0; the floor 1e-306 is the cap d <= 308
     feature = min(1.0, max(rho, 1e-8 / max(scale, 1e-8), 1e-306))
-    table, s, cos2 = _bltp_table(2 - math.floor(math.log10(feature)))
+    return 2 - math.floor(math.log10(feature))
+
+
+def _bltp_pass(
+    decades: int,
+    rho: float | np.ndarray,
+    scale: float,
+    r: float | np.ndarray,
+    R: float,
+    kappa: float,
+):
+    """The Bopp pair on table 10^-decades at rho (a float, or an (m, 1, 1)
+    ndarray with r of shape (m,)): hypot, expm1, and the weighted sums."""
+    table, s, cos2 = _bltp_table(decades)
     d = np.hypot(s, rho)
-    f = -np.expm1(-scale * d) / d
-    i1 = table.integral(f, r=r, R=R, kappa=kappa)
-    return i1, table.integral(cos2 * f, r=r, R=R, kappa=kappa)
+    f = np.multiply(d, -scale)
+    np.negative(np.expm1(f, out=f), out=f)
+    f /= d  # the kernel -expm1(-scale d)/d
+    integral = table.integrals if isinstance(rho, np.ndarray) else table.integral
+    i1 = integral(f, r=r, R=R, kappa=kappa)
+    return i1, integral(np.multiply(cos2, f, out=d), r=r, R=R, kappa=kappa)
 
 
 @functools.lru_cache(maxsize=4)
@@ -424,7 +533,20 @@ def _coulomb_dipole(kinetic: float, model: PotentialModel, r: float) -> float:
     alpha/16 pi^2) ~ 8.6e-5 separating the plunge from the Coulombic well;
     the curve has no interior minimum below the Compton length.
     """
-    return _coulomb(kinetic, model, r) - model.cfg.alpha**3 / (8.0 * math.pi**2 * r**3)
+    return _coulomb(kinetic, model, r) - model.cfg.alpha**3 / (8.0 * math.pi**2 * _cube(r))
+
+
+def _cube(r: float | np.ndarray) -> float | np.ndarray:
+    """r^3 as the C pow rounds it (np.power rounds differently), kept in
+    [smallest subnormal, inf]: where it underflows to 0 (r < 1e-108) or
+    overflows (r > 5.6e102) the dipole term is then inf or 0, as it is
+    already near there."""
+    if isinstance(r, np.ndarray):
+        return np.maximum(np.float_power(r, 3), _SUBNORMAL_MIN)
+    try:
+        return max(r**3, _SUBNORMAL_MIN)
+    except OverflowError:
+        return math.inf
 
 
 def _exponent(model: PotentialModel) -> int:

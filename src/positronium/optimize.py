@@ -16,7 +16,9 @@ The engines used throughout the package:
 * :func:`find_root` -- Brent-style bracketed root finding (inverse quadratic
   interpolation / secant, bisection fallback), used by every tuning loop.
 
-All are deterministic and evaluate only the supplied callable.
+All are deterministic and evaluate only the supplied callables: ``f``,
+and for the grid of find_local_minima (and deepest_minimum) an optional
+array form ``f_grid`` of it, which evaluates the whole grid in one call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "Bracket",
@@ -84,8 +88,12 @@ class StationaryPoint:
 def _checked(f: Callable[[float], float], x: float) -> float:
     y = f(x)
     if not math.isfinite(y):
-        raise OptimizeError(f"function returned non-finite value {y!r} at x={x!r}", abscissa=x)
+        raise _non_finite(y, x)
     return y
+
+
+def _non_finite(y: float, x: float) -> OptimizeError:
+    return OptimizeError(f"function returned non-finite value {y!r} at x={x!r}", abscissa=x)
 
 
 def minimize_scalar(
@@ -173,6 +181,8 @@ def find_local_minima(
     r_max: float,
     points_per_decade: int,
     x_tol: float = DEFAULT_X_TOL,
+    *,
+    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[StationaryPoint]:
     """Enumerate interior minima of ``f`` on [r_min, r_max].
 
@@ -183,6 +193,12 @@ def find_local_minima(
     position).  Minima whose basin spans fewer than 3 grid points may be
     missed; an empty list means no minima were found, which is a valid
     answer rather than an error.
+
+    ``f_grid``, when given, is ``f`` over a 1-D ndarray of abscissae: the
+    grid's values then come from one call to it, and only the refinement
+    calls ``f``.  Where it agrees with ``f`` on the grid, the result is the
+    one ``f`` alone gives, bit for bit.  A non-finite value raises the
+    OptimizeError ``f`` would raise at the first such grid point.
     """
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
@@ -194,7 +210,14 @@ def find_local_minima(
     step = (lg_hi - lg_lo) / (count - 1)
     grid = [10.0 ** (lg_lo + i * step) for i in range(count)]
     grid[0], grid[-1] = r_min, r_max
-    values = [_checked(f, r) for r in grid]
+    if f_grid is None:
+        values = [_checked(f, r) for r in grid]
+    else:
+        array = f_grid(np.array(grid))
+        if not np.isfinite(array).all():
+            i = int(np.argmin(np.isfinite(array)))  # the first non-finite value
+            raise _non_finite(float(array[i]), grid[i])
+        values = array.tolist()
 
     found: list[StationaryPoint] = []
     for i in range(1, count - 1):
@@ -230,13 +253,16 @@ def deepest_minimum(
     hi: float,
     points_per_decade: int,
     context: str,
+    *,
+    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> StationaryPoint:
-    """Deepest interior minimum of ``f`` on [lo, hi] (see find_local_minima).
+    """Deepest interior minimum of ``f`` on [lo, hi] (see find_local_minima,
+    which takes ``f_grid``).
 
     Raises OptimizeError naming the window and ``context`` -- the
     parameters that fix ``f``, for the message -- when there is none.
     """
-    minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade)
+    minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade, f_grid=f_grid)
     if not minima:
         raise OptimizeError(f"no interior minimum in ({lo!r}, {hi!r}) {context}")
     return min(minima, key=lambda p: p.v_star)

@@ -11,7 +11,8 @@ factor at the nodes and takes weighted sums:
 * variational: <T> and <U_R> for every trial scale of a scan;
 * flux: G(u) for every u, folded about pi/2, on a panel [0, lo] and
   geometric panels from lo to pi/2;
-* models: the Bopp angular pair at every r, on the same layout.
+* models: the Bopp angular pair at every r, on the same layout, and at
+  many r in one pass (``PanelTable.integrals``).
 
 Each panel's Kronrod-minus-Gauss-7 difference bounds its error from above
 (the 15-point sum is far more accurate than the 7-point one), and their
@@ -137,7 +138,8 @@ class PanelTable:
     """The GK15 rule on fixed panels, a weight function folded in.
 
     ``integral(values)`` is the rule's sum of weight(t) * values over the
-    nodes t (shape (15, panels), as ``values``).  It raises QuadratureError
+    nodes t (shape (15, panels), as ``values``); ``integrals`` takes m of
+    them stacked, (m, 15, panels), in one pass.  Each raises QuadratureError
     when the summed Kronrod-minus-Gauss-7 differences exceed
     max(rel_tol * |integral|, abs_tol); ``what`` names the integral there,
     and the keyword arguments of ``integral`` name its parameters.
@@ -169,15 +171,39 @@ class PanelTable:
         total = float(panels[0].sum())
         estimate = float(np.abs(panels[1]).sum())
         if not estimate <= max(self.rel_tol * abs(total), self.abs_tol):
-            params = ", ".join(f"{name}={value!r}" for name, value in at.items())
-            where = f"{self.what} at {params}" if at else self.what
-            bad = ~np.isfinite(values * self.weights[0])
-            if bad.any():
-                raise QuadratureError(
-                    f"{where}: non-finite integrand at node {float(self.nodes[bad][0])!r}"
-                )
-            raise QuadratureError(
-                f"{where}: Gauss-7 error estimate {estimate:.3g} exceeds "
-                f"max({self.rel_tol:g} of the integral {total!r}, {self.abs_tol:g})"
-            )
+            raise self._error(values, total, estimate, at)
         return total
+
+    def integrals(self, values: np.ndarray, **at: float | np.ndarray) -> np.ndarray:
+        """``integral`` of each values[i] (shape (m, 15, panels)) in one pass.
+
+        Each integral is bit-identical to ``integral(values[i])``.  An
+        ndarray among the keyword arguments holds one parameter value per
+        integral; the QuadratureError names the first failing i with its
+        values, in the words ``integral`` would use.
+        """
+        panels = np.einsum("rnp,knp->rkp", values, self.weights)
+        total = panels[:, 0].sum(axis=-1)
+        estimate = np.abs(panels[:, 1]).sum(axis=-1)
+        bad = np.flatnonzero(~(estimate <= np.maximum(self.rel_tol * np.abs(total), self.abs_tol)))
+        if bad.size:
+            i = bad[0]
+            row = {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in at.items()}
+            raise self._error(values[i], float(total[i]), float(estimate[i]), row)
+        return total
+
+    def _error(
+        self, values: np.ndarray, total: float, estimate: float, at: dict[str, float]
+    ) -> QuadratureError:
+        params = ", ".join(f"{name}={value!r}" for name, value in at.items())
+        where = f"{self.what} at {params}" if at else self.what
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 where a node overflowed
+            bad = ~np.isfinite(values * self.weights[0])
+        if bad.any():
+            return QuadratureError(
+                f"{where}: non-finite integrand at node {float(self.nodes[bad][0])!r}"
+            )
+        return QuadratureError(
+            f"{where}: Gauss-7 error estimate {estimate:.3g} exceeds "
+            f"max({self.rel_tol:g} of the integral {total!r}, {self.abs_tol:g})"
+        )

@@ -65,6 +65,10 @@ __all__ = [
     "minimize_over_a",
 ]
 
+# Past the float range (trial scales near 1e-300 or 1e300, R near its
+# ends) the node tables overflow; the public functions run their numpy work
+# under _quiet, and the rule's non-finite check reports it instead.
+_quiet = np.errstate(all="ignore")
 _REL_TOL = 1e-12
 # geometric GK15 panels per decade of the node tables: the Gauss-7 estimate
 # is about 2e-15 of each integral here, and about 3e-11 at 4 per decade
@@ -113,7 +117,7 @@ def _kinetic_at(table: PanelTable, a: float) -> float:
 
 def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> PanelTable:
     def weight(r: np.ndarray) -> np.ndarray:
-        electric, magnetic = _ring_lines(R, cfg.alpha, cfg.alpha**3, r)
+        electric, magnetic = _ring_lines(R, cfg.alpha, cfg.alpha**3, r, hypot=np.hypot)
         return r * r * (electric + magnetic)
 
     what = f"potential expectation for R={R!r}"
@@ -124,6 +128,7 @@ def _potential_at(table: PanelTable, a: float) -> float:
     return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a=a)
 
 
+@_quiet
 def kinetic_expectation(a: float) -> float:
     """<2 sqrt(1 - Laplacian)> in the trial state of scale a.
 
@@ -134,6 +139,7 @@ def kinetic_expectation(a: float) -> float:
     return _kinetic_at(_kinetic_table(av, av), av)
 
 
+@_quiet
 def potential_expectation(
     a: float, R: float, cfg: PhysicalConfig | None = None
 ) -> float:
@@ -151,6 +157,7 @@ def energy_expectation(
     return kinetic_expectation(a) + potential_expectation(a, R, cfg)
 
 
+@_quiet
 def minimize_over_a(
     R: float,
     a_min: float,

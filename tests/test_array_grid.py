@@ -1,0 +1,264 @@
+"""The tight-minimum grid in one array call.
+
+PotentialModel evaluates floats and 1-D ndarrays with one energy function
+per family, and find_local_minima takes the array form for its grid
+(``f_grid``), keeping the float form for the refinement.  These tests pin
+the contract that makes that safe: the array values are the float values
+bit for bit, the same minima come out, the same errors are raised, fewer
+float calls are made, and no numpy warning escapes.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from positronium import acceptance, flux, models
+from positronium.models import (
+    BIOT_SAVART_WINDOW,
+    COULOMB_WINDOW,
+    FAMILIES,
+    PhysicalConfig,
+    PotentialModel,
+    RingParams,
+    _bltp_integrals,
+    scaled_ring_radius,
+)
+from positronium.optimize import OptimizeError, deepest_minimum, find_local_minima
+from positronium.quadrature import PanelTable, QuadratureError
+
+# the array paths run under np.errstate: a numpy warning here is a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+CFG = PhysicalConfig()
+
+# the ring of the `tune --model ring-bltp` golden envelope
+BLTP_GOLDEN = RingParams(2.5698078287269686e-05, 180520.24923272172)
+
+
+def _model(family: str, coeff: float, k: int = 1, u: float = 4.64) -> PotentialModel:
+    """A model of ``family``; rings at R = coeff alpha^(1+k), and kappa R = u
+    for the regulated ones."""
+    if not FAMILIES[family].R:
+        return PotentialModel(family, CFG)
+    R = scaled_ring_radius(k, CFG.alpha, coeff)
+    if family == "ring-bltp":
+        return PotentialModel(family, CFG, RingParams(R, u / R))
+    return PotentialModel(family, CFG, RingParams(R), scaling_k=k if family == "scaling" else None)
+
+
+def _window(model: PotentialModel, which: int) -> tuple[float, float]:
+    if model.params is not None:
+        return FAMILIES[model.family].tight_window(model)
+    return (COULOMB_WINDOW, BIOT_SAVART_WINDOW)[which]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(tuple(FAMILIES)),
+    coeff=st.floats(0.42, 0.55),
+    k=st.integers(0, 3),
+    u=st.floats(2.5, 8.0),
+    which=st.integers(0, 1),
+    where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_array_energies_are_the_float_energies(family, coeff, k, u, which, where):
+    # over the family's window (the tight window of the rings, the two
+    # operational windows of the point charges), bit for bit: no ulp apart
+    model = _model(family, coeff, k, u)
+    lo, hi = _window(model, which)
+    r = lo * (hi / lo) ** np.array(where)
+    for energy in (model, model.binding):
+        got = energy(r)
+        assert got.shape == r.shape
+        assert got.tolist() == [energy(x) for x in r.tolist()]
+
+
+@pytest.mark.parametrize(
+    "family,k,which",
+    [("coulomb", 1, 0), ("coulomb", 1, 1), ("coulomb-dipole", 1, 0), ("coulomb-dipole", 1, 1),
+     ("ring-ml", 1, 0), ("ring-bltp", 1, 0), *(("scaling", k, 0) for k in range(4))],
+)
+def test_array_energies_are_the_float_energies_on_dense_grids(family, k, which):
+    # np.hypot and np.power round about one value in 500 and one in 20
+    # differently from math.hypot and float **: a dense grid sees both
+    model = _model(family, models.ZERO_ENERGY_RADIUS_COEFF, k)
+    lo, hi = _window(model, which)
+    r = np.geomspace(lo, hi, 401 if family == "ring-bltp" else 4001)
+    for energy in (model, model.binding):
+        assert energy(r).tolist() == [energy(x) for x in r.tolist()]
+
+
+def test_array_energies_past_the_float_range():
+    # -inf where the dipole term overflows, -0.0 magnetic lines far out,
+    # 2q kinetic terms where q^2 overflows: the float values, silently
+    r = np.array([1e-300, 1e-200, 1e-106, 1e-5, 1.0, 1e300])
+    for family in ("coulomb", "coulomb-dipole", "ring-ml"):
+        model = (
+            PotentialModel(family, CFG, RingParams(2.6e-5))
+            if family == "ring-ml" else PotentialModel(family, CFG)
+        )
+        for energy in (model, model.binding):
+            assert energy(r).tolist() == [energy(x) for x in r.tolist()]
+
+
+def test_array_separations_must_be_positive():
+    with pytest.raises(ValueError, match=r"separation r must be positive; got -1\.0"):
+        PotentialModel("coulomb", CFG)(np.array([1.0, -1.0, 0.0]))
+
+
+def _count_float_calls(monkeypatch, name):
+    calls = {"float": 0, "array": 0}
+    original = getattr(models, name)
+
+    def counted(*args):
+        calls["array" if isinstance(args[-1], np.ndarray) else "float"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(models, name, counted)
+    return calls
+
+
+def test_regulated_tight_minimum_makes_one_array_pass(monkeypatch):
+    # the scan of 140 grid points is one array call; only the refinement
+    # evaluates floats (160 float calls when the grid took floats too)
+    calls = _count_float_calls(monkeypatch, "_bltp_integrals")
+    PotentialModel("ring-bltp", CFG, BLTP_GOLDEN).tight_minimum()
+    assert calls["array"] == 1
+    assert calls["float"] <= 20
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_ring_tight_minimum_makes_one_array_pass(monkeypatch, k):
+    # 241 grid points in one call; 260 float calls when the grid took floats
+    calls = _count_float_calls(monkeypatch, "_ring_lines")
+    _model("scaling", models.ZERO_ENERGY_RADIUS_COEFF, k).tight_minimum()
+    assert calls["array"] == 1
+    assert calls["float"] <= 20
+
+
+def test_tuning_finds_the_float_grids_minima(grids_compared):
+    # criteria 6 and 7 and tune_ring_radius for every exponent: each tight
+    # minimum from the array grid is the one the float grid finds
+    flux.tune_bltp()
+    assert len(grids_compared) == 20  # criterion 6: 20 distinct rings
+    for k in range(4):
+        models.tune_ring_radius("scaling", CFG, 0.0, scaling_k=k)
+    acceptance.criterion_7()
+    assert len(grids_compared) > 24
+
+
+def test_golden_minimize_and_tune_find_the_float_grids_minima(grids_compared):
+    from test_cli_golden import CASES, run_case
+
+    for argv in CASES:
+        if argv[0] in ("minimize", "tune"):
+            assert run_case(argv)["exit"] == 0
+    assert len(grids_compared) >= 9
+
+
+def test_regulated_pair_in_chunks(monkeypatch):
+    # a CLI grid may hold a million r: each pass is capped at _BLTP_CHUNK
+    # nodes (a table has 285 to 1,365 of them here), without moving a value
+    R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
+    r = np.geomspace(1e-3 * R, 1e3 * R, 50)
+    whole = _bltp_integrals(R, kappa, r)
+    sizes = []
+    original = models._bltp_pass
+
+    def counted(decades, rho, *args):
+        sizes.append(rho.size * models._bltp_table(decades)[0].nodes.size)
+        return original(decades, rho, *args)
+
+    monkeypatch.setattr(models, "_bltp_pass", counted)
+    monkeypatch.setattr(models, "_BLTP_CHUNK", 2000)
+    chunked = _bltp_integrals(R, kappa, r)
+    assert len(sizes) > 10 and max(sizes) <= 2000  # 4 tables, 14 passes
+    assert [x.tolist() for x in chunked] == [x.tolist() for x in whole]
+
+
+def test_regulated_pair_fails_as_the_floats_fail(monkeypatch):
+    # no rule meets a zero tolerance: the array pass raises the error the
+    # first float raises, which names that r, R and kappa
+    models._bltp_table.cache_clear()
+    monkeypatch.setattr(models, "_V4_REL_TOL", 0.0)
+    monkeypatch.setattr(models, "_V4_ABS_TOL", 0.0)
+    try:
+        R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
+        r = np.geomspace(0.05 * R, 10.0 * R, 30)
+        with pytest.raises(QuadratureError) as scalar:
+            _bltp_integrals(R, kappa, float(r[0]))
+        with pytest.raises(QuadratureError) as batched:
+            _bltp_integrals(R, kappa, r)
+        assert str(batched.value) == str(scalar.value)
+        assert f"at r={float(r[0])!r}, R={R!r}, kappa={kappa!r}: Gauss-7" in str(scalar.value)
+        # and through the tight-minimum search
+        model = PotentialModel("ring-bltp", CFG, BLTP_GOLDEN)
+        with pytest.raises(QuadratureError) as scalar:
+            deepest_minimum(model, 0.05 * R, 10.0 * R, 60, "")
+        with pytest.raises(QuadratureError) as batched:
+            model.tight_minimum()
+        assert str(batched.value) == str(scalar.value)
+    finally:
+        models._bltp_table.cache_clear()
+
+
+def test_regulated_pair_names_the_first_failing_r_across_tables(monkeypatch):
+    # the elements are evaluated table by table, not in array order: the
+    # error is still the one the first failing float raises
+    R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
+    r = np.array([3.0 * R, 0.1 * R, 4.0 * R])  # tables 10^-2, 10^-4, 10^-2
+    failing = {0.1 * R, 4.0 * R}
+    original = models._bltp_pass
+
+    def failing_pass(decades, rho, scale, x, *args):
+        hit = [v for v in np.ravel(x).tolist() if v in failing]
+        if hit:
+            raise QuadratureError(f"fails at r={hit[0]!r}")
+        return original(decades, rho, scale, x, *args)
+
+    monkeypatch.setattr(models, "_bltp_pass", failing_pass)
+    with pytest.raises(QuadratureError, match=re.escape(f"fails at r={0.1 * R!r}")):
+        _bltp_integrals(R, kappa, r)
+
+
+def test_panel_integrals_name_the_first_failing_row():
+    table = PanelTable.build("test integral", np.array([0.0, 1.0, 2.0]), np.ones_like, 1e-12)
+    x = table.nodes
+    values = np.stack([np.ones_like(x), np.sin(30.0 * x), np.sin(40.0 * x)])
+    with pytest.raises(QuadratureError) as scalar:
+        table.integral(values[1], a=2.5, b=1.0)
+    with pytest.raises(QuadratureError) as batched:
+        table.integrals(values, a=np.array([1.5, 2.5, 3.5]), b=1.0)
+    assert str(batched.value) == str(scalar.value)
+    assert table.integrals(values[:1], a=np.array([1.5])).tolist() == [table.integral(values[0])]
+
+
+def test_non_finite_grid_value_fails_as_the_floats_fail():
+    def f(x):
+        return math.nan if x > 5.0 else (x - 3.0) ** 2
+
+    def f_grid(x):
+        return np.where(x > 5.0, math.nan, (x - 3.0) ** 2)
+
+    with pytest.raises(OptimizeError) as scalar:
+        find_local_minima(f, 1.0, 10.0, 20)
+    with pytest.raises(OptimizeError) as batched:
+        find_local_minima(f, 1.0, 10.0, 20, f_grid=f_grid)
+    assert str(batched.value) == str(scalar.value)
+    assert batched.value.abscissa == scalar.value.abscissa > 5.0
+    # the point dipole below the float range: -inf from r = 1e-300 on
+    dipole = PotentialModel("coulomb-dipole", CFG)
+    with pytest.raises(OptimizeError) as batched:
+        find_local_minima(dipole.binding, 1e-300, 1.0, 10, f_grid=dipole.binding)
+    assert str(batched.value) == "function returned non-finite value -inf at x=1e-300"
+    assert batched.value.abscissa == 1e-300
+
+
+def test_array_grid_finds_the_float_grids_minima_of_any_function():
+    minima = find_local_minima(math.cos, 1.0, 20.0, 40, f_grid=np.cos)
+    assert minima == find_local_minima(math.cos, 1.0, 20.0, 40)
+    assert len(minima) == 3

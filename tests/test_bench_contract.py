@@ -64,3 +64,18 @@ def test_one_variational_operation(bench):
     run = workloads.executor("variational")
     op = next(workloads.operations("variational", 1))
     assert oracles.check_variational(op, run(op)) is None
+
+
+def test_ring_scan_tuning_finds_the_float_grids_minima(bench, grids_compared):
+    # the tuning operations of the first four blocks at the benchmark's
+    # seeds 1 and 2: every tight minimum they search, scanned by one array
+    # call, is the one the float grid finds (see conftest.grids_compared)
+    workloads, oracles = bench
+    run = workloads.executor("ring_scan")
+    for seed in (1, 2):
+        block = itertools.islice(workloads.operations("ring_scan", seed), 80)
+        tunes = [op for op in block if op["kind"] == "tune"]
+        assert {op["k"] for op in tunes} == {0, 1, 2, 3}
+        for op in tunes:
+            assert oracles.check_tune(op, run(op)) is None, op
+    assert len(grids_compared) > 16 * 8

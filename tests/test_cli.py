@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -198,14 +201,84 @@ def test_ring_radius_past_the_float_range_is_a_usage_error(capsys, argv):
         ("--a-min", "1e-300", "--a-max", "1e300"),
     ],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trial_scales_past_the_float_range_are_a_numerical_failure(capsys, argv):
     # the node tables then span more than the float range: hi/lo overflows.
-    # The integrands overflow at such scales too (numpy warns of overflow
-    # and invalid values), and the rule's non-finite check names a
+    # The integrands overflow at such scales too (silently: the numpy work
+    # runs under np.errstate), and the rule's non-finite check names a
     code, _, err = run_cli(capsys, "variational", "--R", "2.6e-5", *argv)
     assert code == 3
     assert "numerical failure" in err and " a=" in err
+
+
+def test_dipole_window_past_the_float_range_is_a_numerical_failure(capsys):
+    # r^3 underflows to 0 below r ~ 1e-108, where the dipole term
+    # alpha^3/(8 pi^2 r^3) has already overflowed to inf (from r ~ 1e-106 on):
+    # the potential is -inf there, which the minimizer names as it does at
+    # r = 1e-106, instead of a ZeroDivisionError traceback
+    code, _, err = run_cli(
+        capsys, "minimize", "--model", "coulomb-dipole", "--rmin", "1e-300", "--rmax", "1"
+    )
+    assert code == 3
+    assert err == "numerical failure: function returned non-finite value -inf at x=1e-300\n"
+
+
+def test_dipole_scan_past_the_float_range_is_finite(capsys):
+    # r^3 overflows above r ~ 5.6e102, where the dipole term is 0 to double
+    # precision; Python's r**3 raised OverflowError there
+    code, out, err = run_cli(
+        capsys, "scan", "--model", "coulomb-dipole", "--rmin", "1", "--rmax", "1e300", "--json"
+    )
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["r"][-1] == 1e300 and res["V"][-1] == 2.0
+    code, _, _ = run_cli(
+        capsys, "minimize", "--model", "coulomb-dipole", "--rmin", "1", "--rmax", "1e300"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "R,rmin,rmax",
+    [
+        # at r = 1e300 the magnetic prefactor times hypot(1, r/2R)
+        # overflows while K S underflows to 0: the line is -0.0, not nan
+        ("2.6e-5", "1e-300", "1e300"),
+        # at R = 1e-100 the product overflows from r ~ 1e-83 on, where the
+        # line is still a finite float: it is finite, not -inf
+        ("1e-100", "1e-84", "1e-60"),
+    ],
+)
+def test_ring_scan_past_the_float_range_is_finite(capsys, R, rmin, rmax):
+    code, out, err = run_cli(
+        capsys, "scan", "--model", "ring-ml", "--R", R, "--rmin", rmin, "--rmax", rmax, "--json",
+    )
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert all(math.isfinite(v) for v in res["V"])
+    if rmax == "1e300":
+        assert res["r"][-1] == 1e300 and res["V"][-1] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("variational", "--R", "2.6e-5", "--a", "1e-300"),
+        ("variational", "--R", "1e-100", "--a", "1"),
+        ("minimize", "--model", "ring-ml", "--R", "2.6e-5", "--rmin", "1e-300", "--rmax", "1e300"),
+        ("minimize", "--model", "coulomb-dipole", "--rmin", "1e-300", "--rmax", "1"),
+    ],
+)
+def test_numpy_warnings_do_not_reach_stderr(argv):
+    # a fresh interpreter, so that stderr is exactly what a user sees
+    proc = subprocess.run(
+        [sys.executable, "-m", "positronium.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=False,
+    )
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (proc.returncode != 0), proc.stderr
+    if proc.returncode:
+        assert proc.returncode == 3 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -106,6 +106,42 @@ def test_point_dipole_term_stacks_on_point_charges():
         assert DIPOLE.binding(r) == COULOMB.binding(r) - extra
 
 
+def test_dipole_term_past_the_float_range_is_infinite():
+    # r^3 underflows to 0 below r ~ 1e-108; the term alpha^3/(8 pi^2 r^3) is
+    # +inf there as it is from r ~ 1e-106 on, not a ZeroDivisionError
+    for r in (1e-106, 1e-108, 1e-300):
+        assert DIPOLE(r) == DIPOLE.binding(r) == -math.inf
+    assert math.isfinite(DIPOLE(1e-105))
+    # and r^3 overflows above r ~ 5.6e102, where the term is 0
+    for r in (1e103, 1e300):
+        assert DIPOLE(r) == COULOMB(r) and DIPOLE.binding(r) == COULOMB.binding(r)
+
+
+def test_magnetic_line_far_out_is_negative_zero():
+    # prefactor * hypot(1, r/2R) overflows at r = 1e300 while K S underflows
+    # to 0: the line is -0.0, where inf * 0 gave nan
+    for r in (1e300, np.array([1e300])):
+        with np.errstate(all="ignore"):  # as PotentialModel runs the array form
+            electric, magnetic = _ring_lines(2.6e-5, CFG.alpha, CFG.alpha**3, r)
+        assert magnetic == 0.0 and np.signbit(magnetic)
+        assert -1e-300 < electric < 0.0
+
+
+@pytest.mark.parametrize("r", [1e-80, 1e-70, 1e-40])
+def test_magnetic_line_of_a_tiny_ring_far_out_is_finite(r):
+    # at R = 1e-100 the prefactor (~3e291) times hypot(1, r/2R) overflows
+    # for r/2R above ~6e16 while the line itself, ~alpha^3/(8 pi^2 r^3),
+    # is a finite float up to r ~ 1e-100 * 1e80: it was -inf there.  The
+    # bracket cancels to ~(R/r)^4 of its terms, so mpmath needs 400 digits
+    R = 1e-100
+    with mpmath.workdps(400):
+        want = [float(x) for x in _mp_ring_lines(R, r)]
+    for x in (r, np.array([r])):
+        with np.errstate(all="ignore"):  # as PotentialModel runs the array form
+            got = _ring_lines(R, CFG.alpha, CFG.alpha**3, x)
+        assert np.ravel(got).tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_binding_is_rest_subtracted_potential():
     for r in (0.5, 274.0, 1e3):
         assert COULOMB.binding(r) == pytest.approx(COULOMB(r) - 2.0, rel=1e-12, abs=1e-15)
@@ -139,20 +175,14 @@ def test_ring_lines_against_scipy_elliptic():
 
 @pytest.mark.parametrize("R", [2.661639e-5, 2.57e-5, 1e-3])
 def test_array_ring_lines_match_the_scalar_lines(R):
-    # floats and arrays run one recurrence, so both lines agree bit for bit
-    # wherever math.hypot and np.hypot round the modulus alike; where they
-    # round it one ulp apart, the lines move by about an ulp too
+    # floats and arrays run one recurrence on one modulus (math.hypot), so
+    # both lines agree bit for bit, also where np.hypot would round the
+    # modulus an ulp apart
     r = np.geomspace(1e-12, 1e6, 4001)
     electric, magnetic = _ring_lines(R, CFG.alpha, CFG.alpha**3, r)
-    rho = r / (2.0 * R)
     params = RingParams(R)
     for i, ri in enumerate(r):
-        want_e, want_m = ring_energy_lines(params, CFG, float(ri))
-        if np.hypot(1.0, rho[i]) == math.hypot(1.0, float(rho[i])):
-            assert (electric[i], magnetic[i]) == (want_e, want_m), ri
-        else:
-            assert electric[i] == pytest.approx(want_e, rel=1.1e-15, abs=0.0), ri
-            assert magnetic[i] == pytest.approx(want_m, rel=1.1e-15, abs=0.0), ri
+        assert (electric[i], magnetic[i]) == ring_energy_lines(params, CFG, float(ri)), ri
 
 
 def _mp_ring_lines(R, r):
