@@ -14,10 +14,11 @@ point charge + point dipole, but at r ~ R the geometry smears the
 singularity: for small enough R the orbit energy develops a genuine inner
 minimum instead of a bottomless plunge.
 
-This script tunes R so the inner well sits exactly at zero total energy,
-shows the resulting two-well structure, and verifies the similarity
-scaling that makes one tuned coefficient cover a whole family of
-couplings.
+The pair is the k = 1 member of the package's one ring family,
+"scaling", whose magnetic coupling is alpha^(1+2k).  This script tunes R
+so the inner well sits exactly at zero total energy, shows the resulting
+two-well structure, and verifies the similarity scaling that makes one
+tuned coefficient cover the whole family of couplings.
 """
 
 import numpy as np
@@ -28,7 +29,6 @@ from positronium import (
     PotentialModel,
     RingParams,
     find_local_minima,
-    potential_scaling_law,
     potential_v3,
     ring_energy_lines,
     scaled_ring_radius,
@@ -37,6 +37,12 @@ from positronium import (
 
 cfg = PhysicalConfig()
 alpha = cfg.alpha
+
+
+def ring_pair(R: float, k: int = 1) -> PotentialModel:
+    """The ring pair of radius R at magnetic coupling alpha^(1+2k)."""
+    return PotentialModel("scaling", cfg, RingParams(R), scaling_k=k)
+
 
 # -- far field: ring pair looks like point charge + point dipole ------------
 R = 1e-5
@@ -50,7 +56,7 @@ print("(both ratios -> 1: the multipole tail is correct)")
 print()
 
 # -- tune the radius so the inner well touches zero total energy -------------
-R_star = tune_ring_radius("ring-ml", cfg, target_energy=0.0)
+R_star = tune_ring_radius("scaling", cfg, target_energy=0.0, scaling_k=1)
 coeff = R_star / alpha**2
 print(f"tuned ring radius: R = {R_star:.15g}  (R/alpha^2 = {coeff:.15g})")
 print(f"packaged reference coefficient: {ZERO_ENERGY_RADIUS_COEFF!r}")
@@ -58,10 +64,7 @@ print(f"relative agreement: {abs(coeff / ZERO_ENERGY_RADIUS_COEFF - 1.0):.1e}")
 print()
 
 # -- the two wells ------------------------------------------------------------
-params = RingParams(R_star)
-minima = find_local_minima(
-    PotentialModel("ring-ml", cfg, params).binding, 1e-6, 1e4, points_per_decade=40
-)
+minima = find_local_minima(ring_pair(R_star).binding, 1e-6, 1e4, points_per_decade=40)
 print(f"minima of E(r) - 2 at the tuned radius: {len(minima)}")
 for m in minima:
     print(f"  {m.kind:10s} r* = {m.r_star:.10g}   E - 2 = {m.v_star:.10g}   E = {2.0 + m.v_star:.2e}")
@@ -86,7 +89,7 @@ print("similarity scaling (c = 2): exact to the last bit")
 for k in (0, 1, 2, 3):
     print(f"  k = {k}: scaled ring radius = {scaled_ring_radius(k):.12g}")
 r_test = 3e-5
-same = potential_scaling_law(1, RingParams(scaled_ring_radius(1)), cfg, r_test)
+same = ring_pair(scaled_ring_radius(1))(r_test)
 direct = potential_v3(RingParams(scaled_ring_radius(1)), cfg, r_test)
 assert same == direct, "k = 1 must reproduce the plain ring pair bitwise"
 print("  k = 1 reproduces the plain ring-pair model exactly")
@@ -94,11 +97,8 @@ print()
 
 # -- sensitivity: the tenth significant digit already matters -----------------
 rounded = float(f"{coeff:.10g}")
-params_r = RingParams(rounded * alpha**2)
 m = min(
-    find_local_minima(
-        PotentialModel("ring-ml", cfg, params_r).binding, 1e-6, 1e-4, points_per_decade=60
-    ),
+    find_local_minima(ring_pair(rounded * alpha**2).binding, 1e-6, 1e-4, points_per_decade=60),
     key=lambda p: p.v_star,
 )
 print(f"coefficient truncated to 10 digits moves the well total energy to {2.0 + m.v_star:.4e}")

@@ -58,11 +58,15 @@ json_path = out_dir / "minimize_coulomb.json"
 json_path.write_text(out)
 print(f"  saved to {json_path}")
 
-# 3. tune the ring radius and read off the sensitivity report
+# 3. tune the ring radius and read off the sensitivity report; ring-ml,
+#    the paper's ring pair, is the CLI's name for the scaling family at k = 1
 code, out = run("tune", "--model", "ring-ml", "--json")
 assert code == 0
 tune = json.loads(out)["results"]
-print(f"\ntuned coefficient ({tune['coefficient_parameterization']}):")
+code, out = run("tune", "--model", "scaling", "--k", "1", "--json")
+assert code == 0 and json.loads(out)["results"] == tune
+print("\ntune --model ring-ml and --model scaling --k 1 agree bit for bit")
+print(f"tuned coefficient ({tune['coefficient_parameterization']}):")
 print(f"  {tune['coefficient']!r}")
 sens = tune["sensitivity"]
 print(f"  truncated to 10 digits -> probe energy {sens['probe_energy']:.3e} ({sens['sign_vs_target']})")

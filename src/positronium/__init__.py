@@ -5,9 +5,10 @@ The package is organized bottom-up:
 
 * quadrature - the one rule for every integral: Gauss-Kronrod 15
                on fixed panels, weight folded in, Gauss-7 error check
-* elliptic   - complete elliptic integrals K, E by the AGM
+* elliptic   - complete elliptic integrals K and E by the AGM, in one run
 * optimize   - bracketed scalar minimization, log-grid scans, root finding
-* models     - the interaction families, PotentialModel and ring tuning
+* models     - the four interaction families (the paper's ring pair is
+               scaling at k = 1), PotentialModel and ring tuning
 * flux       - the flux-quantization constraint linking regulator and radius
 * variational - hydrogenic trial-state upper bound on the ground state
 * acceptance - the reproduction suite behind `positronium reproduce`
@@ -20,7 +21,7 @@ energy, lengths in reduced Compton lengths.
 
 __version__ = "1.0.0"
 
-from .elliptic import ellip_E, ellip_K, ellip_KE
+from .elliptic import ellip_KE
 from .flux import (
     FluxError,
     FluxSolution,
@@ -53,7 +54,6 @@ from .optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
-    deepest_minimum,
     find_local_minima,
     find_root,
     minimize_scalar,
@@ -70,8 +70,6 @@ from .variational import (
 __all__ = [
     "__version__",
     # elliptic
-    "ellip_E",
-    "ellip_K",
     "ellip_KE",
     # quadrature
     "QuadratureError",
@@ -79,7 +77,6 @@ __all__ = [
     "Bracket",
     "OptimizeError",
     "StationaryPoint",
-    "deepest_minimum",
     "find_local_minima",
     "find_root",
     "minimize_scalar",

@@ -46,8 +46,6 @@ from .models import (
     RingParams,
     bohr_energy,
     bohr_expansion_coeffs,
-    potential_scaling_law,
-    potential_v3,
     scaled_ring_radius,
     tune_ring_radius,
 )
@@ -176,7 +174,13 @@ def criterion_3() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _tuned_ml_radius() -> float:
-    return tune_ring_radius("ring-ml", PhysicalConfig(), 0.0)
+    return tune_ring_radius("scaling", PhysicalConfig(), 0.0, scaling_k=1)
+
+
+def _rings(R: float, cfg: PhysicalConfig, k: int = 1) -> PotentialModel:
+    """The current-ring pair of radius R at coupling alpha^(1+2k); k = 1 is
+    the pair with standard fields."""
+    return PotentialModel("scaling", cfg, RingParams(R), scaling_k=k)
 
 
 def criterion_4() -> CriterionResult:
@@ -195,15 +199,15 @@ def criterion_4() -> CriterionResult:
             agrees_to_digits(coeff, ZERO_ENERGY_RADIUS_COEFF, 10),
         )
     ]
-    tuned = RingParams(R)
-    minima = find_local_minima(lambda r: potential_v3(tuned, cfg, r), 1e-6, 1e-3, 40)
+    tuned = _rings(R, cfg)
+    minima = find_local_minima(tuned, 1e-6, 1e-3, 40, f_grid=tuned)
     if minima:
         best = min(minima, key=lambda p: p.v_star)
         checks.append(_rel_check("tight minimizer r_star", best.r_star, 1.3e-5, 0.20))
     else:
         checks.append(_check("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
-    truncated = RingParams(0.4959783237 * alpha2)
-    dropped = find_local_minima(lambda r: potential_v3(truncated, cfg, r), 1e-6, 1e-3, 40)
+    truncated = _rings(0.4959783237 * alpha2, cfg)
+    dropped = find_local_minima(truncated, 1e-6, 1e-3, 40, f_grid=truncated)
     e_dropped = min(p.v_star for p in dropped) if dropped else math.nan
     checks.append(
         _check("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
@@ -214,9 +218,8 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """No second tightly bound state: the n = 2 curve at tuned parameters
     has no interior minimum below the Compton length."""
-    tuned = RingParams(_tuned_ml_radius())
-    cfg = PhysicalConfig(n=2)
-    minima = find_local_minima(lambda r: potential_v3(tuned, cfg, r), 1e-6, 1e-3, 40)
+    tuned = _rings(_tuned_ml_radius(), PhysicalConfig(n=2))
+    minima = find_local_minima(tuned, 1e-6, 1e-3, 40, f_grid=tuned)
     checks = (
         _check("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
     )
@@ -258,9 +261,8 @@ def criterion_7() -> CriterionResult:
     cfg = PhysicalConfig()
     checks = []
     for k in range(4):
-        model = PotentialModel("scaling", cfg, RingParams(scaled_ring_radius(k)), scaling_k=k)
         try:
-            energy = model.tight_minimum().v_star
+            energy = _rings(scaled_ring_radius(k), cfg, k).tight_minimum().v_star
         except OptimizeError:
             energy = math.nan
         checks.append(_abs_check(f"k={k} tight minimum energy", energy, 0.0, 1e-4))
@@ -367,27 +369,24 @@ def criterion_9() -> CriterionResult:
     )
 
     r_far = 1e6
-    ring = RingParams(scaled_ring_radius(1))
     bltp = RingParams(2.57e-5, kappa=1.8e5)
     far_values = {
         "point charges": PotentialModel("coulomb", cfg)(r_far),
         "point dipoles": PotentialModel("coulomb-dipole", cfg)(r_far),
-        "rings": potential_v3(ring, cfg, r_far),
+        "rings": _rings(scaled_ring_radius(1), cfg)(r_far),
         "regulated rings": PotentialModel("ring-bltp", cfg, bltp)(r_far),
     }
     for k in range(4):
-        far_values[f"scaling k={k}"] = potential_scaling_law(
-            k, RingParams(scaled_ring_radius(k)), cfg, r_far
-        )
+        far_values[f"scaling k={k}"] = _rings(scaled_ring_radius(k), cfg, k)(r_far)
     worst_far = max(abs(v - 2.0) for v in far_values.values())
     checks.append(_abs_check("rest-energy asymptote worst deviation", worst_far, 0.0, 1e-6))
 
     R = 2.57e-5
     kappa = 1e3 / R
     reg = PotentialModel("ring-bltp", cfg, RingParams(R, kappa))
-    plain = RingParams(R)
+    plain = _rings(R, cfg)
     worst_limit = max(
-        abs(reg(r) - potential_v3(plain, cfg, r))
+        abs(reg(r) - plain(r))
         for r in (5e-6, 2.57e-5, 1e-4, 274.0)
     )
     checks.append(_abs_check("regulator limit worst deviation", worst_limit, 0.0, 1e-6))

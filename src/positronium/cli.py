@@ -98,7 +98,10 @@ class _Param(NamedTuple):
 # has no exponent, so it would read "--target -5e-3" as two options
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_TUNE_FAMILIES = tuple(name for name, family in FAMILIES.items() if family.R)
+# the --model names: the FAMILIES, with ring-ml, the paper's ring pair,
+# for the scaling family at k = 1 (see _family)
+_MODELS = ("coulomb", "coulomb-dipole", "ring-ml", "ring-bltp", "scaling")
+_TUNE_MODELS = ("ring-ml", "ring-bltp", "scaling")
 
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _ALPHA = _Param(float, ALPHA_FS, "fine-structure constant",
@@ -109,7 +112,7 @@ _MAX_POINTS = 10**6
 _PPD = _Param(int, 40, "scan resolution in grid points per decade",
               domain=(lambda v: 10 <= v <= 10**4, "in [10, 10000]"))
 _MODEL_PARAMS = {
-    "model": _Param(str, None, "interaction family", True, tuple(FAMILIES)),
+    "model": _Param(str, None, "interaction family", True, _MODELS),
     "alpha": _ALPHA,
     "n": _N,
     "R": _Param(float, None, "ring radius", domain=_POSITIVE),
@@ -139,7 +142,7 @@ _PARAM_SPECS: dict[str, dict[str, _Param]] = {
     },
     "minimize": {**_MODEL_PARAMS, "points_per_decade": _PPD},
     "tune": {
-        "model": _Param(str, None, "ring family to tune", True, _TUNE_FAMILIES),
+        "model": _Param(str, None, "ring family to tune", True, _TUNE_MODELS),
         "alpha": _ALPHA,
         "n": _N,
         "k": _MODEL_PARAMS["k"],
@@ -221,24 +224,25 @@ def _resolve_params(verb: str, args: argparse.Namespace) -> dict[str, Any]:
     return resolved
 
 
-def _scaling_exponent(family: str, k: int | None) -> int | None:
-    """--k for ``family``: 1 when unset for the scaling family, and
-    rejected for the families that take no exponent."""
-    if not FAMILIES[family].exponents:
+def _family(model: str, k: int | None) -> tuple[str, int | None]:
+    """The family and exponent that --model and --k name: ring-ml is the
+    scaling family at k = 1, scaling takes --k (1 when unset), and the
+    other models take no --k."""
+    if model != "scaling":
         if k is not None:
-            _fail_usage("--k", f"only the scaling family takes an exponent; model is {family!r}")
-        return None
-    return 1 if k is None else k
+            _fail_usage("--k", f"only the scaling family takes an exponent; model is {model!r}")
+        return ("scaling", 1) if model == "ring-ml" else (model, None)
+    return model, 1 if k is None else k
 
 
 def _build_model(params: dict[str, Any]) -> PotentialModel:
     """Construct the requested PotentialModel, naming flags on failure."""
-    family = params["model"]
+    name = params["model"]
+    family, k = _family(name, params["k"])
     spec = FAMILIES[family]
     cfg = PhysicalConfig(params["alpha"], params["n"])
-    k = _scaling_exponent(family, params["k"])
 
-    given = [name for name in ("R", "R_over_alpha2", "R_coeff") if params[name] is not None]
+    given = [key for key in ("R", "R_over_alpha2", "R_coeff") if params[key] is not None]
     if len(given) > 1:
         _fail_usage("--R", "give only one of --R, --R-over-alpha2, --R-coeff")
     R: float | None = None
@@ -249,10 +253,10 @@ def _build_model(params: dict[str, Any]) -> PotentialModel:
     elif params["R_coeff"] is not None:
         R = params["R_coeff"] * cfg.alpha ** (1 + (k if k is not None else 1))
     if (R is not None) != spec.R:
-        _fail_usage("--R", f"the {family} model {'needs a' if spec.R else 'has no'} ring radius")
+        _fail_usage("--R", f"the {name} model {'needs a' if spec.R else 'has no'} ring radius")
     kappa = params["kappa"]
     if (kappa is not None) != spec.kappa:
-        _fail_usage("--kappa", f"the {family} model {'needs the' if spec.kappa else 'has no'} "
+        _fail_usage("--kappa", f"the {name} model {'needs the' if spec.kappa else 'has no'} "
                     "regulator scale")
     ring = RingParams(R, kappa) if R is not None else None
     return PotentialModel(family, cfg, ring, scaling_k=k)
@@ -293,9 +297,11 @@ def _check_grid(verb: str, params: dict[str, Any]) -> None:
                     f"{decades:.6g} decades (at most {_MAX_POINTS} grid points); got {ppd}")
 
 
-def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
+def _echo_model_params(name: str, model: PotentialModel) -> dict[str, Any]:
+    """The resolved model parameters, under the --model ``name``: ring-ml
+    echoes no k."""
     echo: dict[str, Any] = {
-        "model": model.family,
+        "model": name,
         "alpha": model.cfg.alpha,
         "n": model.cfg.n,
     }
@@ -303,7 +309,7 @@ def _echo_model_params(model: PotentialModel) -> dict[str, Any]:
         echo["R"] = model.params.R
         if model.params.kappa is not None:
             echo["kappa"] = model.params.kappa
-    if model.scaling_k is not None:
+    if name == "scaling":
         echo["k"] = model.scaling_k
     return echo
 
@@ -313,7 +319,7 @@ def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     rmin, rmax = _window(params, model)
     energy = model.binding if params["quantity"] == "binding" else model
     curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
-    echo = _echo_model_params(model)
+    echo = _echo_model_params(params["model"], model)
     echo.update(
         rmin=rmin,
         rmax=rmax,
@@ -353,18 +359,31 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         }
         for p in minima
     ]
-    echo = _echo_model_params(model)
+    echo = _echo_model_params(params["model"], model)
     echo.update(rmin=rmin, rmax=rmax, points_per_decade=ppd)
     return echo, {"minima": payload, "count": len(payload)}
 
 
+def _sensitivity(
+    key: str, value: float, target: float, ring: Callable[[float], PotentialModel]
+) -> dict[str, Any]:
+    """The tight minimum of the ring ``ring(probe)``, at ``value`` truncated
+    to the 10 digits a tuned value is quoted to, and its side of ``target``."""
+    probe = _truncate_sig(value, 10)
+    energy = ring(probe).tight_minimum().v_star
+    return {
+        key: probe,
+        "probe_energy": energy,
+        "sign_vs_target": "negative" if energy < target else "positive",
+    }
+
+
 def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    family = params["model"]
+    family, k = _family(params["model"], params["k"])
     cfg = PhysicalConfig(params["alpha"], params["n"])
-    k = _scaling_exponent(family, params["k"])
     target = params["target"]
     echo = {
-        "model": family,
+        "model": params["model"],
         "alpha": cfg.alpha,
         "n": cfg.n,
         "target": target,
@@ -372,45 +391,36 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 
     if family == "ring-bltp":
         solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
-        probe_R = _truncate_sig(solution.R, 10)
-        probe_model = PotentialModel("ring-bltp", cfg, RingParams(probe_R, solution.kappa))
-        probe = probe_model.tight_minimum()
         results = {
             "kappa": solution.kappa,
             "R": solution.R,
             "residual": solution.residual,
             "R_over_alpha2": solution.R / cfg.alpha**2,
             "minimum": {"r_star": point.r_star, "energy": point.v_star},
-            "sensitivity": {
-                "probe_R": probe_R,
-                "probe_energy": probe.v_star,
-                "sign_vs_target": "negative" if probe.v_star < target else "positive",
-            },
+            "sensitivity": _sensitivity(
+                "probe_R", solution.R, target,
+                lambda R: PotentialModel(family, cfg, RingParams(R, solution.kappa)),
+            ),
         }
         return echo, results
 
-    k = 1 if k is None else k  # ring-ml is the k = 1 scaling member
     echo["k"] = k
     R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
     coeff = R / cfg.alpha ** (1 + k)
 
-    def tight_minimum(c: float):
-        params = RingParams(scaled_ring_radius(k, cfg.alpha, c))  # R = c alpha^(1+k)
-        return PotentialModel("scaling", cfg, params, scaling_k=k).tight_minimum()
+    def ring(R: float) -> PotentialModel:
+        return PotentialModel(family, cfg, RingParams(R), scaling_k=k)
 
-    point = tight_minimum(coeff)
-    probe_coeff = _truncate_sig(coeff, 10)
-    probe = tight_minimum(probe_coeff)
+    point = ring(R).tight_minimum()
     results = {
         "R": R,
         "coefficient": coeff,
         "coefficient_parameterization": f"R / alpha^{1 + k}",
         "minimum": {"r_star": point.r_star, "energy": point.v_star},
-        "sensitivity": {
-            "probe_coefficient": probe_coeff,
-            "probe_energy": probe.v_star,
-            "sign_vs_target": "negative" if probe.v_star < target else "positive",
-        },
+        "sensitivity": _sensitivity(
+            "probe_coefficient", coeff, target,
+            lambda c: ring(scaled_ring_radius(k, cfg.alpha, c)),  # R = c alpha^(1+k)
+        ),
     }
     return echo, results
 

@@ -1,6 +1,7 @@
 """Complete elliptic integrals of the first and second kind.
 
-Both functions take the elliptic MODULUS k, not the parameter m = k**2.
+ellip_KE returns the pair (K, E) from one AGM run.  It takes the elliptic
+MODULUS k, not the parameter m = k**2.
 This matters: the ring-ring interaction energy evaluates K and E at
 k = 1/sqrt(1 + r**2/(4*R**2)), and feeding that argument to a
 parameter-convention routine silently corrupts every ring potential.
@@ -26,8 +27,8 @@ catastrophically at small k.  _agm runs the recurrence on floats and
 _agm_array, the same loop, on ndarrays.
 
 K diverges logarithmically as k -> 1; that endpoint is a signalled domain
-error here, never an infinity sentinel, because the ring models reach k = 1
-only at r = 0 which callers must exclude.  E(1) = 1 is finite and allowed.
+error of ellip_KE, never an infinity sentinel, because the ring models
+reach k = 1 only at r = 0 which callers must exclude.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ellip_K", "ellip_E", "ellip_KE"]
+__all__ = ["ellip_KE"]
 
 # AGM contraction is quadratic; 64 sweeps is far beyond what double
 # precision can ever use, so hitting the cap indicates a logic error.
@@ -87,27 +88,11 @@ def _ellip_KE_pair(k: float, kp: float) -> tuple[float, float]:
 def ellip_KE(k: float) -> tuple[float, float]:
     """Return (K(k), E(k)) from a single AGM run.
 
-    The ring potentials need both integrals at the same modulus; sharing the
-    iteration halves the work in the innermost loop of every energy scan.
+    The pair shares the iteration, so E costs nothing beyond K.  The ring
+    potentials run the AGM themselves (_agm, _agm_array), on moduli that
+    keep k' exact.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1 for K(k); got k={k!r}")
     # k' formed without the 1 - k^2 cancellation
     return _ellip_KE_pair(k, math.sqrt((1.0 - k) * (1.0 + k)))
-
-
-def ellip_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus convention."""
-    return ellip_KE(k)[0]
-
-
-def ellip_E(k: float) -> float:
-    """Complete elliptic integral of the second kind, modulus convention.
-
-    Defined on all of [0, 1]; E(1) = 1 exactly (the integral of |cos|).
-    """
-    if k == 1.0:
-        return 1.0
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"modulus must satisfy 0 <= k <= 1 for E(k); got k={k!r}")
-    return ellip_KE(k)[1]

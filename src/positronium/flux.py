@@ -42,7 +42,7 @@ from .optimize import (
     find_root,
     minimize_scalar,
 )
-from .quadrature import PanelTable, angular_edges
+from .quadrature import PanelTable, QuadratureError, angular_edges
 
 __all__ = [
     "FluxError",
@@ -124,6 +124,8 @@ def flux_constraint_integral(u: float) -> float:
         raise ValueError(f"u must be finite and non-negative; got {u!r}")
     if u == 0.0:
         return 0.0
+    if 2.0 * u == math.inf:  # numpy would warn of the overflow first
+        raise QuadratureError(f"flux integral G at u={u!r}: the endpoint value 2u overflows")
     table, sines = _G_table(min(308, max(9, 2 + math.ceil(math.log10(u)))))
     return table.integral(-np.expm1(-2.0 * u * sines) / sines, u=u)
 
@@ -252,8 +254,13 @@ def tune_bltp(
         lines = ", ".join(
             f"u={u:.4g}: {'well closed' if g is None else f'{g:.6g}'}" for u, g in scanned
         )
+        energies = [ring(u)[2].v_star for u, g in scanned if g is not None]
+        reach = (
+            f"the tight-minimum energy spans [{min(energies):.6g}, {max(energies):.6g}] "
+            "where the well is open" if energies else "the well is closed at every u"
+        )
         raise FluxError(
-            f"no crossing of target_energy={target_energy!r} in the scan ({lines})"
+            f"no crossing of target_energy={target_energy!r} in the scan ({lines}); {reach}"
         )
 
     # find_root returns a point it has evaluated, so its ring and minimum are cached

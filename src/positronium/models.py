@@ -4,23 +4,23 @@ Everything is dimensionless: energies in units of the electron rest energy
 mc^2, lengths in reduced Compton lengths hbar/mc.  The pair is treated on
 circular orbits with angular momentum quantization p = n/r, so the kinetic
 part of every potential is 2*sqrt(1 + n^2/r^2) (two particles of equal
-mass).  Five interaction families, one FAMILIES entry each:
+mass).  Four interaction families, one FAMILIES entry each:
 
 * coulomb         point charges, Coulomb only
 * coulomb-dipole  point charges + point magnetic dipoles
-* ring-ml         charged current rings, standard fields (elliptic
-                  integrals)                                -> potential_v3
 * ring-bltp       charged current rings, Bopp-regulated fields with
                   inverse length kappa (angular quadratures)
-* scaling         the ring family with magnetic coupling alpha^(1+2k)
-                  in place of alpha^3 and natural radius alpha^(1+k)
-                                                    -> potential_scaling_law
+* scaling         charged current rings, standard fields (elliptic
+                  integrals), with magnetic coupling alpha^(1+2k) and
+                  natural radius alpha^(1+k)       -> potential_scaling_law
 
-ring-ml is the k = 1 member of scaling.  PotentialModel binds a family to
-its parameters: model(r) is the kinetic term plus the family's
-interaction, model.binding(r) the kinetic excess plus the same one, and
-model.tight_minimum() the tightly bound well of the three ring families,
-searched in a window each family declares relative to its own scale.
+The current-ring pair of the paper, with standard fields, is the k = 1
+member of scaling (potential_v3; the CLI spells it ring-ml).
+PotentialModel binds a family to its parameters: model(r) is the kinetic
+term plus the family's interaction, model.binding(r) the kinetic excess
+plus the same one, and model.tight_minimum() the tightly bound well of the
+two ring families, searched in a window each family declares relative to
+its own scale.
 
 Numerical conditioning notes, load-bearing and easy to get wrong:
 
@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import _agm, _agm_array
-from .optimize import OptimizeError, StationaryPoint, deepest_minimum, find_root
+from .optimize import OptimizeError, StationaryPoint, find_local_minima, find_root
 from .quadrature import PanelTable, QuadratureError, angular_edges
 
 __all__ = [
@@ -234,8 +234,8 @@ class PotentialModel:
 
     def tight_minimum(self) -> StationaryPoint:
         """Deepest minimum of the potential in the family's tight-well window,
-        scanned at 60 grid points per decade (see deepest_minimum): the grid
-        in one array call, the refinement in float calls.
+        scanned at 60 grid points per decade (see find_local_minima): the
+        grid in one array call, the refinement in float calls.
 
         Raises ValueError for the point families, which have no tight well,
         and OptimizeError naming the window, R and k (or kappa) when the
@@ -250,10 +250,14 @@ class PotentialModel:
         def potential(r: float) -> float:  # self(r), the family looked up once
             return energy(kinetic_term(cfg, r), self, r)
 
-        kappa = self.params.kappa
-        shape = f"k={_exponent(self)}" if kappa is None else f"kappa={kappa!r}"
-        context = f"at R={self.params.R!r}, {shape}"
-        return deepest_minimum(potential, lo, hi, 60, context, f_grid=self)
+        minima = find_local_minima(potential, lo, hi, 60, f_grid=self)
+        if not minima:
+            kappa = self.params.kappa
+            shape = f"k={self.scaling_k}" if kappa is None else f"kappa={kappa!r}"
+            raise OptimizeError(
+                f"no interior minimum in ({lo!r}, {hi!r}) at R={self.params.R!r}, {shape}"
+            )
+        return min(minima, key=lambda p: p.v_star)
 
 
 @dataclass(frozen=True)
@@ -549,14 +553,8 @@ def _cube(r: float | np.ndarray) -> float | np.ndarray:
         return math.inf
 
 
-def _exponent(model: PotentialModel) -> int:
-    """The scaling exponent k; ring-ml is k = 1 (_rings inlines this: hot path)."""
-    return 1 if model.scaling_k is None else model.scaling_k
-
-
 def _rings(kinetic: float, model: PotentialModel, r: float) -> float:
-    k = 1 if model.scaling_k is None else model.scaling_k  # ring-ml is k = 1
-    alpha = model.cfg.alpha
+    alpha, k = model.cfg.alpha, model.scaling_k
     return kinetic + _ring_interaction(model.params.R, alpha, alpha ** (1 + 2 * k), r)
 
 
@@ -564,7 +562,7 @@ def _rings_window(model: PotentialModel) -> tuple[float, float]:
     """The well of the k-family sits near r = 0.28 alpha^(1+k); x =
     r/alpha^(1+k) in (1e-3, 10) covers it with margin at any R for which
     it exists (it closes for R/alpha^(1+k) beyond ~0.56)."""
-    s = model.cfg.alpha ** (1 + _exponent(model))
+    s = model.cfg.alpha ** (1 + model.scaling_k)
     return 1e-3 * s, 10.0 * s
 
 
@@ -582,7 +580,6 @@ def _regulated_rings_window(model: PotentialModel) -> tuple[float, float]:
 FAMILIES: dict[str, Family] = {
     "coulomb": Family(_coulomb),
     "coulomb-dipole": Family(_coulomb_dipole),
-    "ring-ml": Family(_rings, R=True, tight_window=_rings_window),
     "ring-bltp": Family(
         _regulated_rings, R=True, kappa=True, tight_window=_regulated_rings_window
     ),
@@ -604,7 +601,10 @@ def sample_curve(
     spacing: str = "log",
 ) -> EnergyCurve:
     """Evaluate ``model`` (a PotentialModel, its ``binding``, or any energy
-    of r) once per point of a deterministic grid (log or linear spacing)."""
+    of r) once per point of a deterministic grid (log or linear spacing).
+
+    A value that is not finite, or an exception from ``model``, raises
+    RuntimeError naming r: a numerical failure, not a bad argument."""
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
     if points < 2:
@@ -616,12 +616,15 @@ def sample_curve(
     else:
         raise ValueError(f"spacing must be 'log' or 'linear'; got {spacing!r}")
     values = []
-    for r in grid:
+    for r in grid.tolist():
         try:
-            values.append(model(float(r)))
+            value = model(r)
         except Exception as err:
-            raise RuntimeError(f"curve evaluation failed at r={float(r)!r}: {err}") from err
-    return EnergyCurve(model=model, grid=tuple(float(r) for r in grid), values=tuple(values))
+            raise RuntimeError(f"curve evaluation failed at r={r!r}: {err}") from err
+        if not math.isfinite(value):
+            raise RuntimeError(f"curve evaluation failed at r={r!r}: non-finite value {value!r}")
+        values.append(value)
+    return EnergyCurve(model=model, grid=tuple(grid.tolist()), values=tuple(values))
 
 
 def tune_ring_radius(
@@ -630,25 +633,28 @@ def tune_ring_radius(
     target_energy: float,
     scaling_k: int = 1,
 ) -> float:
-    """Ring radius R at which the tight minimum equals ``target_energy``.
+    """Ring radius R at which the tight minimum of the scaling family at
+    exponent ``scaling_k`` equals ``target_energy``.
 
-    ``model_family`` is "ring-ml" (equivalent to scaling exponent k = 1) or
-    "scaling" (uses ``scaling_k``).  Solves for the coefficient c in
-    R = c * alpha^(1+k) over the bracket c in (0.42, 0.55), inside which
-    the tight well exists and its depth is monotone through the target.
-    The returned radius reproduces the target to the floating-point noise
-    floor of the energy (~1e-11), well inside the 1e-10 contract.
+    ``model_family`` must be "scaling", the one family this tunes: the
+    argument stays so that callers of the form
+    tune_ring_radius("scaling", cfg, target, scaling_k=k) keep working.
+    Solves for the coefficient c in R = c * alpha^(1+k) over the bracket
+    c in (0.42, 0.55), inside which the tight well exists and its depth is
+    monotone through the target.  The returned radius reproduces the
+    target to the floating-point noise floor of the energy (~1e-11), well
+    inside the 1e-10 contract.
     """
-    if model_family not in ("ring-ml", "scaling"):
-        raise ValueError(f"model_family must be 'ring-ml' or 'scaling'; got {model_family!r}")
-    k = 1 if model_family == "ring-ml" else scaling_k
+    if model_family != "scaling":
+        raise ValueError(f"model_family must be 'scaling'; got {model_family!r}")
+    k = scaling_k
     _require_exponent(k)
 
     c_lo, c_hi = 0.42, 0.55
 
     def gap(c: float) -> float:
         params = RingParams(scaled_ring_radius(k, cfg.alpha, c))  # R = c alpha^(1+k)
-        model = PotentialModel("scaling", cfg, params, scaling_k=k)  # ring-ml is k = 1
+        model = PotentialModel("scaling", cfg, params, scaling_k=k)
         return model.tight_minimum().v_star - target_energy
 
     try:

@@ -11,14 +11,12 @@ The engines used throughout the package:
   function over a range by scanning a log-spaced grid and refining each
   discrete dip.  Log spacing is load-bearing: the wells of interest sit seven
   orders of magnitude apart in radius, so a linear grid starves one regime.
-* :func:`deepest_minimum` -- the deepest of those minima in a window, or
-  an OptimizeError naming the window when it holds none.
 * :func:`find_root` -- Brent-style bracketed root finding (inverse quadratic
   interpolation / secant, bisection fallback), used by every tuning loop.
 
 All are deterministic and evaluate only the supplied callables: ``f``,
-and for the grid of find_local_minima (and deepest_minimum) an optional
-array form ``f_grid`` of it, which evaluates the whole grid in one call.
+and for the grid of find_local_minima an optional array form ``f_grid``
+of it, which evaluates the whole grid in one call.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "DEFAULT_X_TOL",
     "minimize_scalar",
     "find_local_minima",
-    "deepest_minimum",
     "find_root",
 ]
 
@@ -245,27 +242,6 @@ def find_local_minima(
         found[best] = replace(found[best], kind="global_min")
 
     return sorted(found, key=lambda p: p.r_star)
-
-
-def deepest_minimum(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points_per_decade: int,
-    context: str,
-    *,
-    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> StationaryPoint:
-    """Deepest interior minimum of ``f`` on [lo, hi] (see find_local_minima,
-    which takes ``f_grid``).
-
-    Raises OptimizeError naming the window and ``context`` -- the
-    parameters that fix ``f``, for the message -- when there is none.
-    """
-    minima = find_local_minima(f, lo, hi, points_per_decade=points_per_decade, f_grid=f_grid)
-    if not minima:
-        raise OptimizeError(f"no interior minimum in ({lo!r}, {hi!r}) {context}")
-    return min(minima, key=lambda p: p.v_star)
 
 
 def find_root(

@@ -24,7 +24,7 @@ def grids_compared(monkeypatch):
     ``f_grid`` twice, with it and with ``f`` alone, and fail unless both
     find the same minima, bit for bit.  Yields the list of the compared
     calls' windows, so a test can check that its calls were compared."""
-    from positronium import cli, optimize
+    from positronium import acceptance, cli, models, optimize
 
     original = optimize.find_local_minima
     compared = []
@@ -36,6 +36,6 @@ def grids_compared(monkeypatch):
             compared.append((r_min, r_max))
         return got
 
-    monkeypatch.setattr(optimize, "find_local_minima", both)
-    monkeypatch.setattr(cli, "find_local_minima", both)
+    for module in (optimize, models, cli, acceptance):
+        monkeypatch.setattr(module, "find_local_minima", both)
     yield compared

@@ -5,7 +5,8 @@ per family, and find_local_minima takes the array form for its grid
 (``f_grid``), keeping the float form for the refinement.  These tests pin
 the contract that makes that safe: the array values are the float values
 bit for bit, the same minima come out, the same errors are raised, fewer
-float calls are made, and no numpy warning escapes.
+float calls are made, and no numpy warning escapes (pyproject.toml makes
+every RuntimeWarning a test failure).
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positronium import acceptance, flux, models
+from positronium import acceptance, cli, flux, models
 from positronium.models import (
     BIOT_SAVART_WINDOW,
     COULOMB_WINDOW,
@@ -27,11 +28,8 @@ from positronium.models import (
     _bltp_integrals,
     scaled_ring_radius,
 )
-from positronium.optimize import OptimizeError, deepest_minimum, find_local_minima
+from positronium.optimize import OptimizeError, find_local_minima
 from positronium.quadrature import PanelTable, QuadratureError
-
-# the array paths run under np.errstate: a numpy warning here is a failure
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 CFG = PhysicalConfig()
 
@@ -47,7 +45,7 @@ def _model(family: str, coeff: float, k: int = 1, u: float = 4.64) -> PotentialM
     R = scaled_ring_radius(k, CFG.alpha, coeff)
     if family == "ring-bltp":
         return PotentialModel(family, CFG, RingParams(R, u / R))
-    return PotentialModel(family, CFG, RingParams(R), scaling_k=k if family == "scaling" else None)
+    return PotentialModel(family, CFG, RingParams(R), scaling_k=k)
 
 
 def _window(model: PotentialModel, which: int) -> tuple[float, float]:
@@ -84,7 +82,10 @@ def test_array_energies_are_the_float_energies(family, coeff, k, u, which, where
 )
 def test_array_energies_are_the_float_energies_on_dense_grids(family, k, which):
     # np.hypot and np.power round about one value in 500 and one in 20
-    # differently from math.hypot and float **: a dense grid sees both
+    # differently from math.hypot and float **: a dense grid sees both.
+    # ring-ml is the model the CLI builds for --model ring-ml
+    if family == "ring-ml":
+        family, k = cli._family(family, None)
     model = _model(family, models.ZERO_ENERGY_RADIUS_COEFF, k)
     lo, hi = _window(model, which)
     r = np.geomspace(lo, hi, 401 if family == "ring-bltp" else 4001)
@@ -96,11 +97,11 @@ def test_array_energies_past_the_float_range():
     # -inf where the dipole term overflows, -0.0 magnetic lines far out,
     # 2q kinetic terms where q^2 overflows: the float values, silently
     r = np.array([1e-300, 1e-200, 1e-106, 1e-5, 1.0, 1e300])
-    for family in ("coulomb", "coulomb-dipole", "ring-ml"):
-        model = (
-            PotentialModel(family, CFG, RingParams(2.6e-5))
-            if family == "ring-ml" else PotentialModel(family, CFG)
-        )
+    for model in (
+        PotentialModel("coulomb", CFG),
+        PotentialModel("coulomb-dipole", CFG),
+        PotentialModel("scaling", CFG, RingParams(2.6e-5), scaling_k=1),
+    ):
         for energy in (model, model.binding):
             assert energy(r).tolist() == [energy(x) for x in r.tolist()]
 
@@ -141,14 +142,18 @@ def test_ring_tight_minimum_makes_one_array_pass(monkeypatch, k):
 
 
 def test_tuning_finds_the_float_grids_minima(grids_compared):
-    # criteria 6 and 7 and tune_ring_radius for every exponent: each tight
-    # minimum from the array grid is the one the float grid finds
+    # criteria 4 to 7 and tune_ring_radius for every exponent: each minimum
+    # from the array grid is the one the float grid finds
     flux.tune_bltp()
     assert len(grids_compared) == 20  # criterion 6: 20 distinct rings
     for k in range(4):
         models.tune_ring_radius("scaling", CFG, 0.0, scaling_k=k)
     acceptance.criterion_7()
     assert len(grids_compared) > 24
+    compared = len(grids_compared)
+    acceptance.criterion_4()
+    acceptance.criterion_5()
+    assert grids_compared[compared:][-3:] == [(1e-6, 1e-3)] * 3  # the scans of 4 and 5
 
 
 def test_golden_minimize_and_tune_find_the_float_grids_minima(grids_compared):
@@ -198,7 +203,7 @@ def test_regulated_pair_fails_as_the_floats_fail(monkeypatch):
         # and through the tight-minimum search
         model = PotentialModel("ring-bltp", CFG, BLTP_GOLDEN)
         with pytest.raises(QuadratureError) as scalar:
-            deepest_minimum(model, 0.05 * R, 10.0 * R, 60, "")
+            find_local_minima(model, 0.05 * R, 10.0 * R, 60)
         with pytest.raises(QuadratureError) as batched:
             model.tight_minimum()
         assert str(batched.value) == str(scalar.value)

@@ -201,7 +201,6 @@ def test_ring_radius_past_the_float_range_is_a_usage_error(capsys, argv):
         ("--a-min", "1e-300", "--a-max", "1e300"),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trial_scales_past_the_float_range_are_a_numerical_failure(capsys, argv):
     # the node tables then span more than the float range: hi/lo overflows.
     # The integrands overflow at such scales too (silently: the numpy work
@@ -221,6 +220,28 @@ def test_dipole_window_past_the_float_range_is_a_numerical_failure(capsys):
     )
     assert code == 3
     assert err == "numerical failure: function returned non-finite value -inf at x=1e-300\n"
+
+
+@pytest.mark.parametrize(
+    "model,rmin,value",
+    [
+        # a subnormal r: the kinetic term is inf, the energy inf - inf
+        ("coulomb", "1e-320", "nan"),
+        # the dipole term has overflowed to inf
+        ("coulomb-dipole", "1e-300", "-inf"),
+    ],
+)
+def test_non_finite_scan_value_is_a_numerical_failure(capsys, model, rmin, value):
+    # a non-finite potential on the grid is a numerical failure, exit 3, in
+    # scan as in minimize: not a usage error
+    code, _, err = run_cli(
+        capsys, "scan", "--model", model, "--rmin", rmin, "--rmax", "1", "--points", "5"
+    )
+    assert code == 3
+    assert err == (
+        f"numerical failure: curve evaluation failed at r={float(rmin)!r}: "
+        f"non-finite value {value}\n"
+    )
 
 
 def test_dipole_scan_past_the_float_range_is_finite(capsys):
@@ -348,6 +369,47 @@ def test_tune_ring_ml(capsys):
     assert sens["probe_coefficient"] == pytest.approx(0.4959783237, rel=1e-12)
     assert sens["sign_vs_target"] == "negative"
     assert sens["probe_energy"] < 0.0
+
+
+_RING = ("--R-coeff", "0.49597832375")
+
+
+@pytest.mark.parametrize(
+    "verb,extra",
+    [("scan", (*_RING, "--points", "60")), ("scan", (*_RING, "--quantity", "binding")),
+     ("minimize", _RING), ("tune", ())],
+)
+def test_ring_ml_is_the_scaling_family_at_k_1(capsys, verb, extra):
+    # one ring family: --model ring-ml is --model scaling --k 1, bit for bit,
+    # and its envelope echoes ring-ml, with k only where tune echoes it
+    envelopes = []
+    for model in (("ring-ml",), ("scaling", "--k", "1")):
+        code, out, _ = run_cli(capsys, verb, "--model", *model, *extra, "--json")
+        assert code == 0
+        envelopes.append(json.loads(out))
+    ring_ml, scaling = envelopes
+    assert ring_ml["results"] == scaling["results"]
+    expected = dict(scaling["params"], model="ring-ml")
+    if verb != "tune":
+        del expected["k"]
+    assert ring_ml["params"] == expected
+
+
+@pytest.mark.parametrize("verb,extra", [("scan", _RING), ("tune", ())])
+def test_ring_ml_takes_no_exponent(capsys, verb, extra):
+    code, _, err = run_cli(capsys, verb, "--model", "ring-ml", *extra, "--k", "1")
+    assert code == 2
+    assert err == "error: --k: only the scaling family takes an exponent; model is 'ring-ml'\n"
+
+
+def test_model_choices_keep_their_order(capsys):
+    for verb, choices in (
+        ("scan", "'coulomb', 'coulomb-dipole', 'ring-ml', 'ring-bltp', 'scaling'"),
+        ("tune", "'ring-ml', 'ring-bltp', 'scaling'"),
+    ):
+        code, _, err = run_cli(capsys, verb, "--model", "yukawa")
+        assert code == 2
+        assert f"invalid choice: 'yukawa' (choose from {choices})" in err
 
 
 def test_flux_solve(capsys):

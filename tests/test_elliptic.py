@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from positronium.elliptic import _agm, _agm_array, _ellip_KE_pair, ellip_E, ellip_K, ellip_KE
+from positronium.elliptic import _agm, _agm_array, _ellip_KE_pair, ellip_KE
 
 mpmath.mp.dps = 30
 
@@ -52,8 +52,9 @@ def test_against_multiprecision_oracle(k):
 
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_against_defining_integral(k):
-    assert ellip_K(k) == pytest.approx(_quad_K(k), rel=1e-12)
-    assert ellip_E(k) == pytest.approx(_quad_E(k), rel=1e-12)
+    big_k, big_e = ellip_KE(k)
+    assert big_k == pytest.approx(_quad_K(k), rel=1e-12)
+    assert big_e == pytest.approx(_quad_E(k), rel=1e-12)
 
 
 def test_legendre_relation_across_moduli():
@@ -109,23 +110,20 @@ def test_scalar_and_array_agm_agree_bit_for_bit(R):
 
 def test_monotonicity():
     grid = [i / 20.0 for i in range(20)]
-    ks = [ellip_K(k) for k in grid]
-    es = [ellip_E(k) for k in grid]
+    ks, es = zip(*map(ellip_KE, grid))
     assert all(a < b for a, b in zip(ks, ks[1:]))
     assert all(a > b for a, b in zip(es, es[1:]))
 
 
-def test_second_kind_closes_the_domain():
-    assert ellip_E(1.0) == 1.0
-
-
 @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.inf])
 def test_first_kind_domain(bad):
-    with pytest.raises(ValueError):
-        ellip_K(bad)
+    # K diverges at k = 1, so the pair takes 0 <= k < 1
+    with pytest.raises(ValueError, match="0 <= k < 1"):
+        ellip_KE(bad)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0000001, math.inf])
 def test_second_kind_domain(bad):
-    with pytest.raises(ValueError):
-        ellip_E(bad)
+    # moduli outside [0, 1], where E is not real either
+    with pytest.raises(ValueError, match="0 <= k < 1"):
+        ellip_KE(bad)

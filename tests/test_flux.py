@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import mpmath
 import pytest
@@ -28,6 +29,7 @@ from positronium.models import (
     RingParams,
 )
 from positronium.optimize import OptimizeError
+from positronium.quadrature import QuadratureError
 
 
 def _series_G(u: float) -> float:
@@ -119,6 +121,15 @@ def test_constraint_integral_edge_cases():
     for u in (-0.1, math.inf, math.nan):
         with pytest.raises(ValueError):
             flux_constraint_integral(u)
+
+
+def test_constraint_integral_overflow_warns_nothing():
+    # above half the largest float the integrand's endpoint value 2u
+    # overflows; the QuadratureError names u, and numpy warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"u=9e\+307: the endpoint value 2u overflows"):
+            flux_constraint_integral(9e307)
 
 
 def test_rhs_depends_only_on_the_product():
@@ -348,3 +359,19 @@ def test_tune_bltp_without_crossing_lists_the_whole_scan():
     assert [float(u) for u in listed] == [
         pytest.approx(2.5 * 3.2 ** (i / 24.0), rel=1e-3) for i in range(25)
     ]
+    # and the range of the tight minimum where the well is open: the gaps
+    # listed, plus the target, from about -2.2e5 up to +2.1e4
+    energies = [float(g) + 1e5 for g in re.findall(r"u=[0-9.]+: (-?[0-9.e+]+)", str(info.value))]
+    assert len(energies) == 19
+    low, high = re.search(r"energy spans \[(\S+), (\S+)\] where the well is open",
+                          str(info.value)).groups()
+    assert float(low) == pytest.approx(min(energies), rel=1e-5)
+    assert float(high) == pytest.approx(max(energies), rel=1e-5)
+    assert float(low) < -2e5 and 2e4 < float(high) < 2.2e4
+
+
+def test_tune_bltp_without_an_open_well_says_so():
+    # the n = 20 orbit has no regulated tight well anywhere in the scan
+    with pytest.raises(FluxError, match="; the well is closed at every u$") as info:
+        tune_bltp(target_energy=0.0, n=20)
+    assert str(info.value).count("well closed") == 25

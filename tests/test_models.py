@@ -35,7 +35,7 @@ from positronium.models import (
     scaled_ring_radius,
     tune_ring_radius,
 )
-from positronium.optimize import OptimizeError, deepest_minimum, find_local_minima, find_root
+from positronium.optimize import OptimizeError, find_local_minima, find_root
 from positronium.quadrature import QuadratureError
 
 CFG = PhysicalConfig()
@@ -286,10 +286,7 @@ def test_ring_potential_positive_where_dipole_diverges():
 
 
 def test_ring_curve_has_two_minima_at_tuned_radius():
-    R = TUNED_COEFF * CFG.alpha**2
-    minima = find_local_minima(
-        PotentialModel("ring-ml", CFG, RingParams(R)).binding, 1e-6, 1e4, points_per_decade=40
-    )
+    minima = find_local_minima(_ring_ml(TUNED_COEFF).binding, 1e-6, 1e4, points_per_decade=40)
     assert len(minima) == 2
     tight, coulombic = minima
     assert tight.kind == "global_min"
@@ -316,7 +313,7 @@ def test_regulated_rings_approach_plain_rings():
     reg = RingParams(R, kappa=1e3 / R)
     plain = RingParams(R)
     reg_model = PotentialModel("ring-bltp", CFG, reg)
-    plain_model = PotentialModel("ring-ml", CFG, plain)
+    plain_model = PotentialModel("scaling", CFG, plain, scaling_k=1)
     for r in (5e-6, 2.57e-5, 1e-4, 274.0):
         assert abs(reg_model(r) - potential_v3(plain, CFG, r)) <= 1e-8
         assert abs(reg_model.binding(r) - plain_model.binding(r)) <= 1e-8
@@ -465,16 +462,17 @@ def test_regulated_potential_returns_plain_floats():
 
 
 def test_scaling_family_reduces_to_plain_rings_at_reference_exponent():
-    # ring-ml is the k = 1 member of the scaling family, bit for bit
+    # the plain ring pair is the k = 1 member of the scaling family, bit for bit
     R = 2.661639e-5
     params = RingParams(R)
-    ring_ml = PotentialModel("ring-ml", CFG, params)
     scaling_k1 = PotentialModel("scaling", CFG, params, scaling_k=1)
     for r in np.geomspace(1e-9, 1e6, 2001):
         r = float(r)
         assert potential_scaling_law(1, params, CFG, r) == potential_v3(params, CFG, r)
-        assert ring_ml(r) == scaling_k1(r) == potential_v3(params, CFG, r)
-        assert ring_ml.binding(r) == scaling_k1.binding(r)
+        assert scaling_k1(r) == potential_v3(params, CFG, r)
+        assert scaling_k1.binding(r) == kinetic_excess(CFG, r) + sum(
+            ring_energy_lines(params, CFG, r)
+        )
 
 
 def test_scaled_ring_radius_rule():
@@ -500,7 +498,7 @@ def test_rest_energy_asymptote_across_families():
 
 
 def test_tune_ring_radius_frozen_coefficient():
-    R = tune_ring_radius("ring-ml", CFG, 0.0)
+    R = tune_ring_radius("scaling", CFG, 0.0)
     coeff = R / CFG.alpha**2
     assert coeff == pytest.approx(TUNED_COEFF, rel=1e-11)
     # ten significant digits of agreement with the package reference value
@@ -508,13 +506,16 @@ def test_tune_ring_radius_frozen_coefficient():
 
 
 def _ring_ml(coeff: float) -> PotentialModel:
-    return PotentialModel("ring-ml", CFG, RingParams(scaled_ring_radius(1, CFG.alpha, coeff)))
+    """The plain ring pair (the CLI's ring-ml) at R = coeff alpha^2."""
+    R = scaled_ring_radius(1, CFG.alpha, coeff)
+    return PotentialModel("scaling", CFG, RingParams(R), scaling_k=1)
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_tight_minimum_scans_the_scaled_window(k):
-    # the search is deepest_minimum over r/alpha^(1+k) in (1e-3, 10) at 60
-    # points per decade, on the ring lines with coupling alpha^(1+2k)
+    # the search is the deepest of the minima over r/alpha^(1+k) in
+    # (1e-3, 10) at 60 points per decade, on the ring lines with coupling
+    # alpha^(1+2k)
     s = CFG.alpha ** (1 + k)
     for coeff in (0.45, ZERO_ENERGY_RADIUS_COEFF, 0.53):
         R = coeff * s
@@ -523,17 +524,15 @@ def test_tight_minimum_scans_the_scaled_window(k):
             electric, magnetic = _ring_lines(R, CFG.alpha, CFG.alpha ** (1 + 2 * k), r)
             return kinetic_term(CFG, r) + (electric + magnetic)
 
-        want = deepest_minimum(f, 1e-3 * s, 10.0 * s, 60, "")
+        want = min(find_local_minima(f, 1e-3 * s, 10.0 * s, 60), key=lambda p: p.v_star)
         got = PotentialModel("scaling", CFG, RingParams(R), scaling_k=k).tight_minimum()
         assert (got.r_star, got.v_star) == (want.r_star, want.v_star)
-        if k == 1:
-            assert _ring_ml(coeff).tight_minimum() == got
 
 
 def test_tight_minimum_of_the_regulated_rings_scans_relative_to_R():
     R, kappa = 2.5698078287e-5, 1.8052024923e5
     model = PotentialModel("ring-bltp", CFG, RingParams(R, kappa))
-    want = deepest_minimum(model, 0.05 * R, 10.0 * R, 60, "")
+    want = min(find_local_minima(model, 0.05 * R, 10.0 * R, 60), key=lambda p: p.v_star)
     got = model.tight_minimum()
     assert (got.r_star, got.v_star) == (want.r_star, want.v_star)
     assert 0.05 * R < got.r_star < 10.0 * R
@@ -574,15 +573,20 @@ def test_tenth_digit_sensitivity():
 
 
 def test_tight_well_closes_at_large_coefficient():
+    # past R/alpha^2 ~ 0.56 the window holds no interior minimum: the error
+    # names the window, R and k
     model = _ring_ml(0.7)
-    where = rf"in \(.+\) at R={re.escape(repr(model.params.R))}, k=1"
-    with pytest.raises(OptimizeError, match=where):
+    lo, hi = 1e-3 * CFG.alpha**2, 10.0 * CFG.alpha**2
+    where = f"no interior minimum in ({lo!r}, {hi!r}) at R={model.params.R!r}, k=1"
+    with pytest.raises(OptimizeError, match=re.escape(where) + "$"):
         model.tight_minimum()
 
 
 def test_tune_rejects_unknown_family_and_exponent():
-    with pytest.raises(ValueError):
-        tune_ring_radius("coulomb", CFG, 0.0)
+    # the scaling family is the one it tunes; ring-ml is the CLI's name for k = 1
+    for family in ("coulomb", "ring-bltp", "ring-ml"):
+        with pytest.raises(ValueError, match=f"must be 'scaling'; got '{family}'"):
+            tune_ring_radius(family, CFG, 0.0)
     with pytest.raises(ValueError):
         tune_ring_radius("scaling", CFG, 0.0, scaling_k=7)
 
@@ -622,11 +626,20 @@ def test_sample_curve_validation():
         sample_curve(model, 1.0, 2.0, 10, spacing="cubic")
 
 
+def test_sample_curve_names_a_non_finite_value():
+    # sample_curve checks each value as it evaluates it: a RuntimeError (a
+    # numerical failure), where EnergyCurve's own check raises ValueError
+    with pytest.raises(RuntimeError, match=r"failed at r=1e-300: non-finite value -inf$"):
+        sample_curve(DIPOLE, 1e-300, 1.0, 5)
+    with pytest.raises(ValueError, match="non-finite value nan at r=2.0"):
+        EnergyCurve(COULOMB, (1.0, 2.0), (0.0, math.nan))
+
+
 def test_model_call_dispatch():
     r = 3e-5
     R = 2.661639e-5
     dipole = CFG.alpha**3 / (8.0 * math.pi**2 * r**3)
-    ring_ml = PotentialModel("ring-ml", CFG, RingParams(R))
+    ring_ml = PotentialModel("scaling", CFG, RingParams(R), scaling_k=1)
     ring_bltp = PotentialModel("ring-bltp", CFG, RingParams(R, 1.8e5))
     scaling = PotentialModel("scaling", CFG, RingParams(R), scaling_k=2)
     assert COULOMB(r) == kinetic_term(CFG, r) - CFG.alpha / r
@@ -677,7 +690,7 @@ def test_ring_radius_range_ends_evaluate_finitely():
     high = sys.float_info.max ** (1 / 3)
     for R in (low, high):
         for model in (
-            PotentialModel("ring-ml", CFG, RingParams(R)),
+            PotentialModel("scaling", CFG, RingParams(R), scaling_k=1),
             PotentialModel("scaling", CFG, RingParams(R), scaling_k=0),
             PotentialModel("ring-bltp", CFG, RingParams(R, 1.0)),
         ):
@@ -690,13 +703,16 @@ def test_model_family_validation():
     with pytest.raises(ValueError):
         PotentialModel("coulomb", CFG, RingParams(1e-5))
     with pytest.raises(ValueError):
-        PotentialModel("ring-ml", CFG, RingParams(1e-5, kappa=1e5))
+        PotentialModel("scaling", CFG, RingParams(1e-5, kappa=1e5), scaling_k=1)
     with pytest.raises(ValueError):
         PotentialModel("ring-bltp", CFG, RingParams(1e-5))
     with pytest.raises(ValueError):
         PotentialModel("scaling", CFG, RingParams(1e-5), scaling_k=9)
     with pytest.raises(ValueError):
-        PotentialModel("ring-ml", CFG, RingParams(1e-5), scaling_k=1)
+        PotentialModel("coulomb", CFG, scaling_k=1)
+    # ring-ml is the CLI's name for the scaling family at k = 1, not a family
+    with pytest.raises(ValueError, match="unknown family 'ring-ml'"):
+        PotentialModel("ring-ml", CFG, RingParams(1e-5))
 
 
 def test_missing_kappa_is_rejected_at_evaluation():

@@ -1,15 +1,15 @@
 """Scalar minimization, grid scanning, and root finding."""
 
 import math
+import re
 
 import pytest
 
-from positronium.models import PhysicalConfig, PotentialModel, bohr_energy
+from positronium.models import PhysicalConfig, PotentialModel, RingParams, bohr_energy
 from positronium.optimize import (
     Bracket,
     OptimizeError,
     StationaryPoint,
-    deepest_minimum,
     find_local_minima,
     find_root,
     minimize_scalar,
@@ -66,16 +66,25 @@ def test_monotone_function_has_no_minima():
 
 
 def test_deepest_minimum_picks_the_lowest_well():
-    # minima of cos(x) - x/100 at about pi, 3pi, 5pi: the last is deepest
+    # minima of cos(x) - x/100 at about pi, 3pi, 5pi: the last is deepest,
+    # and the one labelled global_min
     f = lambda x: math.cos(x) - x / 100.0
-    p = deepest_minimum(f, 1.0, 20.0, 40, "for the test curve")
-    assert p == min(find_local_minima(f, 1.0, 20.0, points_per_decade=40), key=lambda q: q.v_star)
+    minima = find_local_minima(f, 1.0, 20.0, points_per_decade=40)
+    p = min(minima, key=lambda q: q.v_star)
+    assert len(minima) == 3 and [q.kind == "global_min" for q in minima] == [False, False, True]
+    assert p is minima[-1]
     assert p.r_star == pytest.approx(5.0 * math.pi, rel=1e-3)
 
 
 def test_deepest_minimum_names_the_empty_window():
-    with pytest.raises(OptimizeError, match=r"\(1\.0, 100\.0\) for coeff=0\.7"):
-        deepest_minimum(lambda x: x, 1.0, 100.0, 20, "for coeff=0.7")
+    # the deepest tight minimum of a barely regulated ring pair (kappa R = 1):
+    # (0.05 R, 10 R) holds no interior minimum, and the error names the
+    # window, R and kappa
+    R = 2.5698078287e-5
+    model = PotentialModel("ring-bltp", PhysicalConfig(), RingParams(R, 1.0 / R))
+    where = f"no interior minimum in ({0.05 * R!r}, {10.0 * R!r}) at R={R!r}, kappa={1.0 / R!r}"
+    with pytest.raises(OptimizeError, match=re.escape(where) + "$"):
+        model.tight_minimum()
 
 
 def test_root_of_sqrt_two():

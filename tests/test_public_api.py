@@ -12,12 +12,12 @@ PACKAGE = Path(positronium.__file__).resolve().parent
 EXPORTS = {
     "__version__",
     # elliptic
-    "ellip_E", "ellip_K", "ellip_KE",
+    "ellip_KE",
     # quadrature
     "QuadratureError",
     # optimize
-    "Bracket", "OptimizeError", "StationaryPoint", "deepest_minimum", "find_local_minima",
-    "find_root", "minimize_scalar",
+    "Bracket", "OptimizeError", "StationaryPoint", "find_local_minima", "find_root",
+    "minimize_scalar",
     # models
     "ALPHA_FS", "BIOT_SAVART_WINDOW", "COULOMB_WINDOW", "ZERO_ENERGY_RADIUS_COEFF",
     "EnergyCurve", "PhysicalConfig", "PotentialModel", "RingParams", "bohr_energy",
@@ -34,7 +34,7 @@ EXPORTS = {
 
 
 def test_package_exports_are_pinned():
-    assert len(positronium.__all__) == len(set(positronium.__all__)) == 41
+    assert len(positronium.__all__) == len(set(positronium.__all__)) == 38
     assert set(positronium.__all__) == EXPORTS
     for name in EXPORTS:
         assert hasattr(positronium, name), name
