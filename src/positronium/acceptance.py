@@ -200,14 +200,14 @@ def criterion_4() -> CriterionResult:
         )
     ]
     tuned = _rings(R, cfg)
-    minima = find_local_minima(tuned, 1e-6, 1e-3, 40, f_grid=tuned)
+    minima = find_local_minima(tuned, 1e-6, 1e-3, 40)
     if minima:
         best = min(minima, key=lambda p: p.v_star)
         checks.append(_rel_check("tight minimizer r_star", best.r_star, 1.3e-5, 0.20))
     else:
         checks.append(_check("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
     truncated = _rings(0.4959783237 * alpha2, cfg)
-    dropped = find_local_minima(truncated, 1e-6, 1e-3, 40, f_grid=truncated)
+    dropped = find_local_minima(truncated, 1e-6, 1e-3, 40)
     e_dropped = min(p.v_star for p in dropped) if dropped else math.nan
     checks.append(
         _check("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
@@ -219,7 +219,7 @@ def criterion_5() -> CriterionResult:
     """No second tightly bound state: the n = 2 curve at tuned parameters
     has no interior minimum below the Compton length."""
     tuned = _rings(_tuned_ml_radius(), PhysicalConfig(n=2))
-    minima = find_local_minima(tuned, 1e-6, 1e-3, 40, f_grid=tuned)
+    minima = find_local_minima(tuned, 1e-6, 1e-3, 40)
     checks = (
         _check("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
     )

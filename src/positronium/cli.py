@@ -258,19 +258,23 @@ def _build_model(params: dict[str, Any]) -> PotentialModel:
     if (kappa is not None) != spec.kappa:
         _fail_usage("--kappa", f"the {name} model {'needs the' if spec.kappa else 'has no'} "
                     "regulator scale")
-    ring = RingParams(R, kappa) if R is not None else None
+    try:
+        ring = RingParams(R, kappa) if R is not None else None
+    except ValueError as err:  # R past its range; kappa's domain is checked
+        _fail_usage(_flag(given[0]), str(err))
     return PotentialModel(family, cfg, ring, scaling_k=k)
 
 
-def _window(params: dict[str, Any], model: PotentialModel) -> tuple[float, float]:
-    """--rmin/--rmax, defaulting to the family's operational window.
+def _window(params: dict[str, Any]) -> tuple[float, float]:
+    """--rmin/--rmax, defaulting to the operational window of --model.
 
     The tight well of the scaling family sits near 0.28 alpha^(1+k), so its
     window is BIOT_SAVART_WINDOW (the k = 1 one) times alpha^(k-1).
     """
-    lo, hi = COULOMB_WINDOW if model.family == "coulomb" else BIOT_SAVART_WINDOW
-    if model.scaling_k is not None:
-        shift = model.cfg.alpha ** (model.scaling_k - 1)
+    family, k = _family(params["model"], params["k"])
+    lo, hi = COULOMB_WINDOW if family == "coulomb" else BIOT_SAVART_WINDOW
+    if k is not None:
+        shift = params["alpha"] ** (k - 1)
         lo, hi = lo * shift, hi * shift
     rmin = params["rmin"] if params["rmin"] is not None else lo
     rmax = params["rmax"] if params["rmax"] is not None else hi
@@ -284,7 +288,7 @@ def _check_grid(verb: str, params: dict[str, Any]) -> None:
     a variational scan lays, ceil(ppd * decades) + 1 points (see
     find_local_minima), would pass the --points cap."""
     if verb == "minimize":
-        lo, hi = _window(params, _build_model(params))
+        lo, hi = _window(params)
     elif verb == "variational" and params["a"] is None:
         lo, hi = params["a_min"], params["a_max"]
     else:
@@ -316,9 +320,12 @@ def _echo_model_params(name: str, model: PotentialModel) -> dict[str, Any]:
 
 def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    rmin, rmax = _window(params, model)
+    rmin, rmax = _window(params)
     energy = model.binding if params["quantity"] == "binding" else model
-    curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
+    try:
+        curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
+    except ValueError as err:  # the window and flags are valid: the grid repeats a float
+        _fail_usage("--points", f"too many for the window ({rmin!r}, {rmax!r}): {err}")
     echo = _echo_model_params(params["model"], model)
     echo.update(
         rmin=rmin,
@@ -340,15 +347,12 @@ def _curve_csv(results: dict[str, Any]) -> str:
 
 def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     model = _build_model(params)
-    rmin, rmax = _window(params, model)
+    rmin, rmax = _window(params)
     ppd = params["points_per_decade"]
 
     # minimize the rest-subtracted form (same minimizers, far better
-    # conditioned); report both the raw value and the binding value.  The
-    # grid takes the array form in one call, the refinement the float one
-    minima = find_local_minima(
-        model.binding, rmin, rmax, points_per_decade=ppd, f_grid=model.binding
-    )
+    # conditioned); report both the raw value and the binding value
+    minima = find_local_minima(model.binding, rmin, rmax, points_per_decade=ppd)
     payload = [
         {
             "r_star": p.r_star,

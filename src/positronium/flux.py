@@ -203,7 +203,7 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
             u_lo = u_mid
         else:
             u_hi = u_mid
-    R = find_root(excess, u_min, u_hi, tol=0.0) / kappa
+    R = find_root(excess, u_min, u_hi) / kappa
 
     residual = R - flux_rhs(kappa, R, alpha)
     if abs(residual) > 1e-12 * R:
@@ -264,6 +264,6 @@ def tune_bltp(
         )
 
     # find_root returns a point it has evaluated, so its ring and minimum are cached
-    R, kappa, point = ring(find_root(gap, u_a, u, tol=0.0))
+    R, kappa, point = ring(find_root(gap, u_a, u))
     residual = R - flux_rhs(kappa, R, alpha)
     return FluxSolution(kappa=kappa, R=R, residual=residual), point

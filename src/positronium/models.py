@@ -50,9 +50,10 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
   ring modulus (np.power and np.hypot round differently from float ** and
   math.hypot), and the Bopp pair's sums run in the float order.  Arrays
   are evaluated under np.errstate: past the float range they give the
-  inf, 0 or -0.0 the floats give, without a warning.  tight_minimum
-  scans its grid with one array call and refines with floats, so it
-  returns what a float scan returns.
+  inf, 0 or -0.0 the floats give, without a warning.  So every energy is
+  a scan callable: find_local_minima (and with it tight_minimum) and
+  sample_curve evaluate their grid in one array call, and the minima and
+  curves they return are the ones a float-by-float scan returns.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ _SCALING_EXPONENTS = (0, 1, 2, 3)
 # tolerances for the angular quadratures of the Bopp-regulated ring pair;
 # the cos(2*phi) integral is multiplied by (alpha/2piR)^3 ~ 1e5, so its
 # absolute error budget is what limits the final energy accuracy
-_V4_REL_TOL = 1e-13
-_V4_ABS_TOL = 1e-14
+_BLTP_REL_TOL = 1e-13
+_BLTP_ABS_TOL = 1e-14
 # nodes per array pass of the Bopp pair over many r: 512 KiB per array
 _BLTP_CHUNK = 1 << 16
 
@@ -245,12 +246,7 @@ class PotentialModel:
         if spec.tight_window is None:
             raise ValueError(f"the {self.family} family has no tight well")
         lo, hi = spec.tight_window(self)
-        energy, cfg = spec.energy, self.cfg
-
-        def potential(r: float) -> float:  # self(r), the family looked up once
-            return energy(kinetic_term(cfg, r), self, r)
-
-        minima = find_local_minima(potential, lo, hi, 60, f_grid=self)
+        minima = find_local_minima(self, lo, hi, 60)
         if not minima:
             kappa = self.params.kappa
             shape = f"k={self.scaling_k}" if kappa is None else f"kappa={kappa!r}"
@@ -265,10 +261,10 @@ class EnergyCurve:
     """A sampled energy curve: strictly increasing positive grid, finite values.
 
     ``model`` is the function sampled: a PotentialModel, its ``binding``,
-    or any other energy of r.
+    or any other energy of r that takes a float or a 1-D ndarray of them.
     """
 
-    model: Callable[[float], float]
+    model: Callable[[float | np.ndarray], float | np.ndarray]
     grid: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -279,9 +275,8 @@ class EnergyCurve:
             raise ValueError("curve needs at least 2 points")
         if self.grid[0] <= 0.0:
             raise ValueError("grid must be positive")
-        for a, b in zip(self.grid, self.grid[1:]):
-            if not a < b:
-                raise ValueError("grid must be strictly increasing")
+        if not all(a < b for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid must be strictly increasing")
         for r, v in zip(self.grid, self.values):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {v!r} at r={r!r}")
@@ -368,17 +363,27 @@ def _ring_lines(
     with math.hypot.  An array caller that needs no float twin may pass
     ``hypot=np.hypot`` (the variational node tables do): ten times faster,
     and an ulp off at about one rho in 500 between 0.003 and 40.
+
+    Where rho underflows to 0 (K diverges at k = 1) the lines are far below
+    an ulp of the kinetic term and the least subnormal rho serves; where it
+    overflows they are their far limits -alpha/r and -0.0.
     """
     rho = r / (2.0 * R)
     array = isinstance(rho, np.ndarray)
     if not array:
+        if math.isinf(rho):
+            return -alpha / r, -0.0
+        rho = max(rho, _SUBNORMAL_MIN)
         h, agm = math.hypot(1.0, rho), _agm
-    elif hypot is None:
-        ones = itertools.repeat(1.0, rho.size)
-        h = np.fromiter(map(math.hypot, ones, rho.ravel().tolist()), float, rho.size)
-        h, agm = h.reshape(rho.shape), _agm_array
     else:
-        h, agm = hypot(1.0, rho), _agm_array
+        far = np.isinf(rho)
+        rho = np.where(far, 1.0, np.maximum(rho, _SUBNORMAL_MIN))
+        if hypot is None:
+            ones = itertools.repeat(1.0, rho.size)
+            h = np.fromiter(map(math.hypot, ones, rho.ravel().tolist()), float, rho.size)
+            h, agm = h.reshape(rho.shape), _agm_array
+        else:
+            h, agm = hypot(1.0, rho), _agm_array
     k = 1.0 / h     # modulus
     kp = rho / h    # complementary modulus, exact even when k rounds to 1
     big_k, series = agm(k, kp)
@@ -390,6 +395,7 @@ def _ring_lines(
     # a finite float or underflows to -0.0: take h * K S first there
     if array:
         magnetic = np.where(np.isinf(scaled), prefactor * (h * bracket), scaled * bracket)
+        electric[far], magnetic[far] = -alpha / r[far], -0.0
     elif math.isinf(scaled):
         magnetic = prefactor * (h * bracket)
     else:
@@ -448,7 +454,8 @@ def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
     rho = r / (2.0 * R)
     scale = 2.0 * kappa * R
     if not isinstance(rho, np.ndarray):
-        return _bltp_pass(_bltp_decades(rho, scale), rho, scale, r, R, kappa)
+        with np.errstate(all="ignore"):  # as PotentialModel runs an array
+            return _bltp_pass(_bltp_decades(rho, scale), rho, scale, r, R, kappa)
     decades = np.array([_bltp_decades(x, scale) for x in rho.tolist()], dtype=int)
     i1, i2 = np.empty_like(rho), np.empty_like(rho)
     try:
@@ -500,8 +507,8 @@ def _bltp_table(decades: int) -> tuple[PanelTable, np.ndarray, np.ndarray]:
         "ring quadrature",
         angular_edges(10.0**-decades),
         lambda phi: np.full_like(phi, 2.0),
-        _V4_REL_TOL,
-        _V4_ABS_TOL,
+        _BLTP_REL_TOL,
+        _BLTP_ABS_TOL,
     )
     s = np.sin(table.nodes)
     return table, s, 1.0 - 2.0 * s * s
@@ -521,7 +528,6 @@ def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: fl
     scaled_ring_radius.
     """
     _require_exponent(k)
-    _require_positive_r(r)
     return kinetic_term(cfg, r) + _ring_interaction(
         params.R, cfg.alpha, cfg.alpha ** (1 + 2 * k), r
     )
@@ -594,37 +600,33 @@ def scaled_ring_radius(k: int, alpha: float = ALPHA_FS, coeff: float = ZERO_ENER
 
 
 def sample_curve(
-    model: Callable[[float], float],
+    model: Callable[[float | np.ndarray], float | np.ndarray],
     r_min: float,
     r_max: float,
     points: int,
     spacing: str = "log",
 ) -> EnergyCurve:
     """Evaluate ``model`` (a PotentialModel, its ``binding``, or any energy
-    of r) once per point of a deterministic grid (log or linear spacing).
+    of r that takes a float or a 1-D ndarray of them) in one call on a
+    deterministic grid (log or linear spacing).
 
-    A value that is not finite, or an exception from ``model``, raises
-    RuntimeError naming r: a numerical failure, not a bad argument."""
+    A value that is not finite raises RuntimeError naming the first such
+    r: a numerical failure, not a bad argument.  An exception from
+    ``model`` propagates as raised."""
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
     if points < 2:
         raise ValueError(f"need at least 2 points; got {points!r}")
-    if spacing == "log":
-        grid = np.geomspace(r_min, r_max, points)
-    elif spacing == "linear":
-        grid = np.linspace(r_min, r_max, points)
-    else:
+    if spacing not in ("log", "linear"):
         raise ValueError(f"spacing must be 'log' or 'linear'; got {spacing!r}")
-    values = []
-    for r in grid.tolist():
-        try:
-            value = model(r)
-        except Exception as err:
-            raise RuntimeError(f"curve evaluation failed at r={r!r}: {err}") from err
-        if not math.isfinite(value):
-            raise RuntimeError(f"curve evaluation failed at r={r!r}: non-finite value {value!r}")
-        values.append(value)
-    return EnergyCurve(model=model, grid=tuple(grid.tolist()), values=tuple(values))
+    with np.errstate(over="ignore"):  # a step may overflow near the float range's top
+        grid = (np.geomspace if spacing == "log" else np.linspace)(r_min, r_max, points)
+    values = model(grid)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))  # the first non-finite value
+        raise RuntimeError(f"curve evaluation failed at r={float(grid[i])!r}: "
+                           f"non-finite value {float(values[i])!r}")
+    return EnergyCurve(model=model, grid=tuple(grid.tolist()), values=tuple(values.tolist()))
 
 
 def tune_ring_radius(
@@ -658,7 +660,7 @@ def tune_ring_radius(
         return model.tight_minimum().v_star - target_energy
 
     try:
-        c_star = find_root(gap, c_lo, c_hi, tol=0.0)
+        c_star = find_root(gap, c_lo, c_hi)
     except ValueError as err:
         raise OptimizeError(
             f"tuning bracket c in ({c_lo}, {c_hi}) does not straddle the target: {err}"

@@ -14,9 +14,10 @@ The engines used throughout the package:
 * :func:`find_root` -- Brent-style bracketed root finding (inverse quadratic
   interpolation / secant, bisection fallback), used by every tuning loop.
 
-All are deterministic and evaluate only the supplied callables: ``f``,
-and for the grid of find_local_minima an optional array form ``f_grid``
-of it, which evaluates the whole grid in one call.
+All are deterministic and evaluate only the supplied callable.  The
+callable of find_local_minima takes a float or a 1-D ndarray of them (as
+every energy of the package does): the scan evaluates its whole grid in
+one array call, and the refinement calls it with floats.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def minimize_scalar(
     d = e = 0.0
 
     for _ in range(_MAX_MIN_ITER):
-        xm = 0.5 * (a + b)
+        xm = 0.5 * a + 0.5 * b  # 0.5 * (a + b), without overflowing near the top
         tol1 = x_tol * abs(x) + 1e-300
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
@@ -134,7 +135,8 @@ def minimize_scalar(
                 p = -p
             q = abs(q)
             e_prev, e = e, d
-            if abs(p) >= abs(0.5 * q * e_prev) or p <= q * (a - x) or p >= q * (b - x):
+            # a nan p (the parabola overflowed) fails the first test: golden step
+            if not abs(p) < abs(0.5 * q * e_prev) or p <= q * (a - x) or p >= q * (b - x):
                 e = (a - x) if x >= xm else (b - x)
                 d = _GOLDEN * e
             else:
@@ -173,13 +175,10 @@ def minimize_scalar(
 
 
 def find_local_minima(
-    f: Callable[[float], float],
+    f: Callable[[float | np.ndarray], float | np.ndarray],
     r_min: float,
     r_max: float,
     points_per_decade: int,
-    x_tol: float = DEFAULT_X_TOL,
-    *,
-    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[StationaryPoint]:
     """Enumerate interior minima of ``f`` on [r_min, r_max].
 
@@ -191,11 +190,10 @@ def find_local_minima(
     missed; an empty list means no minima were found, which is a valid
     answer rather than an error.
 
-    ``f_grid``, when given, is ``f`` over a 1-D ndarray of abscissae: the
-    grid's values then come from one call to it, and only the refinement
-    calls ``f``.  Where it agrees with ``f`` on the grid, the result is the
-    one ``f`` alone gives, bit for bit.  A non-finite value raises the
-    OptimizeError ``f`` would raise at the first such grid point.
+    ``f`` takes a float or a 1-D ndarray of them: the grid's values come
+    from one call on the grid as an ndarray, and the refinement calls it
+    with floats.  A non-finite grid value raises OptimizeError at the first
+    such grid point.
     """
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
@@ -205,25 +203,22 @@ def find_local_minima(
     lg_lo, lg_hi = math.log10(r_min), math.log10(r_max)
     count = max(3, int(math.ceil(points_per_decade * (lg_hi - lg_lo))) + 1)
     step = (lg_hi - lg_lo) / (count - 1)
-    grid = [10.0 ** (lg_lo + i * step) for i in range(count)]
-    grid[0], grid[-1] = r_min, r_max
-    if f_grid is None:
-        values = [_checked(f, r) for r in grid]
-    else:
-        array = f_grid(np.array(grid))
-        if not np.isfinite(array).all():
-            i = int(np.argmin(np.isfinite(array)))  # the first non-finite value
-            raise _non_finite(float(array[i]), grid[i])
-        values = array.tolist()
+    # the ends are r_min and r_max themselves: 10 ** lg_hi may round past the float range
+    grid = [r_min, *(10.0 ** (lg_lo + i * step) for i in range(1, count - 1)), r_max]
+    array = f(np.array(grid))
+    if not np.isfinite(array).all():
+        i = int(np.argmin(np.isfinite(array)))  # the first non-finite value
+        raise _non_finite(float(array[i]), grid[i])
+    values = array.tolist()
 
     found: list[StationaryPoint] = []
     for i in range(1, count - 1):
         if values[i - 1] > values[i] < values[i + 1]:
-            point = minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]), x_tol)
+            point = minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]))
             # adjacent dips can refine into one basin; keep the better copy
             for j, prior in enumerate(found):
                 scale = max(abs(prior.r_star), abs(point.r_star))
-                if abs(prior.r_star - point.r_star) <= 10.0 * x_tol * scale:
+                if abs(prior.r_star - point.r_star) <= 10.0 * DEFAULT_X_TOL * scale:
                     if point.v_star < prior.v_star:
                         found[j] = point
                     break
@@ -244,21 +239,16 @@ def find_local_minima(
     return sorted(found, key=lambda p: p.r_star)
 
 
-def find_root(
-    g: Callable[[float], float], lo: float, hi: float, tol: float = 0.0
-) -> float:
+def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of ``g`` on [lo, hi] with g(lo), g(hi) of opposite sign.
 
     Brent's method: inverse quadratic interpolation and secant steps with a
     bisection fallback, so convergence is guaranteed for any continuous g.
-    ``tol`` bounds the final bracket width; tol = 0 sharpens to the floating
-    point limit.  The returned point never has larger |g| than either end of
-    the final bracket.
+    The bracket is sharpened to the floating point limit.  The returned
+    point never has larger |g| than either end of the final bracket.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi; got ({lo!r}, {hi!r})")
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
     a, b = lo, hi
     fa = _checked(g, a)
     fb = _checked(g, b)
@@ -278,7 +268,7 @@ def find_root(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(abs(b)) + 0.5 * tol
+        tol1 = 2.0 * math.ulp(abs(b))
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

@@ -181,8 +181,11 @@ def minimize_over_a(
     kinetic = _kinetic_table(a_min, a_max)
     potential = _potential_table(R, a_min, a_max, cfg)
 
-    def f(a: float) -> float:
-        return _kinetic_at(kinetic, a) + _potential_at(potential, a)
+    def f(a: float | np.ndarray) -> float | np.ndarray:
+        # one trial scale at a time, and without f calling itself: that
+        # would leave a garbage cycle per call, holding both node tables
+        e = [_kinetic_at(kinetic, x) + _potential_at(potential, x) for x in np.ravel(a).tolist()]
+        return np.array(e) if isinstance(a, np.ndarray) else e[0]
 
     points = find_local_minima(f, a_min, a_max, points_per_decade=points_per_decade)
     if not points:

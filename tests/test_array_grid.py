@@ -1,14 +1,15 @@
-"""The tight-minimum grid in one array call.
+"""Scans in one array call.
 
 PotentialModel evaluates floats and 1-D ndarrays with one energy function
-per family, and find_local_minima takes the array form for its grid
-(``f_grid``), keeping the float form for the refinement.  These tests pin
+per family, and find_local_minima and sample_curve call their energy once
+on the whole grid (find_local_minima refines with floats).  These tests pin
 the contract that makes that safe: the array values are the float values
 bit for bit, the same minima come out, the same errors are raised, fewer
-float calls are made, and no numpy warning escapes (pyproject.toml makes
-every RuntimeWarning a test failure).
+float calls are made, no garbage cycle is left behind, and no numpy
+warning escapes (pyproject.toml makes every RuntimeWarning a test failure).
 """
 
+import gc
 import math
 import re
 
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positronium import acceptance, cli, flux, models
+from conftest import elementwise
+from positronium import acceptance, cli, flux, models, variational
 from positronium.models import (
     BIOT_SAVART_WINDOW,
     COULOMB_WINDOW,
@@ -26,7 +28,11 @@ from positronium.models import (
     PotentialModel,
     RingParams,
     _bltp_integrals,
+    potential_scaling_law,
+    potential_v3,
+    sample_curve,
     scaled_ring_radius,
+    tune_ring_radius,
 )
 from positronium.optimize import OptimizeError, find_local_minima
 from positronium.quadrature import PanelTable, QuadratureError
@@ -189,8 +195,8 @@ def test_regulated_pair_fails_as_the_floats_fail(monkeypatch):
     # no rule meets a zero tolerance: the array pass raises the error the
     # first float raises, which names that r, R and kappa
     models._bltp_table.cache_clear()
-    monkeypatch.setattr(models, "_V4_REL_TOL", 0.0)
-    monkeypatch.setattr(models, "_V4_ABS_TOL", 0.0)
+    monkeypatch.setattr(models, "_BLTP_REL_TOL", 0.0)
+    monkeypatch.setattr(models, "_BLTP_ABS_TOL", 0.0)
     try:
         R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
         r = np.geomspace(0.05 * R, 10.0 * R, 30)
@@ -203,7 +209,7 @@ def test_regulated_pair_fails_as_the_floats_fail(monkeypatch):
         # and through the tight-minimum search
         model = PotentialModel("ring-bltp", CFG, BLTP_GOLDEN)
         with pytest.raises(QuadratureError) as scalar:
-            find_local_minima(model, 0.05 * R, 10.0 * R, 60)
+            find_local_minima(elementwise(model), 0.05 * R, 10.0 * R, 60)
         with pytest.raises(QuadratureError) as batched:
             model.tight_minimum()
         assert str(batched.value) == str(scalar.value)
@@ -246,24 +252,54 @@ def test_non_finite_grid_value_fails_as_the_floats_fail():
     def f(x):
         return math.nan if x > 5.0 else (x - 3.0) ** 2
 
-    def f_grid(x):
+    def f_array(x):
         return np.where(x > 5.0, math.nan, (x - 3.0) ** 2)
 
     with pytest.raises(OptimizeError) as scalar:
-        find_local_minima(f, 1.0, 10.0, 20)
+        find_local_minima(elementwise(f), 1.0, 10.0, 20)
     with pytest.raises(OptimizeError) as batched:
-        find_local_minima(f, 1.0, 10.0, 20, f_grid=f_grid)
+        find_local_minima(f_array, 1.0, 10.0, 20)
     assert str(batched.value) == str(scalar.value)
     assert batched.value.abscissa == scalar.value.abscissa > 5.0
     # the point dipole below the float range: -inf from r = 1e-300 on
     dipole = PotentialModel("coulomb-dipole", CFG)
     with pytest.raises(OptimizeError) as batched:
-        find_local_minima(dipole.binding, 1e-300, 1.0, 10, f_grid=dipole.binding)
+        find_local_minima(dipole.binding, 1e-300, 1.0, 10)
     assert str(batched.value) == "function returned non-finite value -inf at x=1e-300"
     assert batched.value.abscissa == 1e-300
 
 
 def test_array_grid_finds_the_float_grids_minima_of_any_function():
-    minima = find_local_minima(math.cos, 1.0, 20.0, 40, f_grid=np.cos)
-    assert minima == find_local_minima(math.cos, 1.0, 20.0, 40)
+    minima = find_local_minima(np.cos, 1.0, 20.0, 40)
+    assert minima == find_local_minima(elementwise(np.cos), 1.0, 20.0, 40)
     assert len(minima) == 3
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_ring_potentials_on_arrays_are_their_floats(k):
+    # the benchmark scans lambdas over potential_v3 and potential_scaling_law
+    params = RingParams(scaled_ring_radius(k))
+    r = np.geomspace(BIOT_SAVART_WINDOW[0] * CFG.alpha ** (k - 1), COULOMB_WINDOW[1], 2001)
+    got = potential_scaling_law(k, params, CFG, r)
+    assert got.tolist() == [potential_scaling_law(k, params, CFG, x) for x in r.tolist()]
+    if k == 1:
+        assert potential_v3(params, CFG, r).tolist() == got.tolist()
+    with pytest.raises(ValueError, match=r"separation r must be positive; got 0\.0"):
+        potential_scaling_law(k, params, CFG, np.array([1.0, 0.0]))
+
+
+def test_scans_leave_no_garbage_cycles():
+    # an objective that calls itself (for one array element at a time, say)
+    # leaves a cycle per call, holding whatever its closure holds
+    R = scaled_ring_radius(1)
+    ring = PotentialModel("scaling", CFG, RingParams(R), scaling_k=1)
+    gc.collect()
+    gc.disable()
+    try:
+        variational.minimize_over_a(R, 1e-6, 1e-4, CFG)
+        ring.tight_minimum()
+        tune_ring_radius("scaling", CFG, 0.0, scaling_k=1)
+        sample_curve(ring.binding, 1e-6, 1e4, 50)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

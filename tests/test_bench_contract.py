@@ -79,3 +79,21 @@ def test_ring_scan_tuning_finds_the_float_grids_minima(bench, grids_compared):
         for op in tunes:
             assert oracles.check_tune(op, run(op)) is None, op
     assert len(grids_compared) > 16 * 8
+
+
+def test_ring_scan_scans_sample_the_float_values(bench, grids_compared):
+    # the minima and curve operations of the first four blocks at the
+    # benchmark's seeds 1 and 2: each scan, one call on its grid of a lambda
+    # over potential_v3 or potential_scaling_law, finds the minima and
+    # samples the values that a float-by-float scan does
+    workloads, oracles = bench
+    run = workloads.executor("ring_scan")
+    checks = {"minima": oracles.check_minima, "curve": oracles.check_curve}
+    scans = 0
+    for seed in (1, 2):
+        block = itertools.islice(workloads.operations("ring_scan", seed), 80)
+        for op in block:
+            if op["kind"] in checks:
+                assert checks[op["kind"]](op, run(op)) is None, op
+                scans += 1
+    assert len(grids_compared) == scans > 80

@@ -6,12 +6,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from positronium import cli, models
@@ -101,7 +102,9 @@ def test_scan_evaluates_each_point_once(capsys, monkeypatch, quantity):
         capsys, "scan", "--model", "coulomb", "--points", "25", "--quantity", quantity, "--json"
     )
     assert code == 0
-    assert evaluated == json.loads(out)["results"]["r"]
+    # one array call, holding each grid point once, in order
+    assert len(evaluated) == 1
+    assert evaluated[0].tolist() == json.loads(out)["results"]["r"]
 
 
 @pytest.mark.parametrize(
@@ -242,6 +245,35 @@ def test_non_finite_scan_value_is_a_numerical_failure(capsys, model, rmin, value
         f"numerical failure: curve evaluation failed at r={float(rmin)!r}: "
         f"non-finite value {value}\n"
     )
+
+
+@pytest.mark.parametrize("spacing", ["--log", "--linear"])
+def test_scan_up_to_the_largest_float_warns_nothing(capsys, spacing):
+    # np.linspace and np.geomspace overflow in a step there, and numpy
+    # printed a RuntimeWarning although the grid they return is finite
+    code, out, err = run_cli(
+        capsys, "scan", "--model", "coulomb", "--rmin", "134.5", "--rmax", repr(sys.float_info.max),
+        "--points", "7", spacing, "--json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["r"][-1] == sys.float_info.max
+
+
+def test_scan_of_more_points_than_floats_in_the_window_names_the_points(capsys):
+    # the grid repeats a float: a usage error that named no flag
+    code, _, err = run_cli(
+        capsys, "scan", "--model", "coulomb", "--rmin", "1", "--rmax", "1.0000000000000002",
+        "--points", "5",
+    )
+    assert code == 2
+    assert err.startswith("error: --points: too many for the window (1.0, 1.0000000000000002): ")
+
+
+@pytest.mark.parametrize("flag,value", [("--R", "1e-200"), ("--R-coeff", "1e300")])
+def test_ring_radius_past_its_range_names_its_flag(capsys, flag, value):
+    code, _, err = run_cli(capsys, "scan", "--model", "ring-ml", flag, value)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ring radius R must lie in [")
 
 
 def test_dipole_scan_past_the_float_range_is_finite(capsys):
@@ -682,3 +714,52 @@ def test_values_inside_a_declared_domain_resolve(config_path, verb, key, data):
         _argv(verb, key, config=_write_config(config_path, key, value)),
     ):
         assert cli._resolve_params(verb, parser.parse_args(argv))[key] == value
+
+
+# every scan and minimize call, over every family and k, ring parameters
+# across their domains and windows out to the ends of the float range:
+# exit 0 with the values of a float-by-float evaluation (checked by
+# grids_compared), or exit 2 or 3 with one line that names a flag or r
+
+def _exponents(lo, hi):
+    """Floats 10^e, e uniform in [lo, hi], and the ends of the float range."""
+    return st.one_of(
+        st.floats(lo, hi).map(lambda e: 10.0**e),
+        st.sampled_from([5e-324, sys.float_info.min, sys.float_info.max]),
+    )
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scans_anywhere_in_the_float_range_exit_0_2_or_3(grids_compared, data):
+    verb = data.draw(st.sampled_from(["scan", "minimize"]), label="verb")
+    model = data.draw(st.sampled_from(cli._MODELS), label="model")
+    argv = [verb, "--model", model, "--json"]
+    if model == "scaling":
+        argv += ["--k", str(data.draw(st.integers(0, 3), label="k"))]
+    if model in ("ring-ml", "ring-bltp", "scaling"):
+        argv += ["--R", repr(data.draw(_exponents(-103.0, 103.0), label="R"))]
+    if model == "ring-bltp":
+        argv += ["--kappa", repr(data.draw(_exponents(-323.3, 308.25), label="kappa"))]
+    ends = sorted(data.draw(st.lists(_exponents(-323.3, 308.25), min_size=2, max_size=2)))
+    argv += ["--rmin", repr(ends[0]), "--rmax", repr(ends[1])]
+    if verb == "scan":
+        argv += ["--points", str(data.draw(st.integers(2, 40), label="points")),
+                 data.draw(st.sampled_from(["--log", "--linear"]), label="spacing"),
+                 "--quantity", data.draw(st.sampled_from(["potential", "binding"]))]
+    else:
+        argv += ["--points-per-decade", str(data.draw(st.integers(10, 20), label="ppd"))]
+
+    compared = len(grids_compared)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    if code == 0:
+        assert err == "" and len(grids_compared) == compared + 1, argv
+    elif code == 2:
+        assert re.fullmatch(r"error: --[A-Za-z-]+: [^\n]*\n", err), (argv, err)
+    else:
+        assert code == 3, (argv, err)
+        assert re.fullmatch(r"numerical failure: [^\n]*\b[rx]=[^\n]*\n", err), (argv, err)

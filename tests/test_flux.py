@@ -270,7 +270,7 @@ def test_solve_reuses_the_known_ends_of_the_bracket(monkeypatch, kappa, g_calls)
         counts["G in root"] += in_root
         return G(u)
 
-    def counted_root(g, lo, hi, tol=0.0):
+    def counted_root(g, lo, hi):
         nonlocal in_root
 
         def counted_g(u):
@@ -279,7 +279,7 @@ def test_solve_reuses_the_known_ends_of_the_bracket(monkeypatch, kappa, g_calls)
 
         in_root = True
         try:
-            return root(counted_g, lo, hi, tol)
+            return root(counted_g, lo, hi)
         finally:
             in_root = False
 

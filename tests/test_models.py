@@ -142,6 +142,37 @@ def test_magnetic_line_of_a_tiny_ring_far_out_is_finite(r):
         assert np.ravel(got).tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("R,r", [(1e100, 1e-300), (2.6e-5, 1e304), (1e-100, 1e300)])
+def test_ring_lines_past_the_float_range_of_r_over_2R(R, r):
+    # r/2R underflowed to 0 (K diverges at k = 1) or overflowed to inf (k' =
+    # inf/inf), and the AGM raised "failed to converge".  Underflowed, the
+    # lines are far below an ulp of the kinetic term; overflowed, they are
+    # their far limits -alpha/r and -0.0
+    for x in (r, np.array([1.0, r])):
+        with np.errstate(all="ignore"):  # as PotentialModel runs the array form
+            lines = _ring_lines(R, CFG.alpha, CFG.alpha**3, x)
+        electric, magnetic = (np.ravel(line)[-1] for line in lines)
+        if r / (2.0 * R) == math.inf:
+            assert electric == -CFG.alpha / r and magnetic == 0.0 and np.signbit(magnetic)
+        else:
+            assert kinetic_term(CFG, r) + electric + magnetic == kinetic_term(CFG, r)
+    model = PotentialModel("scaling", CFG, RingParams(R), scaling_k=1)
+    for energy in (model, model.binding):
+        assert math.isfinite(energy(r))
+        assert energy(np.array([r])).tolist() == [energy(r)]
+
+
+def test_regulated_pair_far_out_warns_nothing():
+    # 2 kappa R d(phi) overflows at the far nodes for r/2R above ~1e69 here:
+    # the float path warned "overflow encountered in multiply", the array
+    # path (under PotentialModel's np.errstate) did not
+    model = PotentialModel("ring-bltp", CFG, RingParams(4.25e-22, 1.58e260))
+    for r in (1e60, 1e200):
+        for energy in (model, model.binding):
+            assert math.isfinite(energy(r))
+            assert energy(np.array([r])).tolist() == [energy(r)]
+
+
 def test_binding_is_rest_subtracted_potential():
     for r in (0.5, 274.0, 1e3):
         assert COULOMB.binding(r) == pytest.approx(COULOMB(r) - 2.0, rel=1e-12, abs=1e-15)
@@ -444,8 +475,8 @@ def fresh_bltp_tables():
 
 def test_bltp_panel_estimate_failure_names_the_ring_parameters(monkeypatch, fresh_bltp_tables):
     # no rule meets a zero tolerance: the Gauss-7 estimate is never exactly 0
-    monkeypatch.setattr(models, "_V4_REL_TOL", 0.0)
-    monkeypatch.setattr(models, "_V4_ABS_TOL", 0.0)
+    monkeypatch.setattr(models, "_BLTP_REL_TOL", 0.0)
+    monkeypatch.setattr(models, "_BLTP_ABS_TOL", 0.0)
     with pytest.raises(
         QuadratureError, match=r"ring quadrature at r=1e-06, R=2\.5698078287e-05, kappa=180000\.0: "
         r"Gauss-7 error estimate"
