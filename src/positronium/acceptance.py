@@ -5,7 +5,9 @@ from scratch and compares against the stored reference value at the stated
 tolerance.  The suite is the single source of truth for "does this build
 reproduce the reference computation": the `reproduce` CLI verb and the
 acceptance tests both call into it, so the table the user sees and the
-assertions CI runs can never drift apart.
+assertions CI runs can never drift apart.  Each comparison is a SubCheck,
+and as_report_dict serializes it with dataclasses.asdict: its fields are
+the report's schema, declared once.
 
 Honesty notes, established numerically and kept out of the pass/fail
 plumbing (the rows fail rather than bend):
@@ -29,7 +31,7 @@ plumbing (the rows fail rather than bend):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -74,14 +76,18 @@ _BLTP_R_WINDOW = (2.4e-5, 2.7e-5)
 
 @dataclass(frozen=True)
 class SubCheck:
-    """One comparison: a computed number against a reference at a tolerance."""
+    """One comparison: a computed number against a reference at a tolerance;
+    ``delta`` is computed - expected, set on construction."""
 
     name: str
     computed: float
     expected: float
     tolerance: str
-    delta: float
+    delta: float = field(init=False)
     passed: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", self.computed - self.expected)
 
 
 @dataclass(frozen=True)
@@ -101,25 +107,14 @@ def agrees_to_digits(computed: float, reference: float, digits: int) -> bool:
     return abs(computed - reference) <= 0.5 * 10.0 ** (1 - digits) * abs(reference)
 
 
-def _check(name: str, computed: float, expected: float, tolerance: str, passed: bool) -> SubCheck:
-    return SubCheck(
-        name=name,
-        computed=computed,
-        expected=expected,
-        tolerance=tolerance,
-        delta=computed - expected,
-        passed=passed,
-    )
-
-
 def _rel_check(name: str, computed: float, expected: float, rel_tol: float) -> SubCheck:
     ok = abs(computed - expected) <= rel_tol * abs(expected)
-    return _check(name, computed, expected, f"rel<={rel_tol:g}", ok)
+    return SubCheck(name, computed, expected, f"rel<={rel_tol:g}", ok)
 
 
 def _abs_check(name: str, computed: float, expected: float, abs_tol: float) -> SubCheck:
     ok = abs(computed - expected) <= abs_tol
-    return _check(name, computed, expected, f"abs<={abs_tol:g}", ok)
+    return SubCheck(name, computed, expected, f"abs<={abs_tol:g}", ok)
 
 
 def _minimized_coulomb_binding(cfg: PhysicalConfig) -> tuple[float, float]:
@@ -191,7 +186,7 @@ def criterion_4() -> CriterionResult:
     R = _tuned_ml_radius()
     coeff = R / alpha2
     checks = [
-        _check(
+        SubCheck(
             "tuned R/alpha^2",
             coeff,
             ZERO_ENERGY_RADIUS_COEFF,
@@ -205,12 +200,12 @@ def criterion_4() -> CriterionResult:
         best = min(minima, key=lambda p: p.v_star)
         checks.append(_rel_check("tight minimizer r_star", best.r_star, 1.3e-5, 0.20))
     else:
-        checks.append(_check("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
+        checks.append(SubCheck("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
     truncated = _rings(0.4959783237 * alpha2, cfg)
     dropped = find_local_minima(truncated, 1e-6, 1e-3, 40)
     e_dropped = min(p.v_star for p in dropped) if dropped else math.nan
     checks.append(
-        _check("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
+        SubCheck("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
     )
     return CriterionResult(4, "ring radius tuning", tuple(checks))
 
@@ -221,7 +216,7 @@ def criterion_5() -> CriterionResult:
     tuned = _rings(_tuned_ml_radius(), PhysicalConfig(n=2))
     minima = find_local_minima(tuned, 1e-6, 1e-3, 40)
     checks = (
-        _check("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
+        SubCheck("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
     )
     return CriterionResult(5, "uniqueness for n >= 2", checks)
 
@@ -232,14 +227,14 @@ def criterion_6() -> CriterionResult:
     k_lo, k_hi = _BLTP_KAPPA_WINDOW
     r_lo, r_hi = _BLTP_R_WINDOW
     checks = (
-        _check(
+        SubCheck(
             "tuned kappa",
             solution.kappa,
             1.8e5,
             f"in [{k_lo:g}, {k_hi:g}]",
             k_lo <= solution.kappa <= k_hi,
         ),
-        _check(
+        SubCheck(
             "tuned R",
             solution.R,
             2.57e-5,
@@ -276,14 +271,14 @@ def criterion_8() -> CriterionResult:
     best = results[0]
     checks = [
         _rel_check("tight minimizer a_star", best.a_star, _VARIATIONAL_A, 0.02),
-        _check(
+        SubCheck(
             "tight minimum energy",
             best.energy,
             0.05,
             "in [0.04, 0.06]",
             0.04 <= best.energy <= 0.06,
         ),
-        _check(
+        SubCheck(
             "upper bound",
             best.energy,
             _VARIATIONAL_BOUND,
@@ -365,7 +360,7 @@ def criterion_9() -> CriterionResult:
         variational.kinetic_expectation(a) for a in np.geomspace(1e-6, 1e4, 21)
     )
     checks.append(
-        _check("kinetic expectation floor", kin_floor, 2.0, ">= 2", kin_floor >= 2.0)
+        SubCheck("kinetic expectation floor", kin_floor, 2.0, ">= 2", kin_floor >= 2.0)
     )
 
     r_far = 1e6
@@ -403,7 +398,7 @@ def criterion_10(prior: Sequence[CriterionResult]) -> CriterionResult:
         if c is not None and any(math.isfinite(s.delta) for s in c.checks):
             count += 1
     checks = (
-        _check(
+        SubCheck(
             "criteria with explicit deltas",
             float(count),
             4.0,
@@ -460,17 +455,7 @@ def as_report_dict(results: Sequence[CriterionResult]) -> dict:
                 "number": c.number,
                 "title": c.title,
                 "passed": c.passed,
-                "checks": [
-                    {
-                        "name": s.name,
-                        "computed": s.computed,
-                        "expected": s.expected,
-                        "tolerance": s.tolerance,
-                        "delta": s.delta,
-                        "passed": s.passed,
-                    }
-                    for s in c.checks
-                ],
+                "checks": [asdict(s) for s in c.checks],
             }
             for c in results
         ],

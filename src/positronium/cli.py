@@ -19,6 +19,10 @@ UTF-8, LF line endings) and a JSON envelope for everything else:
 The params block is complete: re-running the same verb with exactly those
 values reproduces the results payload bit for bit at the same version.
 Only ``meta`` varies between runs and is excluded from comparisons.
+Where a payload or an echo is one of the library's result types
+(SubCheck, FluxSolution, VariationalResult, PhysicalConfig, RingParams),
+it comes from dataclasses.asdict, so its keys are the dataclass's fields
+in declaration order.
 
 An optional ``--config FILE`` supplies ``key = value`` defaults (keys are
 flag names without the leading dashes); explicit flags override the file,
@@ -33,6 +37,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from decimal import ROUND_DOWN, Decimal
 from typing import Any, Callable, NamedTuple
 
@@ -302,17 +307,11 @@ def _check_grid(verb: str, params: dict[str, Any]) -> None:
 
 
 def _echo_model_params(name: str, model: PotentialModel) -> dict[str, Any]:
-    """The resolved model parameters, under the --model ``name``: ring-ml
-    echoes no k."""
-    echo: dict[str, Any] = {
-        "model": name,
-        "alpha": model.cfg.alpha,
-        "n": model.cfg.n,
-    }
+    """The resolved model parameters, under the --model ``name``: the
+    PhysicalConfig and RingParams fields that are set; ring-ml echoes no k."""
+    echo: dict[str, Any] = {"model": name, **asdict(model.cfg)}
     if model.params is not None:
-        echo["R"] = model.params.R
-        if model.params.kappa is not None:
-            echo["kappa"] = model.params.kappa
+        echo.update((k, v) for k, v in asdict(model.params).items() if v is not None)
     if name == "scaling":
         echo["k"] = model.scaling_k
     return echo
@@ -386,19 +385,12 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     family, k = _family(params["model"], params["k"])
     cfg = PhysicalConfig(params["alpha"], params["n"])
     target = params["target"]
-    echo = {
-        "model": params["model"],
-        "alpha": cfg.alpha,
-        "n": cfg.n,
-        "target": target,
-    }
+    echo = {"model": params["model"], **asdict(cfg), "target": target}
 
     if family == "ring-bltp":
         solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
         results = {
-            "kappa": solution.kappa,
-            "R": solution.R,
-            "residual": solution.residual,
+            **asdict(solution),
             "R_over_alpha2": solution.R / cfg.alpha**2,
             "minimum": {"r_star": point.r_star, "energy": point.v_star},
             "sensitivity": _sensitivity(
@@ -432,19 +424,13 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
 def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     solution = flux.solve_R_given_kappa(params["kappa"], params["alpha"])
     echo = {"kappa": params["kappa"], "alpha": params["alpha"]}
-    results = {
-        "kappa": solution.kappa,
-        "R": solution.R,
-        "residual": solution.residual,
-        "kappa_R": solution.kappa * solution.R,
-    }
-    return echo, results
+    return echo, {**asdict(solution), "kappa_R": solution.kappa * solution.R}
 
 
 def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     cfg = PhysicalConfig(params["alpha"], params["n"])
     R = params["R"]
-    echo: dict[str, Any] = {"R": R, "alpha": cfg.alpha, "n": cfg.n}
+    echo: dict[str, Any] = {"R": R, **asdict(cfg)}
 
     if params["a"] is not None:
         a = params["a"]
@@ -463,17 +449,8 @@ def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     results = variational.minimize_over_a(
         R, params["a_min"], params["a_max"], cfg, params["points_per_decade"]
     )
-    payload = [
-        {
-            "a_star": v.a_star,
-            "kinetic": v.kinetic,
-            "potential": v.potential,
-            "energy": v.energy,
-            "R": v.R,
-        }
-        for v in results
-    ]
-    return echo, {"minima": payload, "count": len(payload), "bound": payload[0]["energy"]}
+    payload = [asdict(v) for v in results]
+    return echo, {"minima": payload, "count": len(payload), "bound": results[0].energy}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -142,7 +142,12 @@ def flux_rhs(kappa: float, R: float, alpha: float = PhysicalConfig().alpha) -> f
 def _ring_at(u: float, alpha: float) -> tuple[float, float]:
     """(R, kappa) on the constraint at u = kappa R: R = (alpha^2/2pi) G(u)."""
     R = alpha * alpha / (2.0 * math.pi) * flux_constraint_integral(u)
-    return R, u / R
+    return R, _kappa(u, R)
+
+
+def _kappa(u: float, R: float) -> float:
+    """kappa = u / R, inf where R has underflowed to 0 (alpha below ~1e-162)."""
+    return u / R if R else math.inf
 
 
 @functools.cache
@@ -167,7 +172,7 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
         raise ValueError(f"need finite kappa > 0 and alpha > 0; got {kappa!r}, {alpha!r}")
     u_min, g_min = _threshold()
     # _ring_at's arithmetic, so excess(u_min) < 0 exactly when kappa > kappa_min
-    kappa_min = u_min / (alpha * alpha / (2.0 * math.pi) * g_min)
+    kappa_min = _kappa(u_min, alpha * alpha / (2.0 * math.pi) * g_min)
     if not kappa > kappa_min:
         raise FluxError(
             f"flux constraint has no radius at kappa={kappa!r}: below the "

@@ -422,9 +422,19 @@ def _ring_interaction(R: float, alpha: float, mag_coupling: float, r: float) -> 
     return electric + magnetic
 
 
+def _ring_potential(R: float, cfg: PhysicalConfig, mag_coupling: float, r: float | np.ndarray):
+    """Kinetic term plus ring energy.  An ndarray runs under np.errstate,
+    as PotentialModel runs one; a float warns nothing, so it skips the
+    errstate's cost."""
+    if isinstance(r, np.ndarray):
+        with np.errstate(all="ignore"):
+            return kinetic_term(cfg, r) + _ring_interaction(R, cfg.alpha, mag_coupling, r)
+    return kinetic_term(cfg, r) + _ring_interaction(R, cfg.alpha, mag_coupling, r)
+
+
 def potential_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     """Ring pair with standard fields: kinetic term plus ring energy."""
-    return kinetic_term(cfg, r) + _ring_interaction(params.R, cfg.alpha, cfg.alpha**3, r)
+    return _ring_potential(params.R, cfg, cfg.alpha**3, r)
 
 
 def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
@@ -514,7 +524,26 @@ def _bltp_table(decades: int) -> tuple[PanelTable, np.ndarray, np.ndarray]:
     return table, s, 1.0 - 2.0 * s * s
 
 
-def _bltp_interaction(R: float, kappa: float, alpha: float, r: float) -> float:
+def _bltp_interaction(R: float, kappa: float, alpha: float, r: float | np.ndarray):
+    """-c I1 - c^3 I2 with c = alpha/(2 pi R), at a float r or at each
+    element of an ndarray.
+
+    Where r/2R overflows, the pair takes its far limit, as the plain rings
+    do (see _ring_lines): I1 -> pi (1 - exp(-kappa r)) 2R/r and I2 -> 0, so
+    the electric line is -alpha (1 - exp(-kappa r))/r and the magnetic one
+    -0.0.  The quadrature cannot give it there: its kernel is 0 at every
+    node, or nan once 2 kappa R underflows as well.
+    """
+    rho = r / (2.0 * R)
+    if isinstance(rho, np.ndarray):
+        far = np.isinf(rho)
+        if far.any():  # the far elements as floats (math.expm1), the rest in one pass
+            interaction = np.empty_like(r)
+            interaction[far] = [_bltp_interaction(R, kappa, alpha, x) for x in r[far].tolist()]
+            interaction[~far] = _bltp_interaction(R, kappa, alpha, r[~far])
+            return interaction
+    elif math.isinf(rho):
+        return -alpha * -math.expm1(-kappa * r) / r
     i1, i2 = _bltp_integrals(R, kappa, r)
     c = alpha / (2.0 * math.pi * R)
     return -c * i1 - c**3 * i2
@@ -528,9 +557,7 @@ def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: fl
     scaled_ring_radius.
     """
     _require_exponent(k)
-    return kinetic_term(cfg, r) + _ring_interaction(
-        params.R, cfg.alpha, cfg.alpha ** (1 + 2 * k), r
-    )
+    return _ring_potential(params.R, cfg, cfg.alpha ** (1 + 2 * k), r)
 
 
 def _coulomb(kinetic: float, model: PotentialModel, r: float) -> float:
@@ -663,6 +690,7 @@ def tune_ring_radius(
         c_star = find_root(gap, c_lo, c_hi)
     except ValueError as err:
         raise OptimizeError(
-            f"tuning bracket c in ({c_lo}, {c_hi}) does not straddle the target: {err}"
+            f"tuning bracket c in ({c_lo}, {c_hi}) does not straddle "
+            f"target_energy={target_energy!r}: {err}"
         ) from err
     return c_star * cfg.alpha ** (1 + k)

@@ -48,14 +48,15 @@ minimum LOCATION is robust.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .models import PhysicalConfig, RingParams, _ring_lines
+from .models import _R_RANGE, PhysicalConfig, RingParams, _ring_lines
 from .optimize import OptimizeError, find_local_minima
-from .quadrature import PanelTable, geometric_edges
+from .quadrature import PanelTable, QuadratureError, geometric_edges
 
 __all__ = [
     "VariationalResult",
@@ -102,10 +103,13 @@ def _table(
 
 
 def _kinetic_table(a_min: float, a_max: float) -> PanelTable:
+    # the ends kept to normal floats: only for a below 2e-302 or above 1e304
+    # does that move them, and the integrand overflows there anyway, so the
+    # rule's non-finite check names a
     return _table(
         "kinetic expectation",
-        1e-6 * min(a_min, 1.0),
-        1e4 * max(a_max, 1.0),
+        max(1e-6 * min(a_min, 1.0), sys.float_info.min),
+        min(1e4 * max(a_max, 1.0), sys.float_info.max),
         lambda x: x * x / (1.0 + x * x) ** 4,
     )
 
@@ -121,6 +125,13 @@ def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) 
         return r * r * (electric + magnetic)
 
     what = f"potential expectation for R={R!r}"
+    # outside the range RingParams allows R, a**3 overflows or is below the
+    # least normal float, where the prefactor 4/a^3 divides by zero or is inf
+    lo, hi = _R_RANGE
+    for a in (a_min, a_max):
+        if not lo <= a <= hi:
+            raise QuadratureError(f"{what} at a={a!r}: the prefactor 4/a^3 needs a in "
+                                  f"[{lo:.4g}, {hi:.4g}], where a^3 is a normal float")
     return _table(what, 1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, weight)
 
 

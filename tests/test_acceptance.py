@@ -8,6 +8,7 @@ those criteria that do hold are asserted separately below, so a regression
 cannot hide behind the xfail markers.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -119,6 +120,21 @@ def test_report_formats(acceptance_results):
         assert c["checks"], f"criterion {c['number']} reports no checks"
         for s in c["checks"]:
             assert isinstance(s["passed"], bool)
+    # each check entry is its SubCheck's fields, in order
+    names = [f.name for f in dataclasses.fields(acceptance.SubCheck)]
+    for c, result in zip(report["criteria"], results):
+        assert [list(s) for s in c["checks"]] == [names] * len(result.checks)
+        for s in c["checks"]:
+            if math.isnan(s["computed"]):
+                assert math.isnan(s["delta"])
+            else:
+                assert s["delta"] == s["computed"] - s["expected"]
+
+
+def test_sub_check_computes_its_delta():
+    check = acceptance.SubCheck("x", 3.5, 1.25, "abs<=1", False)
+    assert (check.delta, check.passed) == (2.25, False)
+    assert math.isnan(acceptance.SubCheck("x", math.nan, 1.0, "abs<=1", False).delta)
 
 
 def test_deltas_are_reported_for_quantitative_criteria(acceptance_results):

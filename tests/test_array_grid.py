@@ -286,6 +286,13 @@ def test_ring_potentials_on_arrays_are_their_floats(k):
         assert potential_v3(params, CFG, r).tolist() == got.tolist()
     with pytest.raises(ValueError, match=r"separation r must be positive; got 0\.0"):
         potential_scaling_law(k, params, CFG, np.array([1.0, 0.0]))
+    # past the float range of q^2 and r/2R, without a numpy warning
+    ring, ends = RingParams(2.6e-5), np.array([1e-320, 1.0, 1e304])
+    got = potential_scaling_law(k, ring, CFG, ends)
+    assert got.tolist() == [potential_scaling_law(k, ring, CFG, x) for x in ends.tolist()]
+    if k == 1:
+        assert potential_v3(ring, CFG, ends).tolist() == got.tolist()
+        assert got.tolist() == [math.inf, 2.8211297673090185, 2.0]
 
 
 def test_scans_leave_no_garbage_cycles():

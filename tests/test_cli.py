@@ -12,10 +12,10 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from positronium import cli, models
+from positronium import acceptance, cli, flux, models, variational
 from positronium.models import PhysicalConfig, PotentialModel
 
 
@@ -202,12 +202,20 @@ def test_ring_radius_past_the_float_range_is_a_usage_error(capsys, argv):
         ("--a", "1e-300"),
         ("--a", "1e300"),
         ("--a-min", "1e-300", "--a-max", "1e300"),
+        # a^3 is not a normal float: 4/a^3 divided by zero, overflowed, or
+        # was inf and the energy null
+        ("--a", "1e-120"),
+        ("--a-min", "1e-120", "--a-max", "1e-100"),
+        ("--a", "6e102"),
+        ("--a", "1e-103"),
+        ("--a", "1e-104"),
     ],
 )
 def test_trial_scales_past_the_float_range_are_a_numerical_failure(capsys, argv):
     # the node tables then span more than the float range: hi/lo overflows.
     # The integrands overflow at such scales too (silently: the numpy work
-    # runs under np.errstate), and the rule's non-finite check names a
+    # runs under np.errstate), and the rule's non-finite check names a; a
+    # trial scale whose cube is not a normal float is named before that
     code, _, err = run_cli(capsys, "variational", "--R", "2.6e-5", *argv)
     assert code == 3
     assert "numerical failure" in err and " a=" in err
@@ -311,6 +319,34 @@ def test_ring_scan_past_the_float_range_is_finite(capsys, R, rmin, rmax):
     assert all(math.isfinite(v) for v in res["V"])
     if rmax == "1e300":
         assert res["r"][-1] == 1e300 and res["V"][-1] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # where r/2R overflows the quadrature gave 0, so the binding ended at
+        # 0 where it is -alpha/r
+        ("--R", "5.93e-05", "--kappa", "125662", "--rmin", "134.5", "--points", "3",
+         "--quantity", "binding"),
+        # and where 2 kappa R underflows to 0 too, the kernel was inf * -0.0
+        ("--R", "2.747884523608806e-70", "--kappa", "4.047637280674912e-267",
+         "--rmin", "2e-133", "--points", "7"),
+    ],
+)
+def test_regulated_scan_past_the_float_range_takes_the_far_limit(capsys, argv):
+    code, out, err = run_cli(
+        capsys, "scan", "--model", "ring-bltp", *argv, "--rmax", repr(sys.float_info.max), "--json"
+    )
+    assert (code, err) == (0, "")
+    env = json.loads(out)
+    R, kappa, binding = env["params"]["R"], env["params"]["kappa"], "binding" in argv
+    cfg, r, V = PhysicalConfig(), env["results"]["r"], env["results"]["V"]
+    kinetic = models.kinetic_excess if binding else models.kinetic_term
+    far = [(x, v) for x, v in zip(r, V) if math.isinf(x / (2.0 * R))]
+    assert far and all(
+        v == kinetic(cfg, x) - cfg.alpha * -math.expm1(-kappa * x) / x for x, v in far
+    )
+    assert V[-1] == (-cfg.alpha / sys.float_info.max if binding else 2.0)
 
 
 @pytest.mark.parametrize(
@@ -448,6 +484,8 @@ def test_flux_solve(capsys):
     code, out, _ = run_cli(capsys, "flux-solve", "--kappa", "1.8e5", "--json")
     assert code == 0
     env = json.loads(out)
+    names = [f.name for f in dataclasses.fields(flux.FluxSolution)]
+    assert list(env["results"]) == names + ["kappa_R"]
     assert env["results"]["R"] == pytest.approx(2.5568727271277648e-05, rel=1e-9)
     assert env["results"]["kappa_R"] == pytest.approx(1.8e5 * 2.5568727271277648e-05, rel=1e-9)
 
@@ -478,6 +516,8 @@ def test_variational_scan_mode(capsys):
     assert code == 0
     env = json.loads(out)
     assert env["results"]["count"] == 1
+    names = [f.name for f in dataclasses.fields(variational.VariationalResult)]
+    assert [list(m) for m in env["results"]["minima"]] == [names]
     assert env["results"]["bound"] == pytest.approx(-16.4949754900299, abs=1e-3)
 
 
@@ -548,9 +588,15 @@ def test_reproduce_reports_the_honest_failures(capsys):
     assert status[8] is False
     for number in (1, 2, 3, 4, 5, 6, 9, 10):
         assert status[number] is True, f"criterion {number} regressed"
+    # each check entry is a SubCheck's fields, in order; non-finite -> null
+    names = [f.name for f in dataclasses.fields(acceptance.SubCheck)]
     for c in report["criteria"]:
         for check in c["checks"]:
-            assert {"name", "computed", "expected", "tolerance", "delta", "passed"} <= set(check)
+            assert list(check) == names
+            if check["computed"] is None:
+                assert check["delta"] is None
+            else:
+                assert check["delta"] == check["computed"] - check["expected"]
 
 
 @pytest.mark.parametrize(
@@ -729,28 +775,43 @@ def _exponents(lo, hi):
     )
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_scans_anywhere_in_the_float_range_exit_0_2_or_3(grids_compared, data):
-    verb = data.draw(st.sampled_from(["scan", "minimize"]), label="verb")
-    model = data.draw(st.sampled_from(cli._MODELS), label="model")
+@st.composite
+def _scan_argvs(draw):
+    verb = draw(st.sampled_from(["scan", "minimize"]))
+    model = draw(st.sampled_from(cli._MODELS))
     argv = [verb, "--model", model, "--json"]
     if model == "scaling":
-        argv += ["--k", str(data.draw(st.integers(0, 3), label="k"))]
+        argv += ["--k", str(draw(st.integers(0, 3)))]
     if model in ("ring-ml", "ring-bltp", "scaling"):
-        argv += ["--R", repr(data.draw(_exponents(-103.0, 103.0), label="R"))]
+        argv += ["--R", repr(draw(_exponents(-103.0, 103.0)))]
     if model == "ring-bltp":
-        argv += ["--kappa", repr(data.draw(_exponents(-323.3, 308.25), label="kappa"))]
-    ends = sorted(data.draw(st.lists(_exponents(-323.3, 308.25), min_size=2, max_size=2)))
+        argv += ["--kappa", repr(draw(_exponents(-323.3, 308.25)))]
+    ends = sorted(draw(st.lists(_exponents(-323.3, 308.25), min_size=2, max_size=2)))
     argv += ["--rmin", repr(ends[0]), "--rmax", repr(ends[1])]
     if verb == "scan":
-        argv += ["--points", str(data.draw(st.integers(2, 40), label="points")),
-                 data.draw(st.sampled_from(["--log", "--linear"]), label="spacing"),
-                 "--quantity", data.draw(st.sampled_from(["potential", "binding"]))]
+        argv += ["--points", str(draw(st.integers(2, 40))),
+                 draw(st.sampled_from(["--log", "--linear"])),
+                 "--quantity", draw(st.sampled_from(["potential", "binding"]))]
     else:
-        argv += ["--points-per-decade", str(data.draw(st.integers(10, 20), label="ppd"))]
+        argv += ["--points-per-decade", str(draw(st.integers(10, 20)))]
+    return argv
 
+
+_LARGEST = repr(sys.float_info.max)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_scan_argvs())
+# the regulated pair where r/2R overflows (see
+# test_regulated_scan_past_the_float_range_takes_the_far_limit)
+@example(argv=["scan", "--model", "ring-bltp", "--json", "--R", "5.93e-05", "--kappa", "125662",
+               "--rmin", "134.5", "--rmax", _LARGEST, "--points", "3", "--log",
+               "--quantity", "binding"])
+@example(argv=["scan", "--model", "ring-bltp", "--json", "--R", "2.747884523608806e-70",
+               "--kappa", "4.047637280674912e-267", "--rmin", "2e-133", "--rmax", _LARGEST,
+               "--points", "7", "--log", "--quantity", "potential"])
+def test_scans_anywhere_in_the_float_range_exit_0_2_or_3(grids_compared, argv):
     compared = len(grids_compared)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -763,3 +824,66 @@ def test_scans_anywhere_in_the_float_range_exit_0_2_or_3(grids_compared, data):
     else:
         assert code == 3, (argv, err)
         assert re.fullmatch(r"numerical failure: [^\n]*\b[rx]=[^\n]*\n", err), (argv, err)
+
+
+# every tune, flux-solve and variational call, each flag of _PARAM_SPECS
+# left unset or drawn across its domain, out to the ends of the float range:
+# exit 0 with finite results, or exit 2 or 3 with one line that names a flag
+# or a parameter
+
+# kappa stops at 1e13: from there to the largest float a solve can take
+# 0.5 s, doubling its bracket from 2 u_min about a thousand times
+_KAPPAS = st.one_of(
+    st.floats(-323.3, 13.0).map(lambda e: 10.0**e), st.floats(1.5e5, 1e13),
+    st.sampled_from([5e-324, sys.float_info.min]),
+)
+
+
+@st.composite
+def _verb_argvs(draw):
+    verb = draw(st.sampled_from(["tune", "flux-solve", "variational"]))
+    drawn = {
+        "model": st.sampled_from(cli._TUNE_MODELS),
+        "alpha": st.one_of(st.floats(1e-3, 0.1), _exponents(-323.3, 0.0)),
+        "n": st.integers(1, 4),
+        "k": st.integers(0, 3),
+        "target": st.one_of(st.floats(-1e-3, 1e-3), _exponents(-323.3, 308.25),
+                            _exponents(-323.3, 308.25).map(lambda v: -v)),
+        "kappa": _KAPPAS,
+        "R": _exponents(-103.0, 103.0),
+        "a": _exponents(-323.3, 308.25),
+        "points_per_decade": st.integers(10, 20),
+    }
+    # a trial-scale window of at most 8 decades keeps the scan's grid and
+    # node tables small; an end past the float range fails at once
+    a_min = draw(_exponents(-323.3, 308.25))
+    window = {"a_min": a_min, "a_max": a_min * 10.0 ** draw(st.floats(-1.0, 8.0))}
+    argv = [verb, "--json"]
+    for key, param in cli._PARAM_SPECS[verb].items():
+        if param.required or draw(st.booleans()):
+            value = window[key] if key in window else draw(drawn[key])
+            argv.append(f"{cli._flag(key)}={_text(value)}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_verb_argvs())
+# each divided by zero or overflowed, with a traceback: alpha^2/2pi
+# underflowing to 0, and the kinetic node table's ends leaving the floats
+@example(argv=["flux-solve", "--json", "--kappa=7.9", "--alpha=5.29e-321"])
+@example(argv=["tune", "--json", "--model=ring-bltp", "--alpha=5e-324"])
+@example(argv=["variational", "--json", "--R=7.0", "--a=5e-324"])
+@example(argv=["variational", "--json", "--R=2.6e-5", "--a-max=1.7976931348623157e+308"])
+def test_other_verbs_anywhere_in_their_domains_exit_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    if code == 0:
+        # a non-finite result is a null; no string of a results payload holds "null"
+        assert err == "" and "null" not in json.dumps(json.loads(out.getvalue())["results"]), argv
+    else:
+        assert code in (2, 3), (argv, err)
+        prefix = "error: " if code == 2 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert re.search(r"--[a-z]|\b(R|a|u|kappa|target_energy)=|ring radius R", err), (argv, err)

@@ -206,6 +206,17 @@ def test_solve_names_kappa_where_kappa_of_u_overflows():
         solve_R_given_kappa(1.7976931348623157e308)
 
 
+@pytest.mark.parametrize("alpha", [5.29e-321, 1e-170])
+def test_no_kappa_solves_where_alpha_squared_underflows(alpha):
+    # R = (alpha^2/2pi) G(u) is 0 for every u, so kappa_min = u_min/0 is inf;
+    # it divided by zero (and tune_bltp's kappa = u/R with it)
+    with pytest.raises(FluxError, match=r"kappa_min=inf") as err:
+        solve_R_given_kappa(7.9, alpha)
+    assert err.value.kappa_min == math.inf
+    with pytest.raises(ValueError, match=r"ring radius R must be positive; got 0\.0"):
+        tune_bltp(alpha)
+
+
 def test_cli_solves_at_large_kappa(capsys):
     code = cli.main(["flux-solve", "--kappa", "1e12", "--json"])
     out = capsys.readouterr().out

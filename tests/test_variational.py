@@ -1,6 +1,7 @@
 """Variational bound: expectation values, limits, and minimization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 from positronium import variational
-from positronium.models import PhysicalConfig
+from positronium.models import PhysicalConfig, _R_RANGE
 from positronium.optimize import Bracket, OptimizeError, minimize_scalar
 from positronium.quadrature import QuadratureError
 from positronium.variational import (
@@ -205,6 +206,25 @@ def test_trial_scale_must_be_positive():
             kinetic_expectation(a)
         with pytest.raises(ValueError, match="trial scale a must be positive"):
             energy_expectation(a, R_REF)
+
+
+def test_trial_scales_whose_cube_is_not_a_normal_float_name_a():
+    # the prefactor 4/a^3 divided by zero below ~1e-108, overflowed in a**3
+    # above ~5.6e102, and was inf (energy nan) in between
+    lo, hi = _R_RANGE
+    for a in (math.nextafter(lo, 0.0), 1e-103, 1e-120, math.nextafter(hi, math.inf), 6e102):
+        where = rf"potential expectation .* at a={re.escape(repr(a))}: "
+        with pytest.raises(QuadratureError, match=where):
+            potential_expectation(a, 2.6e-5)
+    with pytest.raises(QuadratureError, match=r" at a=1e-120: "):
+        minimize_over_a(2.6e-5, 1e-120, 1e-100, CFG)
+    for a in _R_RANGE:
+        assert math.isfinite(energy_expectation(a, 2.6e-5))
+    # the kinetic node table's ends underflowed to 0 or overflowed to inf
+    for a in (5e-324, 1.7976931348623157e308):
+        where = rf"kinetic expectation at a={re.escape(repr(a))}: "
+        with pytest.raises(QuadratureError, match=where):
+            kinetic_expectation(a)
 
 
 def test_window_validation_and_empty_window():
