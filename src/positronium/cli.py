@@ -367,56 +367,36 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
     return echo, {"minima": payload, "count": len(payload)}
 
 
-def _sensitivity(
-    key: str, value: float, target: float, ring: Callable[[float], PotentialModel]
-) -> dict[str, Any]:
-    """The tight minimum of the ring ``ring(probe)``, at ``value`` truncated
-    to the 10 digits a tuned value is quoted to, and its side of ``target``."""
-    probe = _truncate_sig(value, 10)
-    energy = ring(probe).tight_minimum().v_star
-    return {
-        key: probe,
-        "probe_energy": energy,
-        "sign_vs_target": "negative" if energy < target else "positive",
-    }
-
-
 def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+    """The tuned ring, its tight minimum, and the minimum at the tuned R
+    (kappa held) or coefficient truncated to the 10 digits it is quoted to."""
     family, k = _family(params["model"], params["k"])
     cfg = PhysicalConfig(params["alpha"], params["n"])
     target = params["target"]
     echo = {"model": params["model"], **asdict(cfg), "target": target}
-
-    if family == "ring-bltp":
-        solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
-        results = {
-            **asdict(solution),
-            "R_over_alpha2": solution.R / cfg.alpha**2,
-            "minimum": {"r_star": point.r_star, "energy": point.v_star},
-            "sensitivity": _sensitivity(
-                "probe_R", solution.R, target,
-                lambda R: PotentialModel(family, cfg, RingParams(R, solution.kappa)),
-            ),
-        }
-        return echo, results
-
-    echo["k"] = k
-    R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
-    coeff = R / cfg.alpha ** (1 + k)
-
-    def ring(R: float) -> PotentialModel:
-        return PotentialModel(family, cfg, RingParams(R), scaling_k=k)
-
-    point = ring(R).tight_minimum()
-    results = {
-        "R": R,
-        "coefficient": coeff,
-        "coefficient_parameterization": f"R / alpha^{1 + k}",
-        "minimum": {"r_star": point.r_star, "energy": point.v_star},
-        "sensitivity": _sensitivity(
-            "probe_coefficient", coeff, target,
-            lambda c: ring(scaled_ring_radius(k, cfg.alpha, c)),  # R = c alpha^(1+k)
-        ),
+    try:
+        if family == "ring-bltp":
+            solution, point = flux.tune_bltp(cfg.alpha, target, cfg.n)
+            results = {**asdict(solution), "R_over_alpha2": solution.R / cfg.alpha**2}
+            key, probe = "probe_R", _truncate_sig(solution.R, 10)
+            probe_ring = RingParams(probe, solution.kappa)
+        else:
+            echo["k"] = k
+            R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
+            coeff = R / cfg.alpha ** (1 + k)
+            results = {"R": R, "coefficient": coeff,
+                       "coefficient_parameterization": f"R / alpha^{1 + k}"}
+            point = PotentialModel(family, cfg, RingParams(R), scaling_k=k).tight_minimum()
+            key, probe = "probe_coefficient", _truncate_sig(coeff, 10)
+            probe_ring = RingParams(scaled_ring_radius(k, cfg.alpha, probe))
+    except ValueError as err:  # the tuned R depends only on alpha and k
+        _fail_usage("--alpha", f"{cfg.alpha!r} puts the tuned ring outside its range: {err}")
+    energy = PotentialModel(family, cfg, probe_ring, scaling_k=k).tight_minimum().v_star
+    results["minimum"] = {"r_star": point.r_star, "energy": point.v_star}
+    results["sensitivity"] = {
+        key: probe,
+        "probe_energy": energy,
+        "sign_vs_target": "negative" if energy < target else "positive",
     }
     return echo, results
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PhysicalConfig, PotentialModel, RingParams
+from .models import PhysicalConfig, PotentialModel, RingParams, _tune
 from .optimize import (
     Bracket,
     OptimizeError,
@@ -226,49 +226,25 @@ def tune_bltp(
 
     Parameterized by u = kappa * R, which makes the constraint explicit:
     R(u) = (alpha^2/2pi) G(u) and kappa(u) = u / R(u).  The well depth
-    E_min(u) rises steeply through zero near u ~ 4.6; a coarse logarithmic
-    scan stops at the first crossing and Brent refinement pins it down.  Returns
-    the flux solution together with the tight minimum; |E_min - target| at
-    the returned point is at the 1e-8 level or better.
+    E_min(u) rises steeply through zero near u ~ 4.6; the search that
+    tune_ring_radius takes too scans 25 log-spaced u in (2.5, 8) up to the
+    first crossing, and Brent refinement pins it down.  Returns the flux
+    solution with the tight minimum of its ring, |E_min - target| at the
+    1e-8 level or better.  With no crossing the search's report is a
+    FluxError; where alpha puts R out of RingParams' range (R = 0 once
+    alpha^2 underflows), its ValueError propagates.
     """
     cfg = PhysicalConfig(alpha=alpha, n=n)
 
-    @functools.cache  # find_root re-reads both bracket ends the scan has evaluated
-    def ring(u: float) -> tuple[float, float, StationaryPoint]:
-        R, kappa = _ring_at(u, alpha)
-        return R, kappa, PotentialModel("ring-bltp", cfg, RingParams(R, kappa)).tight_minimum()
+    def ring(u: float) -> PotentialModel:
+        return PotentialModel("ring-bltp", cfg, RingParams(*_ring_at(u, alpha)))
 
-    def gap(u: float) -> float:
-        return ring(u)[2].v_star - target_energy
-
-    # coarse scan in u up to the first sign change; outside (2.5, 8) the
-    # tight well is either far too deep or already closed for any target
-    # near zero
-    scanned: list[tuple[float, float | None]] = []
-    for i in range(25):
-        u = 2.5 * (8.0 / 2.5) ** (i / 24.0)
-        try:
-            g = gap(u)
-        except OptimizeError:
-            g = None
-        u_a, g_a = scanned[-1] if scanned else (u, None)
-        if g is not None and g_a is not None and g_a * g <= 0.0:
-            break
-        scanned.append((u, g))
-    else:
-        lines = ", ".join(
-            f"u={u:.4g}: {'well closed' if g is None else f'{g:.6g}'}" for u, g in scanned
-        )
-        energies = [ring(u)[2].v_star for u, g in scanned if g is not None]
-        reach = (
-            f"the tight-minimum energy spans [{min(energies):.6g}, {max(energies):.6g}] "
-            "where the well is open" if energies else "the well is closed at every u"
-        )
-        raise FluxError(
-            f"no crossing of target_energy={target_energy!r} in the scan ({lines}); {reach}"
-        )
-
-    # find_root returns a point it has evaluated, so its ring and minimum are cached
-    R, kappa, point = ring(find_root(gap, u_a, u))
-    residual = R - flux_rhs(kappa, R, alpha)
-    return FluxSolution(kappa=kappa, R=R, residual=residual), point
+    # outside u in (2.5, 8) the tight well is either far too deep or already
+    # closed for any target near zero
+    scan = [2.5 * (8.0 / 2.5) ** (i / 24.0) for i in range(25)]
+    try:
+        _, model, point = _tune(ring, target_energy, scan, "u")
+    except OptimizeError as err:
+        raise FluxError(str(err)) from err
+    R, kappa = model.params.R, model.params.kappa
+    return FluxSolution(kappa=kappa, R=R, residual=R - flux_rhs(kappa, R, alpha)), point

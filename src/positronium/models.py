@@ -63,7 +63,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -532,18 +532,25 @@ def _bltp_interaction(R: float, kappa: float, alpha: float, r: float | np.ndarra
     do (see _ring_lines): I1 -> pi (1 - exp(-kappa r)) 2R/r and I2 -> 0, so
     the electric line is -alpha (1 - exp(-kappa r))/r and the magnetic one
     -0.0.  The quadrature cannot give it there: its kernel is 0 at every
-    node, or nan once 2 kappa R underflows as well.
+    node, or nan once 2 kappa R underflows as well.  Nor can it where
+    s = 2 kappa R is below the normal floats, for its kernel, about s, is 0
+    or has lost digits; the limit serves there too, to about an ulp.  Its
+    error is (2R/r)^2 where r/2R > 4e299, and below that kappa r < 1e-8 and
+    both are -alpha kappa (1 - kappa r/2), or -alpha kappa where kappa r
+    underflows, to within s relative.
     """
     rho = r / (2.0 * R)
+    tiny = 2.0 * kappa * R < sys.float_info.min
     if isinstance(rho, np.ndarray):
-        far = np.isinf(rho)
+        far = np.isinf(rho) | tiny
         if far.any():  # the far elements as floats (math.expm1), the rest in one pass
             interaction = np.empty_like(r)
             interaction[far] = [_bltp_interaction(R, kappa, alpha, x) for x in r[far].tolist()]
             interaction[~far] = _bltp_interaction(R, kappa, alpha, r[~far])
             return interaction
-    elif math.isinf(rho):
-        return -alpha * -math.expm1(-kappa * r) / r
+    elif tiny or math.isinf(rho):
+        x = kappa * r
+        return -alpha * -math.expm1(-x) / r if x >= sys.float_info.min else -alpha * kappa
     i1, i2 = _bltp_integrals(R, kappa, r)
     c = alpha / (2.0 * math.pi * R)
     return -c * i1 - c**3 * i2
@@ -656,6 +663,50 @@ def sample_curve(
     return EnergyCurve(model=model, grid=tuple(grid.tolist()), values=tuple(values.tolist()))
 
 
+def _tune(ring: Callable[[float], PotentialModel], target_energy: float, scan: Iterable[float],
+          name: str) -> tuple[float, PotentialModel, StationaryPoint]:
+    """The x at which the tight minimum of ``ring(x)`` equals ``target_energy``,
+    with that ring and its minimum: the gap (minimum minus target) at each
+    point of ``scan`` up to its first sign change, then Brent's method
+    between the last two.  Each ring's minimum is computed once, and the
+    root is a point Brent evaluated.  A closed well (OptimizeError) has no
+    gap.  With no sign change, OptimizeError lists each scan point as
+    ``name``=x with its gap, and the energies the open well reaches.
+    """
+    @functools.cache
+    def tuned(x: float) -> tuple[PotentialModel, StationaryPoint]:
+        model = ring(x)
+        return model, model.tight_minimum()
+
+    def gap(x: float) -> float:
+        return tuned(x)[1].v_star - target_energy
+
+    scanned: list[tuple[float, float | None]] = []
+    for x in scan:
+        try:
+            g = gap(x)
+        except OptimizeError:
+            g = None
+        x_a, g_a = scanned[-1] if scanned else (x, None)
+        if g is not None and g_a is not None and g_a * g <= 0.0:
+            break
+        scanned.append((x, g))
+    else:
+        lines = ", ".join(
+            f"{name}={x:.4g}: {'well closed' if g is None else f'{g:.6g}'}" for x, g in scanned
+        )
+        energies = [tuned(x)[1].v_star for x, g in scanned if g is not None]
+        reach = (
+            f"the tight-minimum energy spans [{min(energies):.6g}, {max(energies):.6g}] "
+            "where the well is open" if energies else f"the well is closed at every {name}"
+        )
+        raise OptimizeError(
+            f"no crossing of target_energy={target_energy!r} in the scan ({lines}); {reach}"
+        )
+    root = find_root(gap, x_a, x)
+    return root, *tuned(root)
+
+
 def tune_ring_radius(
     model_family: str,
     cfg: PhysicalConfig,
@@ -668,29 +719,19 @@ def tune_ring_radius(
     ``model_family`` must be "scaling", the one family this tunes: the
     argument stays so that callers of the form
     tune_ring_radius("scaling", cfg, target, scaling_k=k) keep working.
-    Solves for the coefficient c in R = c * alpha^(1+k) over the bracket
-    c in (0.42, 0.55), inside which the tight well exists and its depth is
-    monotone through the target.  The returned radius reproduces the
-    target to the floating-point noise floor of the energy (~1e-11), well
-    inside the 1e-10 contract.
+    Tunes c in R = c * alpha^(1+k) with _tune, from the scan c = 0.42, 0.55:
+    the tight well exists across it and its depth is monotone through the
+    target.  Where alpha puts R out of RingParams' range, its ValueError
+    propagates.  The returned radius reproduces the target to the
+    floating-point noise floor of the energy (~1e-11), well inside the
+    1e-10 contract.
     """
     if model_family != "scaling":
         raise ValueError(f"model_family must be 'scaling'; got {model_family!r}")
-    k = scaling_k
-    _require_exponent(k)
+    _require_exponent(scaling_k)
 
-    c_lo, c_hi = 0.42, 0.55
+    def ring(c: float) -> PotentialModel:
+        R = scaled_ring_radius(scaling_k, cfg.alpha, c)  # c alpha^(1+k)
+        return PotentialModel("scaling", cfg, RingParams(R), scaling_k)
 
-    def gap(c: float) -> float:
-        params = RingParams(scaled_ring_radius(k, cfg.alpha, c))  # R = c alpha^(1+k)
-        model = PotentialModel("scaling", cfg, params, scaling_k=k)
-        return model.tight_minimum().v_star - target_energy
-
-    try:
-        c_star = find_root(gap, c_lo, c_hi)
-    except ValueError as err:
-        raise OptimizeError(
-            f"tuning bracket c in ({c_lo}, {c_hi}) does not straddle "
-            f"target_energy={target_energy!r}: {err}"
-        ) from err
-    return c_star * cfg.alpha ** (1 + k)
+    return _tune(ring, target_energy, (0.42, 0.55), "c")[1].params.R

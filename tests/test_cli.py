@@ -11,6 +11,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -349,6 +350,26 @@ def test_regulated_scan_past_the_float_range_takes_the_far_limit(capsys, argv):
     assert V[-1] == (-cfg.alpha / sys.float_info.max if binding else 2.0)
 
 
+def test_regulated_binding_where_2_kappa_R_underflows(capsys):
+    # 2 kappa R underflows to 0, so the kernel -expm1(-2 kappa R d)/d was 0
+    # at every node and the binding read 0; it is the far limit
+    # -alpha (1 - exp(-kappa r))/r (test_models.py checks the pair against
+    # its angular integrals in mpmath)
+    R, kappa = 2.747884523608806e-70, 4.047637280674912e-267
+    code, out, err = run_cli(
+        capsys, "scan", "--model", "ring-bltp", "--R", repr(R), "--kappa", repr(kappa),
+        "--rmin", "1e200", "--rmax", "1e230", "--points", "3", "--quantity", "binding", "--json",
+    )
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(PhysicalConfig().alpha)
+        for r, v in zip(res["r"], res["V"]):
+            want = -alpha * -mpmath.expm1(-mpmath.mpf(kappa) * r) / r
+            assert v == pytest.approx(float(want), rel=1e-15, abs=0.0), r
+    assert res["V"][0] == pytest.approx(-2.9537e-269, rel=1e-4)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -461,6 +482,50 @@ def test_ring_ml_is_the_scaling_family_at_k_1(capsys, verb, extra):
     if verb != "tune":
         del expected["k"]
     assert ring_ml["params"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "ring-ml", "--alpha", "1e-60"),
+        ("--model", "scaling", "--k", "3", "--alpha", "1e-30"),
+        ("--model", "ring-bltp", "--alpha", "1e-60"),
+    ],
+)
+def test_tune_names_alpha_where_the_tuned_ring_leaves_its_range(capsys, argv):
+    # the tuned R depends only on alpha and k, so alpha puts it outside the
+    # range RingParams allows: one cause, one exit code, one flag (ring-ml
+    # exited 3 and ring-bltp 2, and neither named --alpha)
+    code, out, err = run_cli(capsys, "tune", *argv)
+    assert (code, out) == (2, "")
+    alpha = re.escape(argv[-1])
+    assert re.fullmatch(rf"error: --alpha: {alpha} [^\n]*ring radius R must [^\n]*\n", err), err
+
+
+def test_tune_without_a_crossing_lists_the_scan_and_the_reachable_range(capsys):
+    # the tight well of the ring pair climbs from about -7.9e4 to +1.9e4
+    # over c in (0.42, 0.55): a target of 1e5 has no crossing
+    code, _, err = run_cli(capsys, "tune", "--model", "scaling", "--target", "1e5")
+    assert code == 3
+    assert err.startswith("numerical failure: no crossing of target_energy=100000.0")
+    assert err.count("\n") == 1 and "c=0.42: " in err and "c=0.55: " in err
+    cfg = PhysicalConfig()
+    energies = [
+        PotentialModel("scaling", cfg, models.RingParams(models.scaled_ring_radius(1, coeff=c)),
+                       scaling_k=1).tight_minimum().v_star
+        for c in (0.42, 0.55)
+    ]
+    low, high = re.search(r"energy spans \[(\S+), (\S+)\] where the well is open", err).groups()
+    assert float(low) == pytest.approx(min(energies), rel=1e-5)
+    assert float(high) == pytest.approx(max(energies), rel=1e-5)
+
+
+def test_tune_says_when_the_well_is_closed_at_every_scan_point(capsys):
+    # the n = 2 orbit has no tight well at any c of the scan
+    code, _, err = run_cli(capsys, "tune", "--model", "ring-ml", "--n", "2")
+    assert code == 3
+    assert err.startswith("numerical failure: no crossing of target_energy=0.0")
+    assert err.endswith("; the well is closed at every c\n") and err.count("well closed") == 2
 
 
 @pytest.mark.parametrize("verb,extra", [("scan", _RING), ("tune", ())])
@@ -886,4 +951,10 @@ def test_other_verbs_anywhere_in_their_domains_exit_0_2_or_3(argv):
         assert code in (2, 3), (argv, err)
         prefix = "error: " if code == 2 else "numerical failure: "
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        assert re.search(r"--[a-z]|\b(R|a|u|kappa|target_energy)=|ring radius R", err), (argv, err)
+        if argv[0] == "tune":
+            # a flag (alpha puts the tuned ring out of range), or the target
+            # that no scan point straddles
+            named = "--[a-z]" if code == 2 else "no crossing of target_energy="
+            assert re.match(prefix + named, err), (argv, err)
+        else:
+            assert re.search(r"--[a-z]|\b(R|a|u|kappa)=|ring radius R", err), (argv, err)

@@ -630,6 +630,55 @@ def test_scaling_family_tunes_per_exponent():
     assert coeff != pytest.approx(TUNED_COEFF, rel=1e-8)
 
 
+@pytest.mark.parametrize("k,calls", [(0, 11), (1, 11), (2, 12), (3, 10)])
+def test_tune_ring_radius_evaluates_each_ring_once(monkeypatch, k, calls):
+    # the two scan points c = 0.42 and 0.55 are Brent's first two
+    # evaluations, and the reported radius is one Brent has evaluated
+    tight_minimum = PotentialModel.tight_minimum
+    counted = []
+
+    def counting(self, *args, **kwargs):
+        counted.append(self.params)
+        return tight_minimum(self, *args, **kwargs)
+
+    monkeypatch.setattr(PotentialModel, "tight_minimum", counting)
+    R = tune_ring_radius("scaling", CFG, 0.0, scaling_k=k)
+    assert len(counted) == len(set(counted)) == calls  # every ring once
+    assert RingParams(R) in counted
+
+
+@pytest.mark.parametrize(
+    "R,kappa,r",
+    [
+        (2.747884523608806e-70, 4.047637280674912e-267, 1e200),  # 2 kappa R is 0
+        (1e-100, 1.5e-209, 1e150),  # 2 kappa R is subnormal
+        (1e-100, 3e-222, 1e-99),  # and kappa r as well
+    ],
+)
+def test_regulated_pair_where_2_kappa_R_underflows_is_its_far_limit(R, kappa, r):
+    # the quadrature's kernel, about 2 kappa R, was 0 or subnormal there: the
+    # pair read -0.0, or positive garbage of order 1e-31 from c^3 I2
+    got = models._bltp_interaction(R, kappa, CFG.alpha, r)
+    # -c I1 - c^3 I2 in 230 digits, each kernel divided by s = 2 kappa R so
+    # that mpmath's quadrature sees values near 1 (c^2 amplifies the error
+    # of I2 by up to 1e194)
+    with mpmath.workdps(230):
+        alpha, R_mp, kappa_mp = (mpmath.mpf(x) for x in (CFG.alpha, R, kappa))
+        c, scale = alpha / (2 * mpmath.pi * R_mp), 2 * kappa_mp * R_mp
+        rho = mpmath.mpf(r) / (2 * R_mp)
+
+        def kernel(phi):
+            sd = scale * mpmath.sqrt(mpmath.sin(phi) ** 2 + rho**2)
+            return -mpmath.expm1(-sd) / sd
+
+        i1 = scale * mpmath.quad(kernel, [0, mpmath.pi])
+        i2 = scale * mpmath.quad(lambda phi: mpmath.cos(2 * phi) * kernel(phi), [0, mpmath.pi])
+        want = float(-c * i1 - c**3 * i2)
+    assert got == pytest.approx(want, rel=4e-16, abs=0.0)
+    model = PotentialModel("ring-bltp", CFG, RingParams(R, kappa))
+    assert model.binding(np.array([r]))[0] == model.binding(r)
+
+
 def test_sample_curve_log_grid():
     curve = sample_curve(COULOMB, 1.0, 1e3, 7)
     assert len(curve.grid) == len(curve.values) == 7
