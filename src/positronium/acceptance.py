@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ from .models import (
     scaled_ring_radius,
     tune_ring_radius,
 )
-from .optimize import Bracket, OptimizeError, find_local_minima, minimize_scalar
+from .optimize import Bracket, OptimizeError, StationaryPoint, find_local_minima, minimize_scalar
 from .quadrature import PanelTable
 
 __all__ = [
@@ -117,6 +117,10 @@ def _abs_check(name: str, computed: float, expected: float, abs_tol: float) -> S
     return SubCheck(name, computed, expected, f"abs<={abs_tol:g}", ok)
 
 
+def _range_check(name: str, computed: float, expected: float, lo: float, hi: float) -> SubCheck:
+    return SubCheck(name, computed, expected, f"in [{lo:g}, {hi:g}]", lo <= computed <= hi)
+
+
 def _minimized_coulomb_binding(cfg: PhysicalConfig) -> tuple[float, float]:
     """(r_star, binding minimum) of the point-charge potential, computed in
     the rest-subtracted form so the minimizer is well conditioned."""
@@ -178,6 +182,12 @@ def _rings(R: float, cfg: PhysicalConfig, k: int = 1) -> PotentialModel:
     return PotentialModel("scaling", cfg, RingParams(R), scaling_k=k)
 
 
+def _ring_minima(R: float, cfg: PhysicalConfig) -> list[StationaryPoint]:
+    """Interior minima of the k = 1 ring pair of radius R below the
+    Compton length."""
+    return find_local_minima(_rings(R, cfg), 1e-6, 1e-3, 40)
+
+
 def criterion_4() -> CriterionResult:
     """Ring radius tuned to a zero-energy tight state, against the
     reference coefficient, minimizer location, and sign sensitivity."""
@@ -194,16 +204,11 @@ def criterion_4() -> CriterionResult:
             agrees_to_digits(coeff, ZERO_ENERGY_RADIUS_COEFF, 10),
         )
     ]
-    tuned = _rings(R, cfg)
-    minima = find_local_minima(tuned, 1e-6, 1e-3, 40)
-    if minima:
-        best = min(minima, key=lambda p: p.v_star)
-        checks.append(_rel_check("tight minimizer r_star", best.r_star, 1.3e-5, 0.20))
-    else:
-        checks.append(SubCheck("tight minimizer r_star", math.nan, 1.3e-5, "rel<=0.2", False))
-    truncated = _rings(0.4959783237 * alpha2, cfg)
-    dropped = find_local_minima(truncated, 1e-6, 1e-3, 40)
-    e_dropped = min(p.v_star for p in dropped) if dropped else math.nan
+    minima = _ring_minima(R, cfg)
+    r_star = min(minima, key=lambda p: p.v_star).r_star if minima else math.nan
+    checks.append(_rel_check("tight minimizer r_star", r_star, 1.3e-5, 0.20))
+    truncated = _ring_minima(0.4959783237 * alpha2, cfg)
+    e_dropped = min((p.v_star for p in truncated), default=math.nan)
     checks.append(
         SubCheck("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
     )
@@ -213,8 +218,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """No second tightly bound state: the n = 2 curve at tuned parameters
     has no interior minimum below the Compton length."""
-    tuned = _rings(_tuned_ml_radius(), PhysicalConfig(n=2))
-    minima = find_local_minima(tuned, 1e-6, 1e-3, 40)
+    minima = _ring_minima(_tuned_ml_radius(), PhysicalConfig(n=2))
     checks = (
         SubCheck("n=2 interior minima count", float(len(minima)), 0.0, "exactly 0", not minima),
     )
@@ -224,23 +228,9 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     """Joint regulator/radius tuning under the flux constraint."""
     solution, point = tune_bltp(target_energy=0.0)
-    k_lo, k_hi = _BLTP_KAPPA_WINDOW
-    r_lo, r_hi = _BLTP_R_WINDOW
     checks = (
-        SubCheck(
-            "tuned kappa",
-            solution.kappa,
-            1.8e5,
-            f"in [{k_lo:g}, {k_hi:g}]",
-            k_lo <= solution.kappa <= k_hi,
-        ),
-        SubCheck(
-            "tuned R",
-            solution.R,
-            2.57e-5,
-            f"in [{r_lo:g}, {r_hi:g}]",
-            r_lo <= solution.R <= r_hi,
-        ),
+        _range_check("tuned kappa", solution.kappa, 1.8e5, *_BLTP_KAPPA_WINDOW),
+        _range_check("tuned R", solution.R, 2.57e-5, *_BLTP_R_WINDOW),
         _abs_check("tight minimum energy", point.v_star, 0.0, 1e-6),
     )
     return CriterionResult(6, "flux-constrained tuning", checks)
@@ -271,13 +261,7 @@ def criterion_8() -> CriterionResult:
     best = results[0]
     checks = [
         _rel_check("tight minimizer a_star", best.a_star, _VARIATIONAL_A, 0.02),
-        SubCheck(
-            "tight minimum energy",
-            best.energy,
-            0.05,
-            "in [0.04, 0.06]",
-            0.04 <= best.energy <= 0.06,
-        ),
+        _range_check("tight minimum energy", best.energy, 0.05, 0.04, 0.06),
         SubCheck(
             "upper bound",
             best.energy,
@@ -292,10 +276,10 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(8, "variational bound", tuple(checks))
 
 
-def _legendre_max_deviation(count: int = 100) -> float:
+def _legendre_max_deviation() -> float:
     worst = 0.0
-    for i in range(1, count + 1):
-        k = i / (count + 1)
+    for i in range(1, 101):
+        k = i / 101
         kp = math.sqrt((1.0 - k) * (1.0 + k))
         big_k, big_e = ellip_KE(k)
         big_kc, big_ec = ellip_KE(kp)
@@ -310,31 +294,27 @@ def _panel_rule(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> 
     return table.integral(f(table.nodes))
 
 
-def _polynomial_quadrature_deviation(trials: int = 10) -> float:
+def _exact_integral(coeffs: np.ndarray, lo: float, hi: float) -> float:
+    """The integral over [lo, hi] of the polynomial with ``coeffs``."""
+    anti = np.polyint(coeffs)
+    return float(np.polyval(anti, hi) - np.polyval(anti, lo))
+
+
+def _polynomial_quadrature_deviation() -> float:
     rng = np.random.default_rng(20260819)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         coeffs = rng.uniform(-2.0, 2.0, size=7)
         d_coeffs = rng.uniform(-2.0, 2.0, size=7)
         a, mid, b = sorted(rng.uniform(-3.0, 3.0, size=3))
         if b - a < 0.5:
             b = a + 1.0
             mid = a + 0.4
-
-        def p(x: np.ndarray) -> np.ndarray:
-            return np.polyval(coeffs, x)
-
-        def q(x: np.ndarray) -> np.ndarray:
-            return np.polyval(d_coeffs, x)
-
-        def exact(c: np.ndarray, lo: float, hi: float) -> float:
-            anti = np.polyint(c)
-            return float(np.polyval(anti, hi) - np.polyval(anti, lo))
-
-        scale = max(1.0, abs(exact(coeffs, a, b)), abs(exact(d_coeffs, a, b)))
+        p, q = partial(np.polyval, coeffs), partial(np.polyval, d_coeffs)
+        exact_p, exact_q = _exact_integral(coeffs, a, b), _exact_integral(d_coeffs, a, b)
+        scale = max(1.0, abs(exact_p), abs(exact_q))
         combo = _panel_rule(lambda x: 2.0 * p(x) - 3.0 * q(x), a, b)
-        linear = 2.0 * exact(coeffs, a, b) - 3.0 * exact(d_coeffs, a, b)
-        worst = max(worst, abs(combo - linear) / scale)
+        worst = max(worst, abs(combo - (2.0 * exact_p - 3.0 * exact_q)) / scale)
         left = _panel_rule(p, a, mid)
         right = _panel_rule(p, mid, b)
         whole = _panel_rule(p, a, b)
@@ -368,7 +348,6 @@ def criterion_9() -> CriterionResult:
     far_values = {
         "point charges": PotentialModel("coulomb", cfg)(r_far),
         "point dipoles": PotentialModel("coulomb-dipole", cfg)(r_far),
-        "rings": _rings(scaled_ring_radius(1), cfg)(r_far),
         "regulated rings": PotentialModel("ring-bltp", cfg, bltp)(r_far),
     }
     for k in range(4):

@@ -111,7 +111,8 @@ _TUNE_MODELS = ("ring-ml", "ring-bltp", "scaling")
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _ALPHA = _Param(float, ALPHA_FS, "fine-structure constant",
                 domain=(lambda v: 0.0 < v < 1.0, "in (0, 1)"))
-_N = _Param(int, 1, "principal quantum number", domain=(lambda v: v >= 1, "at least 1"))
+_N = _Param(int, 1, "principal quantum number",
+           domain=(lambda v: 1 <= v <= sys.float_info.max, "in [1, the largest float]"))
 # the grid bounds keep a scan's arrays, and its run time, in reach
 _MAX_POINTS = 10**6
 _PPD = _Param(int, 40, "scan resolution in grid points per decade",

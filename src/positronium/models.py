@@ -12,10 +12,10 @@ mass).  Four interaction families, one FAMILIES entry each:
                   inverse length kappa (angular quadratures)
 * scaling         charged current rings, standard fields (elliptic
                   integrals), with magnetic coupling alpha^(1+2k) and
-                  natural radius alpha^(1+k)       -> potential_scaling_law
+                  natural radius alpha^(1+k)
 
 The current-ring pair of the paper, with standard fields, is the k = 1
-member of scaling (potential_v3; the CLI spells it ring-ml).
+member of scaling (the CLI spells it ring-ml).
 PotentialModel binds a family to its parameters: model(r) is the kinetic
 term plus the family's interaction, model.binding(r) the kinetic excess
 plus the same one, and model.tight_minimum() the tightly bound well of the
@@ -87,8 +87,6 @@ __all__ = [
     "kinetic_term",
     "kinetic_excess",
     "ring_energy_lines",
-    "potential_v3",
-    "potential_scaling_law",
     "scaled_ring_radius",
     "sample_curve",
     "tune_ring_radius",
@@ -140,8 +138,9 @@ class PhysicalConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1); got {self.alpha!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1; got {self.n!r}")
+        # n enters the energies as a float
+        if not (isinstance(self.n, int) and 1 <= self.n <= sys.float_info.max):
+            raise ValueError(f"n must be an integer in [1, the largest float]; got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -432,9 +431,23 @@ def _ring_potential(R: float, cfg: PhysicalConfig, mag_coupling: float, r: float
     return kinetic_term(cfg, r) + _ring_interaction(R, cfg.alpha, mag_coupling, r)
 
 
+# potential_v3 and potential_scaling_law are PotentialModel("scaling", ...)
+# as plain functions, kept out of __all__: perfbench/workloads.py is their
+# only caller
 def potential_v3(params: RingParams, cfg: PhysicalConfig, r: float) -> float:
     """Ring pair with standard fields: kinetic term plus ring energy."""
     return _ring_potential(params.R, cfg, cfg.alpha**3, r)
+
+
+def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: float) -> float:
+    """Ring family with magnetic coupling alpha^(1+2k), electric unchanged.
+
+    k = 1 is bit-identical to potential_v3 (alpha^3 coupling).  The natural
+    radius for a zero-energy tight state scales as alpha^(1+k); see
+    scaled_ring_radius.
+    """
+    _require_exponent(k)
+    return _ring_potential(params.R, cfg, cfg.alpha ** (1 + 2 * k), r)
 
 
 def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
@@ -554,17 +567,6 @@ def _bltp_interaction(R: float, kappa: float, alpha: float, r: float | np.ndarra
     i1, i2 = _bltp_integrals(R, kappa, r)
     c = alpha / (2.0 * math.pi * R)
     return -c * i1 - c**3 * i2
-
-
-def potential_scaling_law(k: int, params: RingParams, cfg: PhysicalConfig, r: float) -> float:
-    """Ring family with magnetic coupling alpha^(1+2k), electric unchanged.
-
-    k = 1 is bit-identical to potential_v3 (alpha^3 coupling).  The natural
-    radius for a zero-energy tight state scales as alpha^(1+k); see
-    scaled_ring_radius.
-    """
-    _require_exponent(k)
-    return _ring_potential(params.R, cfg, cfg.alpha ** (1 + 2 * k), r)
 
 
 def _coulomb(kinetic: float, model: PotentialModel, r: float) -> float:

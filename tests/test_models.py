@@ -748,6 +748,10 @@ def test_config_validation():
         PhysicalConfig(n=0)
     with pytest.raises(ValueError):
         PhysicalConfig(n=1.5)
+    # n enters the energies as a float
+    assert PhysicalConfig(n=int(sys.float_info.max)).n == int(sys.float_info.max)
+    with pytest.raises(ValueError, match="^n must"):
+        PhysicalConfig(n=int(sys.float_info.max) + 1)
 
 
 def test_ring_params_validation():
