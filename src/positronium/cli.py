@@ -1,12 +1,20 @@
 """Command-line surface: scans, minimization, tuning, flux solving,
 variational bounds, and the reproduction suite.
 
-Verbs: scan, minimize, tune, flux-solve, variational, reproduce.
-Exit codes: 0 success, 1 reproduction failure, 2 usage/validation,
-3 numerical failure.
+Each verb is one entry of _COMMANDS; without ``--json`` it prints
 
-Output is CSV for curve scans (columns ``r,V``, 17 significant digits,
-UTF-8, LF line endings) and a JSON envelope for everything else:
+    scan         a potential curve     CSV: ``r,V`` at 17 significant digits
+    minimize     all local minima      the JSON envelope
+    tune         a tuned ring          the JSON envelope
+    flux-solve   R at a given kappa    the JSON envelope
+    variational  E(a) or its minima    the JSON envelope (echo: R, alpha,
+                                       then --a or the --a-min/--a-max scan)
+    reproduce    the whole suite       one pass/fail table
+
+and with ``--json`` the JSON envelope; ``--output FILE`` writes the same
+bytes (UTF-8, LF line endings) to FILE.  Exit codes: 0 success, 1 a reproduction criterion failed, 2
+usage/validation, 3 numerical failure.  The variational trial state is
+the 1s orbital, so that verb takes no --n.  The envelope:
 
     {
       "command":  <verb>,
@@ -161,7 +169,6 @@ _PARAM_SPECS: dict[str, dict[str, _Param]] = {
     "variational": {
         "R": _Param(float, None, "ring radius", True, domain=_POSITIVE),
         "alpha": _ALPHA,
-        "n": _N,
         "a": _Param(float, None, "single-point mode: evaluate E(a) only", domain=_POSITIVE),
         "a_min": _Param(float, 1e-7, "lower end of the trial-scale window", domain=_POSITIVE),
         "a_max": _Param(float, 1e4, "upper end of the trial-scale window", domain=_POSITIVE),
@@ -307,47 +314,41 @@ def _check_grid(verb: str, params: dict[str, Any]) -> None:
                     f"{decades:.6g} decades (at most {_MAX_POINTS} grid points); got {ppd}")
 
 
-def _echo_model_params(name: str, model: PotentialModel) -> dict[str, Any]:
-    """The resolved model parameters, under the --model ``name``: the
-    PhysicalConfig and RingParams fields that are set; ring-ml echoes no k."""
-    echo: dict[str, Any] = {"model": name, **asdict(model.cfg)}
-    if model.params is not None:
-        echo.update((k, v) for k, v in asdict(model.params).items() if v is not None)
-    if name == "scaling":
-        echo["k"] = model.scaling_k
-    return echo
+# what a verb returns: its params echo, its results payload, and its plain
+# text form, a callable that makes the text, or None for a JSON-only verb
+_Run = tuple[dict[str, Any], dict[str, Any], Callable[[], str] | None]
 
 
-def _cmd_scan(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+def _model_in_window(params: dict[str, Any]) -> tuple[PotentialModel, float, float, dict[str, Any]]:
+    """The --model, its r window, and their echo: the model name, the
+    PhysicalConfig and RingParams fields that are set (ring-ml echoes no
+    k), rmin and rmax."""
     model = _build_model(params)
     rmin, rmax = _window(params)
+    echo: dict[str, Any] = {"model": params["model"], **asdict(model.cfg)}
+    if model.params is not None:
+        echo.update((k, v) for k, v in asdict(model.params).items() if v is not None)
+    if params["model"] == "scaling":
+        echo["k"] = model.scaling_k
+    echo.update(rmin=rmin, rmax=rmax)
+    return model, rmin, rmax, echo
+
+
+def _cmd_scan(params: dict[str, Any]) -> _Run:
+    model, rmin, rmax, echo = _model_in_window(params)
     energy = model.binding if params["quantity"] == "binding" else model
     try:
         curve = models.sample_curve(energy, rmin, rmax, params["points"], params["spacing"])
     except ValueError as err:  # the window and flags are valid: the grid repeats a float
         _fail_usage("--points", f"too many for the window ({rmin!r}, {rmax!r}): {err}")
-    echo = _echo_model_params(params["model"], model)
-    echo.update(
-        rmin=rmin,
-        rmax=rmax,
-        points=params["points"],
-        spacing=params["spacing"],
-        quantity=params["quantity"],
-    )
-    results = {"r": list(curve.grid), "V": list(curve.values)}
-    return echo, results
+    echo.update((key, params[key]) for key in ("points", "spacing", "quantity"))
+    grid, values = list(curve.grid), list(curve.values)
+    return echo, {"r": grid, "V": values}, lambda: "\n".join(
+        ["r,V", *(f"{r:.17g},{v:.17g}" for r, v in zip(grid, values))])
 
 
-def _curve_csv(results: dict[str, Any]) -> str:
-    lines = ["r,V"]
-    for r, v in zip(results["r"], results["V"]):
-        lines.append(f"{r:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    model = _build_model(params)
-    rmin, rmax = _window(params)
+def _cmd_minimize(params: dict[str, Any]) -> _Run:
+    model, rmin, rmax, echo = _model_in_window(params)
     ppd = params["points_per_decade"]
 
     # minimize the rest-subtracted form (same minimizers, far better
@@ -363,12 +364,11 @@ def _cmd_minimize(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         }
         for p in minima
     ]
-    echo = _echo_model_params(params["model"], model)
-    echo.update(rmin=rmin, rmax=rmax, points_per_decade=ppd)
-    return echo, {"minima": payload, "count": len(payload)}
+    echo["points_per_decade"] = ppd
+    return echo, {"minima": payload, "count": len(payload)}, None
 
 
-def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+def _cmd_tune(params: dict[str, Any]) -> _Run:
     """The tuned ring, its tight minimum, and the minimum at the tuned R
     (kappa held) or coefficient truncated to the 10 digits it is quoted to."""
     family, k = _family(params["model"], params["k"])
@@ -399,39 +399,38 @@ def _cmd_tune(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
         "probe_energy": energy,
         "sign_vs_target": "negative" if energy < target else "positive",
     }
-    return echo, results
+    return echo, results, None
 
 
-def _cmd_flux_solve(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
+def _cmd_flux_solve(params: dict[str, Any]) -> _Run:
     solution = flux.solve_R_given_kappa(params["kappa"], params["alpha"])
     echo = {"kappa": params["kappa"], "alpha": params["alpha"]}
-    return echo, {**asdict(solution), "kappa_R": solution.kappa * solution.R}
+    return echo, {**asdict(solution), "kappa_R": solution.kappa * solution.R}, None
 
 
-def _cmd_variational(params: dict[str, Any]) -> tuple[dict[str, Any], Any]:
-    cfg = PhysicalConfig(params["alpha"], params["n"])
-    R = params["R"]
-    echo: dict[str, Any] = {"R": R, **asdict(cfg)}
+def _cmd_variational(params: dict[str, Any]) -> _Run:
+    R, cfg = params["R"], PhysicalConfig(params["alpha"])
+    echo: dict[str, Any] = {"R": R, "alpha": cfg.alpha}
 
     if params["a"] is not None:
         a = params["a"]
         kin = variational.kinetic_expectation(a)
         pot = variational.potential_expectation(a, R, cfg)
         echo["a"] = a
-        return echo, {"a": a, "kinetic": kin, "potential": pot, "energy": kin + pot}
+        return echo, {"a": a, "kinetic": kin, "potential": pot, "energy": kin + pot}, None
 
-    if not params["a_min"] < params["a_max"]:
-        _fail_usage("--a-max", f"must exceed --a-min; got ({params['a_min']!r}, {params['a_max']!r})")
-    echo.update(
-        a_min=params["a_min"],
-        a_max=params["a_max"],
-        points_per_decade=params["points_per_decade"],
-    )
-    results = variational.minimize_over_a(
-        R, params["a_min"], params["a_max"], cfg, params["points_per_decade"]
-    )
+    a_min, a_max, ppd = params["a_min"], params["a_max"], params["points_per_decade"]
+    if not a_min < a_max:
+        _fail_usage("--a-max", f"must exceed --a-min; got ({a_min!r}, {a_max!r})")
+    echo.update(a_min=a_min, a_max=a_max, points_per_decade=ppd)
+    results = variational.minimize_over_a(R, a_min, a_max, cfg, ppd)
     payload = [asdict(v) for v in results]
-    return echo, {"minima": payload, "count": len(payload), "bound": results[0].energy}
+    return echo, {"minima": payload, "count": len(payload), "bound": results[0].energy}, None
+
+
+def _cmd_reproduce(params: dict[str, Any]) -> _Run:
+    criteria = acceptance.run_all()
+    return {}, acceptance.as_report_dict(criteria), lambda: acceptance.as_table(criteria)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,19 +464,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """``text`` and a newline, to stdout or to the file ``output``."""
+    text += "\n"
     if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
-_COMMANDS: dict[str, Callable[[dict[str, Any]], tuple[dict[str, Any], Any]]] = {
+_COMMANDS: dict[str, Callable[[dict[str, Any]], _Run]] = {
     "scan": _cmd_scan,
     "minimize": _cmd_minimize,
     "tune": _cmd_tune,
     "flux-solve": _cmd_flux_solve,
     "variational": _cmd_variational,
+    "reproduce": _cmd_reproduce,
 }
 
 
@@ -493,18 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(verb, args)
         _check_grid(verb, params)
         started = time.perf_counter()
-        code, text = 0, None  # text stays None for the JSON envelope
-        if verb == "reproduce":
-            criteria = acceptance.run_all()
-            echo, results = {}, acceptance.as_report_dict(criteria)
-            code = 0 if results["all_passed"] else 1
-            if not args.as_json:
-                text = acceptance.as_table(criteria)
-        else:
-            echo, results = _COMMANDS[verb](params)
-            if verb == "scan" and not args.as_json:
-                text = _curve_csv(results)
-        if text is None:
+        echo, results, text = _COMMANDS[verb](params)
+        if args.as_json or text is None:
             envelope = {
                 "command": verb,
                 "version": __version__,
@@ -512,9 +504,10 @@ def main(argv: list[str] | None = None) -> int:
                 "results": _sanitize(results),
                 "meta": {"elapsed_seconds": time.perf_counter() - started},
             }
-            text = json.dumps(envelope, indent=2)
-        _emit(text, args.output)
-        return code
+            _emit(json.dumps(envelope, indent=2), args.output)
+        else:
+            _emit(text(), args.output)
+        return 1 if results.get("all_passed") is False else 0
     except ValueError as err:  # UsageError included
         sys.stderr.write(f"error: {err}\n")
         return 2

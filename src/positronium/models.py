@@ -293,7 +293,8 @@ def bohr_expansion_coeffs(cfg: PhysicalConfig) -> tuple[float, float]:
     Analytic: c2 = -1/8n^2 and c4 = -1/128n^4; used to cross-validate
     finite differencing of the numerically minimized energy.
     """
-    n2 = float(cfg.n * cfg.n)
+    n = float(cfg.n)  # in floats: past n ~ 1.3e154, n^2 is inf and both are -0.0
+    n2 = n * n
     return -1.0 / (8.0 * n2), -1.0 / (128.0 * n2 * n2)
 
 

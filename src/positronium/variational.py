@@ -119,7 +119,12 @@ def _kinetic_at(table: PanelTable, a: float) -> float:
     return 64.0 / math.pi * table.integral(np.sqrt(1.0 + u * u), a=a)
 
 
-def _potential_table(R: float, a_min: float, a_max: float, cfg: PhysicalConfig) -> PanelTable:
+def _potential_table(
+    R: float, a_min: float, a_max: float, cfg: PhysicalConfig | None
+) -> PanelTable:
+    RingParams(R)  # validates R
+    cfg = cfg or PhysicalConfig()
+
     def weight(r: np.ndarray) -> np.ndarray:
         electric, magnetic = _ring_lines(R, cfg.alpha, cfg.alpha**3, r, hypot=np.hypot)
         return r * r * (electric + magnetic)
@@ -154,17 +159,17 @@ def kinetic_expectation(a: float) -> float:
 def potential_expectation(
     a: float, R: float, cfg: PhysicalConfig | None = None
 ) -> float:
-    """<U_R> in the trial state of scale a; tends to -alpha/a for a >> R."""
+    """<U_R> in the trial state of scale a; tends to -alpha/a for a >> R.
+    Of ``cfg`` only alpha is read: the trial state is the 1s orbital."""
     av = _scale(a)
-    cfg = cfg or PhysicalConfig()
-    RingParams(R)  # validates R
     return _potential_at(_potential_table(R, av, av, cfg), av)
 
 
 def energy_expectation(
     a: float, R: float, cfg: PhysicalConfig | None = None
 ) -> float:
-    """Upper bound E(a) = <T>(a) + <U_R>(a) on the pair ground state."""
+    """Upper bound E(a) = <T>(a) + <U_R>(a) on the pair ground state; of
+    ``cfg`` only alpha is read."""
     return kinetic_expectation(a) + potential_expectation(a, R, cfg)
 
 
@@ -182,15 +187,13 @@ def minimize_over_a(
     potential-curve minimizers: the tight and Coulombic minima are nine
     decades apart, so linear scanning is useless.  Every E(a) of the scan
     comes from one pair of node tables built for the window (see the
-    module docstring).  Raises OptimizeError when the window contains no
-    interior minimum.
+    module docstring); of ``cfg`` only alpha is read.  Raises OptimizeError
+    when the window contains no interior minimum.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max; got ({a_min!r}, {a_max!r})")
-    cfg = cfg or PhysicalConfig()
-    RingParams(R)  # validates R
-    kinetic = _kinetic_table(a_min, a_max)
     potential = _potential_table(R, a_min, a_max, cfg)
+    kinetic = _kinetic_table(a_min, a_max)
 
     def f(a: float | np.ndarray) -> float | np.ndarray:
         # one trial scale at a time, and without f calling itself: that

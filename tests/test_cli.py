@@ -621,6 +621,21 @@ def test_variational_single_point(capsys):
     assert res["energy"] == pytest.approx(res["kinetic"] + res["potential"], abs=1e-9)
 
 
+def test_variational_takes_no_n(capsys, tmp_path):
+    # the trial state is the 1s orbital: --n was echoed but changed no bit
+    argv = ("variational", "--R", "2.6e-5", "--a", "1e-5", "--json")
+    code, _, err = run_cli(capsys, *argv, "--n", "3")
+    assert code == 2 and "--n" in err
+    config = tmp_path / "variational.conf"
+    config.write_text("n = 3\n")
+    code, _, err = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 2 and "--config: unknown key 'n'" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "n" not in json.loads(out)["params"]
+    assert variational.potential_expectation(1e-5, 2.6e-5, PhysicalConfig(n=3)) == \
+        variational.potential_expectation(1e-5, 2.6e-5)
+
+
 def test_variational_scan_mode(capsys):
     code, out, _ = run_cli(
         capsys, "variational", "--R", "2.661639e-5", "--a-min", "1e-7", "--a-max", "1e-3",

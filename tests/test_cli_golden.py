@@ -14,12 +14,13 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from positronium import cli
+from positronium import acceptance, cli
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "cli_envelopes.json"
 
@@ -59,11 +60,17 @@ CASES: tuple[tuple[str, ...], ...] = (
 )
 
 
-def run_case(argv: tuple[str, ...]) -> dict:
+def _main(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--json"])
-    envelope = json.loads(out.getvalue())
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv: tuple[str, ...]) -> dict:
+    code, out, _ = _main((*argv, "--json"))
+    envelope = json.loads(out)
     return {"exit": code, "params": envelope["params"], "results": envelope["results"]}
 
 
@@ -111,6 +118,51 @@ def test_envelope_matches_golden(golden, argv):
         _assert_close(got["results"], want["results"], "results")
     else:
         assert got["results"] == want["results"]
+
+
+# the text forms: without --json, scan prints its results as CSV and
+# reproduce as the suite's table; --output writes what stdout would carry
+
+_SCANS = [argv for argv in CASES if argv[0] == "scan"]
+
+
+@pytest.mark.parametrize("argv", _SCANS, ids=[_key(a) for a in _SCANS])
+def test_scan_csv_is_the_json_results_at_17_digits(argv):
+    code, csv, err = _main(argv)
+    results = run_case(argv)["results"]
+    assert (code, err) == (0, "")
+    rows = "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(results["r"], results["V"]))
+    assert csv == "r,V\n" + rows
+
+
+@pytest.fixture
+def suite_once(monkeypatch, acceptance_results):
+    """acceptance.run_all returns the session's results, in order, rather
+    than run the suite again."""
+    criteria = [acceptance_results[number] for number in sorted(acceptance_results)]
+    monkeypatch.setattr(acceptance, "run_all", lambda: criteria)
+    return criteria
+
+
+def test_reproduce_prints_the_table_and_exits_1(suite_once):
+    assert _main(("reproduce",)) == (1, acceptance.as_table(suite_once) + "\n", "")
+
+
+def _masked(text: str) -> str:
+    return re.sub(r'"elapsed_seconds": [^\n]*', '"elapsed_seconds": ...', text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--model", "coulomb", "--points", "5"), ("reproduce",),
+     ("flux-solve", "--kappa", "1.8e5", "--json")],
+    ids=["csv", "table", "envelope"],
+)
+def test_output_file_holds_the_bytes_of_stdout(suite_once, tmp_path, argv):
+    target = tmp_path / "out"
+    code, shown, err = _main(argv)
+    assert _main((*argv, "--output", str(target))) == (code, "", err)
+    assert _masked(target.read_bytes().decode("utf-8")) == _masked(shown)
 
 
 if __name__ == "__main__":

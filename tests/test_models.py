@@ -65,6 +65,25 @@ def test_bohr_expansion_coefficients():
     c2, c4 = bohr_expansion_coeffs(PhysicalConfig(n=2))
     assert c2 == -1.0 / 32.0
     assert c4 == -1.0 / 2048.0
+    for n in range(1, 6):
+        n2 = float(n * n)
+        assert bohr_expansion_coeffs(PhysicalConfig(n=n)) == (-1.0 / (8.0 * n2),
+                                                              -1.0 / (128.0 * n2 * n2))
+
+
+@pytest.mark.parametrize(
+    "n", [10**150, 10**154, 2**511, 10**200, int(sys.float_info.max)],
+    ids=["1e150", "1e154", "2^511", "1e200", "largest-float"],
+)
+def test_bohr_expansion_coefficients_up_to_the_largest_float(n):
+    # n * n leaves the float range above n ~ 1.3e154, inside PhysicalConfig's
+    # domain; float(n * n) raised OverflowError there
+    with mpmath.workdps(50):
+        exact = (-1 / (8 * mpmath.mpf(n) ** 2), -1 / (128 * mpmath.mpf(n) ** 4))
+        for got, want in zip(bohr_expansion_coeffs(PhysicalConfig(n=n)), exact):
+            bound = math.ulp(float(want)) if abs(want) >= sys.float_info.min else \
+                sys.float_info.min
+            assert abs(got - want) <= bound, (n, got, want)
 
 
 @pytest.mark.parametrize("r", [1e-6, 0.1, 1.0, 274.0, 1e4])
