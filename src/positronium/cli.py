@@ -383,11 +383,11 @@ def _cmd_tune(params: dict[str, Any]) -> _Run:
             probe_ring = RingParams(probe, solution.kappa)
         else:
             echo["k"] = k
-            R = models.tune_ring_radius(family, cfg, target, scaling_k=k)
+            model, point = models.tuned_scaling_ring(cfg, target, k)
+            R = model.params.R
             coeff = R / cfg.alpha ** (1 + k)
             results = {"R": R, "coefficient": coeff,
                        "coefficient_parameterization": f"R / alpha^{1 + k}"}
-            point = PotentialModel(family, cfg, RingParams(R), scaling_k=k).tight_minimum()
             key, probe = "probe_coefficient", _truncate_sig(coeff, 10)
             probe_ring = RingParams(scaled_ring_radius(k, cfg.alpha, probe))
     except ValueError as err:  # the tuned R depends only on alpha and k

@@ -113,8 +113,6 @@ _SCALING_EXPONENTS = (0, 1, 2, 3)
 # absolute error budget is what limits the final energy accuracy
 _BLTP_REL_TOL = 1e-13
 _BLTP_ABS_TOL = 1e-14
-# nodes per array pass of the Bopp pair over many r: 512 KiB per array
-_BLTP_CHUNK = 1 << 16
 
 # ring radii whose cube is a normal float: the ring prefactors take R^3 and
 # (alpha/R)^3, which overflow or divide by zero outside this range
@@ -472,7 +470,7 @@ def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
 
     An ndarray r gives the pair at each element, bit for bit as a float r
     would: its elements are grouped by table, and each group takes one pass
-    over an (r x node) array, in chunks of at most _BLTP_CHUNK nodes.  Its
+    over an (r x node) array, in the chunks of PanelTable.chunks.  Its
     QuadratureError is the one the floats would raise, one by one.
     """
     rho = r / (2.0 * R)
@@ -485,9 +483,8 @@ def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
     try:
         for d in dict.fromkeys(decades.tolist()):
             group = np.flatnonzero(decades == d)
-            step = max(1, _BLTP_CHUNK // _bltp_table(d)[0].nodes.size)
-            for start in range(0, group.size, step):
-                part = group[start:start + step]
+            for rows in _bltp_table(d)[0].chunks(group.size):
+                part = group[rows]
                 i1[part], i2[part] = _bltp_pass(d, rho[part, None, None], scale, r[part], R, kappa)
     except QuadratureError:
         for x in r.tolist():  # the error of the first failing r, as a float r raises it
@@ -731,10 +728,19 @@ def tune_ring_radius(
     """
     if model_family != "scaling":
         raise ValueError(f"model_family must be 'scaling'; got {model_family!r}")
+    return tuned_scaling_ring(cfg, target_energy, scaling_k)[0].params.R
+
+
+# kept out of __all__: the tune verb, which reports the tuned ring's
+# minimum too, is its one caller besides tune_ring_radius
+def tuned_scaling_ring(
+    cfg: PhysicalConfig, target_energy: float, scaling_k: int
+) -> tuple[PotentialModel, StationaryPoint]:
+    """The ring tune_ring_radius tunes, with its tight minimum."""
     _require_exponent(scaling_k)
 
     def ring(c: float) -> PotentialModel:
         R = scaled_ring_radius(scaling_k, cfg.alpha, c)  # c alpha^(1+k)
         return PotentialModel("scaling", cfg, RingParams(R), scaling_k)
 
-    return _tune(ring, target_energy, (0.42, 0.55), "c")[1].params.R
+    return _tune(ring, target_energy, (0.42, 0.55), "c")[1:]

@@ -8,11 +8,16 @@ a weight function of the integrand folded in, so an integral that is
 needed for many values of a parameter samples only the parameter-dependent
 factor at the nodes and takes weighted sums:
 
-* variational: <T> and <U_R> for every trial scale of a scan;
+* variational: <T> and <U_R> for every trial scale of a scan, the scan's
+  whole grid in (trial scale x node) passes (``PanelTable.integrals``);
 * flux: G(u) for every u, folded about pi/2, on a panel [0, lo] and
   geometric panels from lo to pi/2;
 * models: the Bopp angular pair at every r, on the same layout, and at
-  many r in one pass (``PanelTable.integrals``).
+  many r in (r x node) passes.
+
+A pass over many parameter values is cut into chunks of at most
+_CHUNK_NODES (parameter x node) elements (``PanelTable.chunks``), so its
+arrays stay in cache whatever the number of values.
 
 Each panel's Kronrod-minus-Gauss-7 difference bounds its error from above
 (the 15-point sum is far more accurate than the 7-point one), and their
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,6 +83,12 @@ _GAUSS[1::2] = _WG + _WG[-2::-1]
 # geometric panels per decade of angular_edges: the Gauss-7 estimate of G(u)
 # is about 1.5e-16 relative there
 _ANGULAR_PANELS_PER_DECADE = 8
+
+# (parameter x node) elements per pass of PanelTable.integrals: 128 KiB per
+# float array, so a pass's temporaries stay in cache.  1 << 16 was slower
+# for both callers: the Bopp pair at a tight minimum's 140 r by 5%, the
+# variational tight grid took nearly twice as long (2-core Xeon, numpy 2.4)
+_CHUNK_NODES = 1 << 14
 
 
 class QuadratureError(RuntimeError):
@@ -191,6 +202,13 @@ class PanelTable:
             row = {name: float(v[i]) if isinstance(v, np.ndarray) else v for name, v in at.items()}
             raise self._error(values[i], float(total[i]), float(estimate[i]), row)
         return total
+
+    def chunks(self, count: int) -> Iterator[slice]:
+        """Slices of range(count), in order, each of at most _CHUNK_NODES
+        // nodes rows (at least one): the passes of ``integrals`` over count
+        parameter values."""
+        step = max(1, _CHUNK_NODES // self.nodes.size)
+        return (slice(start, start + step) for start in range(0, count, step))
 
     def _error(
         self, values: np.ndarray, total: float, estimate: float, at: dict[str, float]

@@ -19,10 +19,13 @@ a Laplace transform of r^2 U_R(r), and the kinetic weight
 x^2 (1+x^2)^-4 does not depend on a.  So the integrals are taken with one
 fixed GK15 rule on geometric panels, _PANELS_PER_DECADE to the decade,
 with the weights folded into the node table: r^2 U_R(r) is sampled once
-(one AGM over the node array) and each E(a) costs one np.exp, one
-np.sqrt and weighted sums.  minimize_over_a builds one table for its
-whole window; the single-a functions build one for [a, a].  The tables
-cover
+(one AGM over the node array) and E(a) needs only an exp and a sqrt at
+the nodes and weighted sums.  minimize_over_a builds one table for its
+whole window and takes its scan's grid in one pass: each expectation for
+every trial scale at once, over (trial scale x node) arrays cut into
+PanelTable.chunks, bit for bit the energies the floats give; its Brent
+refinement takes floats, one a at a time.  The single-a functions build
+a table for [a, a].  The tables cover
 
     r in [1e-7 min(a_min, 2R), 60 a_max],
     x in [1e-6 min(a_min, 1), 1e4 max(a_max, 1)],
@@ -144,6 +147,31 @@ def _potential_at(table: PanelTable, a: float) -> float:
     return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a=a)
 
 
+def _energies(kinetic: PanelTable, potential: PanelTable, a: np.ndarray) -> np.ndarray:
+    """E at each trial scale of ``a``, bit for bit as _kinetic_at and
+    _potential_at give it at a float: each expectation in (trial scale x
+    node) passes, PanelTable.chunks of them, with the same elementwise
+    arithmetic and the prefactors on floats.  Its QuadratureError is the one
+    the floats raise, scale by scale, kinetic before potential."""
+    kin, pot = np.empty_like(a), np.empty_like(a)
+    try:
+        for rows in kinetic.chunks(a.size):
+            u = kinetic.nodes / a[rows, None, None]
+            kin[rows] = 64.0 / math.pi * kinetic.integrals(np.sqrt(1.0 + u * u), a=a[rows])
+        for rows in potential.chunks(a.size):
+            scale = a[rows]
+            prefactor = np.array([4.0 / x**3 for x in scale.tolist()])
+            pot[rows] = prefactor * potential.integrals(
+                np.exp(-2.0 / scale[:, None, None] * potential.nodes), a=scale
+            )
+    except QuadratureError:
+        for x in a.tolist():
+            _kinetic_at(kinetic, x)
+            _potential_at(potential, x)
+        raise
+    return kin + pot
+
+
 @_quiet
 def kinetic_expectation(a: float) -> float:
     """<2 sqrt(1 - Laplacian)> in the trial state of scale a.
@@ -185,10 +213,11 @@ def minimize_over_a(
 
     Logarithmic scan plus parabolic refinement, same discipline as the
     potential-curve minimizers: the tight and Coulombic minima are nine
-    decades apart, so linear scanning is useless.  Every E(a) of the scan
-    comes from one pair of node tables built for the window (see the
-    module docstring); of ``cfg`` only alpha is read.  Raises OptimizeError
-    when the window contains no interior minimum.
+    decades apart, so linear scanning is useless.  Every E(a) comes from
+    one pair of node tables built for the window, the scan's grid in one
+    chunked pass (see the module docstring); of ``cfg`` only alpha is
+    read.  Raises OptimizeError when the window contains no interior
+    minimum.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max; got ({a_min!r}, {a_max!r})")
@@ -196,10 +225,12 @@ def minimize_over_a(
     kinetic = _kinetic_table(a_min, a_max)
 
     def f(a: float | np.ndarray) -> float | np.ndarray:
-        # one trial scale at a time, and without f calling itself: that
-        # would leave a garbage cycle per call, holding both node tables
-        e = [_kinetic_at(kinetic, x) + _potential_at(potential, x) for x in np.ravel(a).tolist()]
-        return np.array(e) if isinstance(a, np.ndarray) else e[0]
+        # the scan's grid in one chunked pass, the refinement's floats one
+        # at a time; f must not call itself: that would leave a garbage
+        # cycle per call, holding both node tables
+        if isinstance(a, np.ndarray):
+            return _energies(kinetic, potential, a)
+        return _kinetic_at(kinetic, a) + _potential_at(potential, a)
 
     points = find_local_minima(f, a_min, a_max, points_per_decade=points_per_decade)
     if not points:

@@ -9,6 +9,7 @@ float calls are made, no garbage cycle is left behind, and no numpy
 warning escapes (pyproject.toml makes every RuntimeWarning a test failure).
 """
 
+import dataclasses
 import gc
 import math
 import re
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elementwise
-from positronium import acceptance, cli, flux, models, variational
+from positronium import acceptance, cli, flux, models, quadrature, variational
 from positronium.models import (
     BIOT_SAVART_WINDOW,
     COULOMB_WINDOW,
@@ -27,6 +28,7 @@ from positronium.models import (
     PhysicalConfig,
     PotentialModel,
     RingParams,
+    _R_RANGE,
     _bltp_integrals,
     potential_scaling_law,
     potential_v3,
@@ -172,7 +174,7 @@ def test_golden_minimize_and_tune_find_the_float_grids_minima(grids_compared):
 
 
 def test_regulated_pair_in_chunks(monkeypatch):
-    # a CLI grid may hold a million r: each pass is capped at _BLTP_CHUNK
+    # a CLI grid may hold a million r: each pass is capped at _CHUNK_NODES
     # nodes (a table has 285 to 1,365 of them here), without moving a value
     R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
     r = np.geomspace(1e-3 * R, 1e3 * R, 50)
@@ -185,7 +187,7 @@ def test_regulated_pair_in_chunks(monkeypatch):
         return original(decades, rho, *args)
 
     monkeypatch.setattr(models, "_bltp_pass", counted)
-    monkeypatch.setattr(models, "_BLTP_CHUNK", 2000)
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", 2000)
     chunked = _bltp_integrals(R, kappa, r)
     assert len(sizes) > 10 and max(sizes) <= 2000  # 4 tables, 14 passes
     assert [x.tolist() for x in chunked] == [x.tolist() for x in whole]
@@ -234,6 +236,98 @@ def test_regulated_pair_names_the_first_failing_r_across_tables(monkeypatch):
     monkeypatch.setattr(models, "_bltp_pass", failing_pass)
     with pytest.raises(QuadratureError, match=re.escape(f"fails at r={0.1 * R!r}")):
         _bltp_integrals(R, kappa, r)
+
+
+VARIATIONAL_WINDOWS = [(1e-6, 1e-4), (1.0, 1e4), (1e-6, 1e4)]  # tight, Coulombic, wide
+R_VARIATIONAL = 2.661639e-5
+
+
+@pytest.mark.parametrize("chunk", [quadrature._CHUNK_NODES, 5000])
+def test_variational_grid_is_the_float_energies(grids_compared, monkeypatch, chunk):
+    # every trial scale of the grid's (a x node) passes gives its float
+    # energy bit for bit; at 5000 elements a pass holds 2 or 3 scales, so each
+    # grid crosses dozens of chunk boundaries
+    monkeypatch.setattr(quadrature, "_CHUNK_NODES", chunk)
+    for lo, hi in VARIATIONAL_WINDOWS:
+        variational.minimize_over_a(R_VARIATIONAL, lo, hi, CFG)
+        kinetic = variational._kinetic_table(lo, hi)
+        potential = variational._potential_table(R_VARIATIONAL, lo, hi, CFG)
+        a = np.geomspace(lo, hi, 401)
+        floats = [variational._kinetic_at(kinetic, x) + variational._potential_at(potential, x)
+                  for x in a.tolist()]
+        assert variational._energies(kinetic, potential, a).tolist() == floats
+    assert grids_compared == VARIATIONAL_WINDOWS
+
+
+def _grid_and_float_errors(monkeypatch, *args):
+    """The QuadratureError texts of minimize_over_a(*args), its scan grid
+    taken in one array call and float by float."""
+    texts = []
+    for wrap in (lambda f: f, elementwise):
+        monkeypatch.setattr(variational, "find_local_minima",
+                            lambda f, *window, **kw: find_local_minima(wrap(f), *window, **kw))
+        with pytest.raises(QuadratureError) as err:
+            variational.minimize_over_a(*args)
+        texts.append(str(err.value))
+    return texts
+
+
+@pytest.mark.parametrize(
+    "window",
+    [*VARIATIONAL_WINDOWS, (_R_RANGE[0], 1e3 * _R_RANGE[0]), (1e-3 * _R_RANGE[1], _R_RANGE[1])],
+)
+def test_variational_grid_fails_as_the_floats_fail(monkeypatch, window):
+    # one panel per decade is far too coarse for both tables
+    monkeypatch.setattr(variational, "_PANELS_PER_DECADE", 1)
+    grid, floats = _grid_and_float_errors(monkeypatch, R_VARIATIONAL, *window, CFG)
+    assert grid == floats
+    assert f"at a={window[0]!r}: Gauss-7 error estimate" in grid
+
+
+def test_variational_grid_names_the_first_failing_scale(monkeypatch):
+    # the pass takes every kinetic integral before any potential one, yet
+    # its error is the floats': here the kinetic integral fails from 1e-5
+    # on and the potential one at every scale, so the potential error at
+    # a_min comes first
+    class FailsFrom(PanelTable):
+        def integral(self, values, **at):
+            if at["a"] >= 1e-5:
+                raise QuadratureError(f"kinetic fails at a={at['a']!r}")
+            return super().integral(values, **at)
+
+        def integrals(self, values, **at):
+            late = at["a"][at["a"] >= 1e-5]
+            if late.size:
+                raise QuadratureError(f"kinetic fails at a={float(late[0])!r}")
+            return super().integrals(values, **at)
+
+    kinetic, potential = variational._kinetic_table, variational._potential_table
+    monkeypatch.setattr(variational, "_kinetic_table", lambda *w: FailsFrom(**vars(kinetic(*w))))
+    # no rule meets a zero tolerance
+    monkeypatch.setattr(variational, "_potential_table",
+                        lambda *args: dataclasses.replace(potential(*args), rel_tol=0.0))
+    grid, floats = _grid_and_float_errors(monkeypatch, R_VARIATIONAL, 1e-6, 1e-4, CFG)
+    assert grid == floats
+    assert f"potential expectation for R={R_VARIATIONAL!r} at a=1e-06: Gauss-7" in grid
+
+
+def test_array_passes_stay_within_one_chunk(monkeypatch):
+    # what keeps a long grid's memory flat: no (parameter x node) array
+    # handed to PanelTable.integrals exceeds _CHUNK_NODES elements
+    shapes = []
+    original = PanelTable.integrals
+
+    def recorded(self, values, **at):
+        shapes.append(values.shape)
+        return original(self, values, **at)
+
+    monkeypatch.setattr(PanelTable, "integrals", recorded)
+    variational.minimize_over_a(R_VARIATIONAL, 1e-6, 1e4, CFG)  # 401 scales
+    passes = len(shapes)
+    R, kappa = BLTP_GOLDEN.R, BLTP_GOLDEN.kappa
+    _bltp_integrals(R, kappa, np.geomspace(1e-3 * R, 1e3 * R, 2000))
+    assert passes > 2 and len(shapes) > passes + 2
+    assert max(math.prod(shape) for shape in shapes) <= quadrature._CHUNK_NODES
 
 
 def test_panel_integrals_name_the_first_failing_row():

@@ -508,6 +508,22 @@ def test_tune_ring_ml(capsys):
     assert sens["probe_energy"] < 0.0
 
 
+def test_tune_computes_each_rings_tight_minimum_once(capsys, monkeypatch):
+    # the 11 rings of the search and the probe ring: the tuned ring's
+    # minimum is the one the search found, not computed again
+    rings = []
+    original = PotentialModel.tight_minimum
+
+    def counted(self):
+        rings.append(self.params)
+        return original(self)
+
+    monkeypatch.setattr(PotentialModel, "tight_minimum", counted)
+    code, _, _ = run_cli(capsys, "tune", "--model", "ring-ml", "--json")
+    assert code == 0
+    assert len(rings) == len(set(rings)) == 12
+
+
 _RING = ("--R-coeff", "0.49597832375")
 
 
