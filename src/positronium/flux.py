@@ -14,11 +14,11 @@ solution; above it there are two radii, one each side of u_min.  This
 module works on the outer branch (u > u_min, the larger radius), where
 kappa(u) is monotone and the reference kappa ~ 1.8e5, R ~ 2.57e-5 sits.
 
-G is the package's GK15 panel rule (see quadrature) with cos(2 phi)
-folded into the weights; it holds 1e-14 relative from u = 0.1 to past
-1e15, so the solver serves every finite kappa above kappa_min (u up to
-about 2e306; only kappa = the largest float has no representable root
-bracket).
+G is the Bopp pair's cos(2 phi) integral at r = 0 (see
+models._bltp_integrals), on the same cached GK15 panel tables; it holds
+1e-15 relative from u = 1 to past 1e15 (1e-15/u below), so the solver
+serves every finite kappa above kappa_min (u up to about 2e306; only
+kappa = the largest float has no representable root bracket).
 
 tune_bltp walks the same constraint in u and reads the depth of the
 regulated tight well at each (R(u), kappa(u)) from
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PhysicalConfig, PotentialModel, RingParams, _tune
+from .models import PhysicalConfig, PotentialModel, RingParams, _bltp_decades, _bltp_table, _tune
 from .optimize import (
     Bracket,
     OptimizeError,
@@ -42,7 +42,7 @@ from .optimize import (
     find_root,
     minimize_scalar,
 )
-from .quadrature import PanelTable, QuadratureError, angular_edges
+from .quadrature import QuadratureError
 
 __all__ = [
     "FluxError",
@@ -52,9 +52,6 @@ __all__ = [
     "solve_R_given_kappa",
     "tune_bltp",
 ]
-
-_REL_TOL = 1e-13
-_ABS_TOL = 1e-15
 
 
 class FluxError(RuntimeError):
@@ -90,35 +87,22 @@ class FluxSolution:
             )
 
 
-@functools.lru_cache(maxsize=4)
-def _G_table(decades: int) -> tuple[PanelTable, np.ndarray]:
-    """The rule for G on angular_edges(10^-decades), cos(2 phi) folded in
-    (twice, for the fold about pi/2), and sin phi at its nodes."""
-    table = PanelTable.build(
-        "flux integral G",
-        angular_edges(10.0**-decades),
-        lambda phi: 2.0 * np.cos(2.0 * phi),
-        _REL_TOL,
-        _ABS_TOL,
-    )
-    return table, np.sin(table.nodes)
-
-
 def flux_constraint_integral(u: float) -> float:
     """G(u) = int_0^pi cos(2 phi) (1 - exp(-2 u sin phi)) / sin phi dphi.
 
     The integrand is entire (the apparent 1/sin endpoint singularity
     cancels; the endpoint limit is 2u), even about pi/2, and varies on the
-    scale 1/u near phi = 0 and pi.  So G is one fixed GK15 rule on [0, pi/2]
-    (see quadrature): a panel [0, lo], then geometric panels up to pi/2,
-    with lo = 10^-d the largest power of ten at or below both 1e-9 and
-    1e-2/u (d <= 308, so that pi/2 / lo stays finite; 2u lo <= 0.05 for
-    every u a solve reaches).  Tables are kept for the last four d; one
-    serves every u <= 1e7.  The 1 - exp is formed with expm1, so small u
-    keeps full relative precision up to the cancellation of cos(2 phi)
-    against G ~ 4u^2/3 (about 1e-15/u relative, or 1e-15 absolute).
-    Above half the largest float the integrand's endpoint value 2u
-    overflows, and QuadratureError names u.
+    scale 1/2u near phi = 0 and pi.  It is the Bopp pair's I2 at
+    rho = r/2R = 0 and 2 kappa R = 2u, so G takes that pair's tables and
+    decade rule (see models._bltp_integrals): the GK15 rule on [0, pi/2],
+    a panel [0, lo] and geometric panels up to pi/2, with lo the largest
+    power of ten at or below 1e-2 min(1, 1/2u) (and at or above 1e-308),
+    and cos(2 phi) applied at the nodes.  So the u of one decade of 2u
+    share a table, and every u <= 0.5 the one with lo = 1e-2.  The 1 - exp
+    is formed with expm1, so small u keeps full relative precision up to
+    the cancellation of cos(2 phi) against G ~ 4u^2/3 (about 1e-15/u
+    relative).  Above half the largest float the integrand's endpoint
+    value 2u overflows, and QuadratureError names u.
     """
     if not 0.0 <= u < math.inf:
         raise ValueError(f"u must be finite and non-negative; got {u!r}")
@@ -126,8 +110,9 @@ def flux_constraint_integral(u: float) -> float:
         return 0.0
     if 2.0 * u == math.inf:  # numpy would warn of the overflow first
         raise QuadratureError(f"flux integral G at u={u!r}: the endpoint value 2u overflows")
-    table, sines = _G_table(min(308, max(9, 2 + math.ceil(math.log10(u)))))
-    return table.integral(-np.expm1(-2.0 * u * sines) / sines, u=u)
+    scale = 2.0 * u
+    table, s, cos2 = _bltp_table(_bltp_decades(0.0, scale))
+    return table.integral(cos2 * (-np.expm1(-scale * s) / s), u=u)
 
 
 def flux_rhs(kappa: float, R: float, alpha: float = PhysicalConfig().alpha) -> float:

@@ -42,7 +42,8 @@ Numerical conditioning notes, load-bearing and easy to get wrong:
   rounded k fails once rho < 1e-8 and k rounds to 1.0.
 * The Bopp-regulated pair takes two angular integrals per r, both from
   one cached GK15 panel table (see quadrature) on panels graded towards
-  phi = 0, at every r (see _bltp_integrals).
+  phi = 0, at every r (see _bltp_integrals).  The flux integral G is the
+  second of them at r = 0 and takes the same tables.
 * Every energy takes a float or a 1-D ndarray of them through the same
   function, and the two agree bit for bit.  The array forms take the
   float branches element by element: np.where past the overflow of q^2
@@ -108,11 +109,12 @@ COULOMB_WINDOW = (1.0, 1e4)
 
 _SCALING_EXPONENTS = (0, 1, 2, 3)
 
-# tolerances for the angular quadratures of the Bopp-regulated ring pair;
-# the cos(2*phi) integral is multiplied by (alpha/2piR)^3 ~ 1e5, so its
-# absolute error budget is what limits the final energy accuracy
+# tolerances for the angular quadratures of the Bopp-regulated ring pair
+# and of the flux integral G, its cos(2*phi) integral at r = 0; that one
+# is multiplied by (alpha/2piR)^3 ~ 1e5 in the energy, so its absolute
+# error budget is what limits the final energy accuracy
 _BLTP_REL_TOL = 1e-13
-_BLTP_ABS_TOL = 1e-14
+_BLTP_ABS_TOL = 1e-15
 
 # ring radii whose cube is a normal float: the ring prefactors take R^3 and
 # (alpha/R)^3, which overflow or divide by zero outside this range
@@ -460,13 +462,16 @@ def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
     keeps d > 0 at every node even where sin^2 phi and rho^2 both
     underflow.  Both kernels are even about pi/2, so at every r they are
     taken with the GK15 panel rule of quadrature folded about pi/2, on
-    angular_edges(lo).  The kernel's narrowest feature near phi = 0 is the peak of
-    width rho; where scale * rho < 1e-8 (scale = 2 kappa R) the kernel is
-    flat across it to 1e-8, and the next feature is the width 1/scale of
-    the expm1 factor.  So lo is 1e-2 min(1, max(rho, 1e-8/scale)), the cap
-    at 1 keeping lo below pi/2 for far rings, rounded down to a power of
-    ten 10^-d (d <= 308) so that one cached table serves a range of r.
-    QuadratureError names r, R and kappa when a panel estimate fails.
+    angular_edges(lo).  The kernel's narrowest feature near phi = 0 is the
+    peak of width rho; where scale * rho < 1e-8 (scale = 2 kappa R) the
+    kernel is flat across it to 1e-8, and the next feature is the width
+    1/scale of the expm1 factor.  So lo is 1e-2 min(1, max(rho, 1e-8/scale)),
+    the cap at 1 keeping lo below pi/2 for far rings, rounded down to a
+    power of ten 10^-d (d <= 308) so that one cached table serves a range
+    of r.  At rho = 0 there is no peak, and lo is 1e-2 min(1, 1/scale):
+    I2 there is the flux integral G(kappa R) (see flux), which takes these
+    tables too.  QuadratureError names r, R and kappa when a panel
+    estimate fails.
 
     An ndarray r gives the pair at each element, bit for bit as a float r
     would: its elements are grouped by table, and each group takes one pass
@@ -494,10 +499,14 @@ def _bltp_integrals(R: float, kappa: float, r: float | np.ndarray):
 
 
 def _bltp_decades(rho: float, scale: float) -> int:
-    """d of the table 10^-d that _bltp_integrals takes at rho = r/2R."""
+    """d of the table 10^-d that _bltp_integrals takes at rho = r/2R.
+
+    At rho = 0 the kernel has no peak, and its narrowest feature is the
+    width 1/scale of the expm1 factor (the flux integral G takes this case).
+    """
     # no division by scale = 0; the floor 1e-306 is the cap d <= 308
-    feature = min(1.0, max(rho, 1e-8 / max(scale, 1e-8), 1e-306))
-    return 2 - math.floor(math.log10(feature))
+    width = max(rho, 1e-8 / max(scale, 1e-8)) if rho else 1.0 / max(scale, 1.0)
+    return 2 - math.floor(math.log10(min(1.0, max(width, 1e-306))))
 
 
 def _bltp_pass(
@@ -520,12 +529,16 @@ def _bltp_pass(
     return i1, integral(np.multiply(cos2, f, out=d), r=r, R=R, kappa=kappa)
 
 
-@functools.lru_cache(maxsize=4)
+# a flux solve doubles u = kappa R through one table per decade of u (10
+# tables at kappa = 1e12): 16 keep those of u up to ~1e13 from one solve
+# to the next, so repeated solves build none
+@functools.lru_cache(maxsize=16)
 def _bltp_table(decades: int) -> tuple[PanelTable, np.ndarray, np.ndarray]:
-    """The rule for the Bopp pair on angular_edges(10^-decades), weight 2
-    for the fold about pi/2, with sin phi and cos 2phi at its nodes."""
+    """The rule for the Bopp pair, and for the flux integral G, on
+    angular_edges(10^-decades), weight 2 for the fold about pi/2, with
+    sin phi and cos 2phi at its nodes."""
     table = PanelTable.build(
-        "ring quadrature",
+        "Bopp angular quadrature",
         angular_edges(10.0**-decades),
         lambda phi: np.full_like(phi, 2.0),
         _BLTP_REL_TOL,

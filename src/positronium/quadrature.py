@@ -10,10 +10,11 @@ factor at the nodes and takes weighted sums:
 
 * variational: <T> and <U_R> for every trial scale of a scan, the scan's
   whole grid in (trial scale x node) passes (``PanelTable.integrals``);
-* flux: G(u) for every u, folded about pi/2, on a panel [0, lo] and
-  geometric panels from lo to pi/2;
-* models: the Bopp angular pair at every r, on the same layout, and at
-  many r in (r x node) passes.
+* models: the Bopp angular pair at every r, folded about pi/2, on a panel
+  [0, lo] and geometric panels from lo to pi/2, and at many r in (r x
+  node) passes;
+* flux: G(u) for every u, the pair's cos(2 phi) integral at r = 0, on
+  the same tables.
 
 A pass over many parameter values is cut into chunks of at most
 _CHUNK_NODES (parameter x node) elements (``PanelTable.chunks``), so its

@@ -19,6 +19,18 @@ def acceptance_results():
     return {c.number: c for c in results}
 
 
+@pytest.fixture
+def fresh_bltp_tables():
+    """The angular tables of the Bopp pair and of the flux integral G, built
+    afresh in the test (with its monkeypatched tolerances, say) and
+    forgotten after it."""
+    from positronium import models
+
+    models._bltp_table.cache_clear()
+    yield
+    models._bltp_table.cache_clear()
+
+
 def elementwise(f):
     """``f`` evaluated float by float: an ndarray argument gives the array
     of ``f`` at each of its elements, in order."""

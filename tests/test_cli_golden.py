@@ -6,6 +6,9 @@ layers must reproduce each of them exactly; re-record only for a change
 that is meant to move a number, and say so where the change is described:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints each value it moves: its path, old -> new, and the relative
+change.
 """
 
 from __future__ import annotations
@@ -165,8 +168,26 @@ def test_output_file_holds_the_bytes_of_stdout(suite_once, tmp_path, argv):
     assert _masked(target.read_bytes().decode("utf-8")) == _masked(shown)
 
 
+def _moved(old, new, path: str):
+    """(path, old, new) of each leaf of the envelopes where new differs from old."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*old, *new]):
+            yield from _moved(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from _moved(o, n, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
+    previous = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
     recorded = {_key(argv): run_case(argv) for argv in CASES}
     FIXTURE.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    for path, old, new in _moved(previous, recorded, ""):
+        change = ""
+        if isinstance(old, float) and isinstance(new, float) and old:
+            change = f" ({(new - old) / abs(old):+.2e} relative)"
+        sys.stdout.write(f"{path}: {old!r} -> {new!r}{change}\n")
     sys.stdout.write(f"recorded {len(recorded)} envelopes in {FIXTURE}\n")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from positronium import cli, flux
+from positronium import cli, flux, models
 from positronium.flux import (
     FluxError,
     FluxSolution,
@@ -27,6 +27,7 @@ from positronium.models import (
     PhysicalConfig,
     PotentialModel,
     RingParams,
+    _bltp_integrals,
 )
 from positronium.optimize import OptimizeError
 from positronium.quadrature import QuadratureError
@@ -100,10 +101,39 @@ def test_constraint_integral_against_series(u):
     assert flux_constraint_integral(u) == pytest.approx(_series_G(u), rel=1e-10)
 
 
-@pytest.mark.parametrize("u", [0.1, 1.0, 4.6, 72.0, 1e4, 1e6, 1e8, 1e10, 1e15])
+@pytest.mark.parametrize(
+    "u", [1e-6, 1e-4, 1e-2, 0.03, 0.1, 1.0, 4.6, 72.0, 1e4, 1e6, 1e8, 1e10, 1e15]
+)
 def test_constraint_integral_against_mpmath(u):
-    # from u ~ 1e4 on, G needs the boundary layer of width 1/u at phi = 0 resolved
-    assert flux_constraint_integral(u) == pytest.approx(_mpmath_G(u), rel=1e-14, abs=0.0)
+    # below u = 1 the integrand's cos(2 phi) cancels against G ~ 4u^2/3,
+    # which costs about 1e-15/u relative; from u ~ 1e4 on, G needs the
+    # boundary layer of width 1/u at phi = 0 resolved
+    rel = 1e-15 / min(u, 1.0)
+    assert flux_constraint_integral(u) == pytest.approx(_mpmath_G(u), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [1e-3, 0.5, 2.0811, 4.626, 72.0, 1e6, 1e300])
+def test_constraint_integral_is_the_bopp_cos2_integral_at_contact(u):
+    # G(u) is the Bopp pair's I2 at r/2R = 0 (5e-324 / 2 rounds to 0) and
+    # scale 2 kappa R = 2u: the same table, the same kernel, bit for bit
+    assert flux_constraint_integral(u) == _bltp_integrals(1.0, u, 5e-324)[1]
+
+
+def test_constraint_integral_estimate_failure_names_u(monkeypatch, fresh_bltp_tables):
+    # no rule meets a zero tolerance: the Gauss-7 estimate is never exactly 0
+    monkeypatch.setattr(models, "_BLTP_REL_TOL", 0.0)
+    monkeypatch.setattr(models, "_BLTP_ABS_TOL", 0.0)
+    with pytest.raises(
+        QuadratureError, match=r"^Bopp angular quadrature at u=4\.626: Gauss-7 error estimate"
+    ):
+        flux_constraint_integral(4.626)
+
+
+def test_tune_bltp_shares_the_bopp_tables(fresh_bltp_tables):
+    # G along the u scan and the tight minima of its rings take their
+    # angular tables from one cache: three tables in all
+    tune_bltp()
+    assert models._bltp_table.cache_info().misses <= 3
 
 
 def test_constraint_integral_frozen_value():
@@ -266,7 +296,10 @@ def test_outer_branch_property(kappa_min, oracle_threshold, s, t):
         assert sols[0].R < sols[1].R
 
 
-@pytest.mark.parametrize("kappa,g_calls", [(1.8e5, 10), (1e6, 13)])
+# Brent's steps depend on the last bits of G, so a count at one kappa pins
+# its path rather than its cost: over 200 log-spaced kappa in (1.56e5, 1e6)
+# a solve takes 10.35 G on average, and at most 14
+@pytest.mark.parametrize("kappa,g_calls", [(1.8e5, 12), (1e6, 13)])
 def test_solve_reuses_the_known_ends_of_the_bracket(monkeypatch, kappa, g_calls):
     # find_root evaluates kappa(u) first at u_min, whose G the threshold
     # search has cached, and at the last doubled u_hi, which the bracket
@@ -298,7 +331,7 @@ def test_solve_reuses_the_known_ends_of_the_bracket(monkeypatch, kappa, g_calls)
     monkeypatch.setattr(flux, "find_root", counted_root)
     solve_R_given_kappa(kappa)
     assert counts["G in root"] == counts["root evals"] - 2
-    assert counts["G"] == g_calls  # 12 and 15 when both ends were evaluated again
+    assert counts["G"] == g_calls  # 14 and 15 when both ends were evaluated again
 
 
 def test_tune_bltp_returns_plain_floats():
@@ -339,13 +372,14 @@ def test_tune_bltp_reference_configuration():
     assert rhs == pytest.approx(solution.R, rel=1e-12)
 
 
-@pytest.mark.parametrize("target,calls", [(0.0, 20), (-1e-3, 20), (1e-3, 20)])
+@pytest.mark.parametrize("target,calls", [(0.0, 20), (-1e-3, 20), (1e-3, 21)])
 def test_tune_bltp_stops_at_the_first_crossing(monkeypatch, target, calls):
     # the u scan stops at its first sign change (scan point 14 of 25 at
     # target 0) and Brent reuses both ends of that bracket; the reported
     # minimum is the one of the root's own ring, which Brent has evaluated.
     # Scanning all 25 points and re-evaluating the ends took 35 calls at
-    # target 0, and a separate reported minimum one more.
+    # target 0, and a separate reported minimum one more.  Brent's steps
+    # depend on the last bits of G, as the solve's do: 20 or 21 of them.
     tight_minimum = PotentialModel.tight_minimum
     counted = []
 

@@ -485,19 +485,12 @@ def test_regulated_potential_is_finite_at_near_contact():
     assert i2 == pytest.approx(flux_constraint_integral(4.64), rel=1e-13)
 
 
-@pytest.fixture
-def fresh_bltp_tables():
-    models._bltp_table.cache_clear()
-    yield
-    models._bltp_table.cache_clear()
-
-
 def test_bltp_panel_estimate_failure_names_the_ring_parameters(monkeypatch, fresh_bltp_tables):
     # no rule meets a zero tolerance: the Gauss-7 estimate is never exactly 0
     monkeypatch.setattr(models, "_BLTP_REL_TOL", 0.0)
     monkeypatch.setattr(models, "_BLTP_ABS_TOL", 0.0)
     with pytest.raises(
-        QuadratureError, match=r"ring quadrature at r=1e-06, R=2\.5698078287e-05, kappa=180000\.0: "
+        QuadratureError, match=r"Bopp angular quadrature at r=1e-06, R=2\.5698078287e-05, kappa=180000\.0: "
         r"Gauss-7 error estimate"
     ):
         _bltp_integrals(BLTP_R, 1.8e5, 1e-6)
