@@ -32,8 +32,6 @@ from .flux import (
 )
 from .models import (
     ALPHA_FS,
-    BIOT_SAVART_WINDOW,
-    COULOMB_WINDOW,
     ZERO_ENERGY_RADIUS_COEFF,
     EnergyCurve,
     PhysicalConfig,
@@ -80,8 +78,6 @@ __all__ = [
     "minimize_scalar",
     # models
     "ALPHA_FS",
-    "BIOT_SAVART_WINDOW",
-    "COULOMB_WINDOW",
     "ZERO_ENERGY_RADIUS_COEFF",
     "EnergyCurve",
     "PhysicalConfig",

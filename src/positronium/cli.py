@@ -1,7 +1,8 @@
 """Command-line surface: scans, minimization, tuning, flux solving,
 variational bounds, and the reproduction suite.
 
-Each verb is one entry of _COMMANDS; without ``--json`` it prints
+Each verb is one entry of _VERBS: its help line, its flags and its
+command.  Without ``--json`` it prints
 
     scan         a potential curve     CSV: ``r,V`` at 17 significant digits
     minimize     all local minima      the JSON envelope
@@ -12,9 +13,11 @@ Each verb is one entry of _COMMANDS; without ``--json`` it prints
     reproduce    the whole suite       one pass/fail table
 
 and with ``--json`` the JSON envelope; ``--output FILE`` writes the same
-bytes (UTF-8, LF line endings) to FILE.  Exit codes: 0 success, 1 a reproduction criterion failed, 2
-usage/validation, 3 numerical failure.  The variational trial state is
-the 1s orbital, so that verb takes no --n.  The envelope:
+bytes (UTF-8, LF line endings) to FILE.  Exit codes: 0 success, 1 a
+reproduction criterion failed, 2 usage/validation (a --config file that
+cannot be read and an --output file that cannot be written included),
+3 numerical failure.  The variational trial state is the 1s orbital, so
+that verb takes no --n.  The envelope:
 
     {
       "command":  <verb>,
@@ -52,8 +55,6 @@ from typing import Any, Callable, NamedTuple
 from . import __version__, acceptance, flux, models, variational
 from .models import (
     ALPHA_FS,
-    BIOT_SAVART_WINDOW,
-    COULOMB_WINDOW,
     FAMILIES,
     PhysicalConfig,
     PotentialModel,
@@ -139,54 +140,6 @@ _MODEL_PARAMS = {
     "rmax": _Param(float, None, "upper end of the r window"),
 }
 
-# per-verb parameter tables; the parser, the config-file keys, the value
-# checks and the resolved params echo all come from these
-_PARAM_SPECS: dict[str, dict[str, _Param]] = {
-    "scan": {
-        **_MODEL_PARAMS,
-        "points": _Param(int, 400, "number of grid points",
-                         domain=(lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")),
-        "spacing": _Param(str, "log", "log-spaced grid (the default)",
-                          choices=("log", "linear")),
-        "quantity": _Param(
-            str, "potential",
-            "emit the raw potential (default) or the rest-subtracted binding energy",
-            choices=("potential", "binding"),
-        ),
-    },
-    "minimize": {**_MODEL_PARAMS, "points_per_decade": _PPD},
-    "tune": {
-        "model": _Param(str, None, "ring family to tune", True, _TUNE_MODELS),
-        "alpha": _ALPHA,
-        "n": _N,
-        "k": _MODEL_PARAMS["k"],
-        "target": _Param(float, 0.0, "target energy of the tight minimum"),
-    },
-    "flux-solve": {
-        "kappa": _Param(float, None, "Bopp regulator scale", True, domain=_POSITIVE),
-        "alpha": _ALPHA,
-    },
-    "variational": {
-        "R": _Param(float, None, "ring radius", True, domain=_POSITIVE),
-        "alpha": _ALPHA,
-        "a": _Param(float, None, "single-point mode: evaluate E(a) only", domain=_POSITIVE),
-        "a_min": _Param(float, 1e-7, "lower end of the trial-scale window", domain=_POSITIVE),
-        "a_max": _Param(float, 1e4, "upper end of the trial-scale window", domain=_POSITIVE),
-        "points_per_decade": _PPD,
-    },
-    "reproduce": {},
-}
-
-_VERB_HELP = {
-    "scan": "sample a potential curve to CSV or JSON",
-    "minimize": "locate all local minima of a potential",
-    "tune": "tune ring parameters to a target tight-state energy",
-    "flux-solve": "solve the flux constraint for R at given kappa",
-    "variational": "variational upper bound over the trial scale",
-    "reproduce": "run the full reproduction suite",
-}
-
-
 def _flag(key: str) -> str:
     return "--log/--linear" if key == "spacing" else f"--{key.replace('_', '-')}"
 
@@ -203,13 +156,13 @@ def _read_config_file(path: str) -> dict[str, str]:
                     _fail_usage("--config", f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 entries[key.strip().replace("-", "_")] = value.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _fail_usage("--config", f"cannot read {path}: {err}")
     return entries
 
 
 def _resolve_params(verb: str, args: argparse.Namespace) -> dict[str, Any]:
-    spec = _PARAM_SPECS[verb]
+    spec = _VERBS[verb].params
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in file_values:
         if key not in spec:
@@ -278,14 +231,21 @@ def _build_model(params: dict[str, Any]) -> PotentialModel:
     return PotentialModel(family, cfg, ring, scaling_k=k)
 
 
+# operational windows (reduced Compton lengths) of scan and minimize: the
+# magnetically dominated wells live far below the Compton length, the
+# Coulombic well sits near the Bohr radius 2/alpha ~ 274
+_BIOT_SAVART_WINDOW = (1e-7, 1e-3)
+_COULOMB_WINDOW = (1.0, 1e4)
+
+
 def _window(params: dict[str, Any]) -> tuple[float, float]:
     """--rmin/--rmax, defaulting to the operational window of --model.
 
     The tight well of the scaling family sits near 0.28 alpha^(1+k), so its
-    window is BIOT_SAVART_WINDOW (the k = 1 one) times alpha^(k-1).
+    window is _BIOT_SAVART_WINDOW (the k = 1 one) times alpha^(k-1).
     """
     family, k = _family(params["model"], params["k"])
-    lo, hi = COULOMB_WINDOW if family == "coulomb" else BIOT_SAVART_WINDOW
+    lo, hi = _COULOMB_WINDOW if family == "coulomb" else _BIOT_SAVART_WINDOW
     if k is not None:
         shift = params["alpha"] ** (k - 1)
         lo, hi = lo * shift, hi * shift
@@ -296,17 +256,10 @@ def _window(params: dict[str, Any]) -> tuple[float, float]:
     return rmin, rmax
 
 
-def _check_grid(verb: str, params: dict[str, Any]) -> None:
-    """Exit 2 naming --points-per-decade when the log grid that minimize or
-    a variational scan lays, ceil(ppd * decades) + 1 points (see
+def _check_grid(lo: float, hi: float, ppd: int) -> None:
+    """Exit 2 naming --points-per-decade when the log grid over (lo, hi) at
+    ppd points per decade, ceil(ppd * decades) + 1 points (see
     find_local_minima), would pass the --points cap."""
-    if verb == "minimize":
-        lo, hi = _window(params)
-    elif verb == "variational" and params["a"] is None:
-        lo, hi = params["a_min"], params["a_max"]
-    else:
-        return
-    ppd = params["points_per_decade"]
     decades = math.log10(hi) - math.log10(lo)
     if math.ceil(ppd * decades) + 1 > _MAX_POINTS:
         top = math.floor((_MAX_POINTS - 1) / decades)
@@ -350,6 +303,7 @@ def _cmd_scan(params: dict[str, Any]) -> _Run:
 def _cmd_minimize(params: dict[str, Any]) -> _Run:
     model, rmin, rmax, echo = _model_in_window(params)
     ppd = params["points_per_decade"]
+    _check_grid(rmin, rmax, ppd)
 
     # minimize the rest-subtracted form (same minimizers, far better
     # conditioned); report both the raw value and the binding value
@@ -392,6 +346,8 @@ def _cmd_tune(params: dict[str, Any]) -> _Run:
             probe_ring = RingParams(scaled_ring_radius(k, cfg.alpha, probe))
     except ValueError as err:  # the tuned R depends only on alpha and k
         _fail_usage("--alpha", f"{cfg.alpha!r} puts the tuned ring outside its range: {err}")
+    except RuntimeError as err:  # the search's report names the flag, not the parameter
+        raise RuntimeError(str(err).replace(f"target_energy={target!r}", f"--target {target!r}"))
     energy = PotentialModel(family, cfg, probe_ring, scaling_k=k).tight_minimum().v_star
     results["minimum"] = {"r_star": point.r_star, "energy": point.v_star}
     results["sensitivity"] = {
@@ -422,6 +378,7 @@ def _cmd_variational(params: dict[str, Any]) -> _Run:
     a_min, a_max, ppd = params["a_min"], params["a_max"], params["points_per_decade"]
     if not a_min < a_max:
         _fail_usage("--a-max", f"must exceed --a-min; got ({a_min!r}, {a_max!r})")
+    _check_grid(a_min, a_max, ppd)
     echo.update(a_min=a_min, a_max=a_max, points_per_decade=ppd)
     results = variational.minimize_over_a(R, a_min, a_max, cfg, ppd)
     payload = [asdict(v) for v in results]
@@ -433,6 +390,54 @@ def _cmd_reproduce(params: dict[str, Any]) -> _Run:
     return {}, acceptance.as_report_dict(criteria), lambda: acceptance.as_table(criteria)
 
 
+class _Verb(NamedTuple):
+    """One verb: its help line, its flags (the parser, the config-file keys,
+    the value checks and the resolved params echo all come from these), and
+    the command that runs on the resolved params."""
+
+    help: str
+    params: dict[str, _Param]
+    command: Callable[[dict[str, Any]], _Run]
+
+
+_VERBS = {
+    "scan": _Verb("sample a potential curve to CSV or JSON", {
+        **_MODEL_PARAMS,
+        "points": _Param(int, 400, "number of grid points",
+                         domain=(lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")),
+        "spacing": _Param(str, "log", "log-spaced grid (the default)",
+                          choices=("log", "linear")),
+        "quantity": _Param(
+            str, "potential",
+            "emit the raw potential (default) or the rest-subtracted binding energy",
+            choices=("potential", "binding"),
+        ),
+    }, _cmd_scan),
+    "minimize": _Verb("locate all local minima of a potential",
+                      {**_MODEL_PARAMS, "points_per_decade": _PPD}, _cmd_minimize),
+    "tune": _Verb("tune ring parameters to a target tight-state energy", {
+        "model": _Param(str, None, "ring family to tune", True, _TUNE_MODELS),
+        "alpha": _ALPHA,
+        "n": _N,
+        "k": _MODEL_PARAMS["k"],
+        "target": _Param(float, 0.0, "target energy of the tight minimum"),
+    }, _cmd_tune),
+    "flux-solve": _Verb("solve the flux constraint for R at given kappa", {
+        "kappa": _Param(float, None, "Bopp regulator scale", True, domain=_POSITIVE),
+        "alpha": _ALPHA,
+    }, _cmd_flux_solve),
+    "variational": _Verb("variational upper bound over the trial scale", {
+        "R": _Param(float, None, "ring radius", True, domain=_POSITIVE),
+        "alpha": _ALPHA,
+        "a": _Param(float, None, "single-point mode: evaluate E(a) only", domain=_POSITIVE),
+        "a_min": _Param(float, 1e-7, "lower end of the trial-scale window", domain=_POSITIVE),
+        "a_max": _Param(float, 1e4, "upper end of the trial-scale window", domain=_POSITIVE),
+        "points_per_decade": _PPD,
+    }, _cmd_variational),
+    "reproduce": _Verb("run the full reproduction suite", {}, _cmd_reproduce),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="positronium",
@@ -441,10 +446,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, spec in _PARAM_SPECS.items():
-        p = sub.add_parser(verb, help=_VERB_HELP[verb])
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        for key, param in spec.items():
+        for key, param in verb.params.items():
             if key == "spacing":
                 p.add_argument("--log", dest=key, action="store_const", const="log",
                                default=None, help=param.help)
@@ -469,18 +474,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-_COMMANDS: dict[str, Callable[[dict[str, Any]], _Run]] = {
-    "scan": _cmd_scan,
-    "minimize": _cmd_minimize,
-    "tune": _cmd_tune,
-    "flux-solve": _cmd_flux_solve,
-    "variational": _cmd_variational,
-    "reproduce": _cmd_reproduce,
-}
+        try:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            _fail_usage("--output", f"cannot write {output}: {err}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -490,15 +488,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    verb = args.verb
     try:
-        params = _resolve_params(verb, args)
-        _check_grid(verb, params)
+        params = _resolve_params(args.verb, args)
         started = time.perf_counter()
-        echo, results, text = _COMMANDS[verb](params)
+        echo, results, text = _VERBS[args.verb].command(params)
         if args.as_json or text is None:
             envelope = {
-                "command": verb,
+                "command": args.verb,
                 "version": __version__,
                 "params": _sanitize(echo),
                 "results": _sanitize(results),

@@ -75,8 +75,6 @@ from .quadrature import PanelTable, QuadratureError, angular_edges
 __all__ = [
     "ALPHA_FS",
     "ZERO_ENERGY_RADIUS_COEFF",
-    "BIOT_SAVART_WINDOW",
-    "COULOMB_WINDOW",
     "PhysicalConfig",
     "RingParams",
     "PotentialModel",
@@ -100,12 +98,6 @@ ALPHA_FS = 1.0 / 137.036
 # load-bearing: the minimum is a difference of ~1e5-sized terms, and
 # truncating the trailing 5 already flips its sign.
 ZERO_ENERGY_RADIUS_COEFF = 0.49597832375
-
-# operational windows (reduced Compton lengths) for scans and reporting:
-# the magnetically dominated wells live far below the Compton length, the
-# Coulombic well sits near the Bohr radius 2/alpha ~ 274
-BIOT_SAVART_WINDOW = (1e-7, 1e-3)
-COULOMB_WINDOW = (1.0, 1e4)
 
 _SCALING_EXPONENTS = (0, 1, 2, 3)
 

@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import elementwise
 from positronium import acceptance, cli, flux, models, quadrature, variational
+from positronium.cli import _BIOT_SAVART_WINDOW, _COULOMB_WINDOW
 from positronium.models import (
-    BIOT_SAVART_WINDOW,
-    COULOMB_WINDOW,
     FAMILIES,
     PhysicalConfig,
     PotentialModel,
@@ -59,7 +58,7 @@ def _model(family: str, coeff: float, k: int = 1, u: float = 4.64) -> PotentialM
 def _window(model: PotentialModel, which: int) -> tuple[float, float]:
     if model.params is not None:
         return FAMILIES[model.family].tight_window(model)
-    return (COULOMB_WINDOW, BIOT_SAVART_WINDOW)[which]
+    return (_COULOMB_WINDOW, _BIOT_SAVART_WINDOW)[which]
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,7 +372,7 @@ def test_array_grid_finds_the_float_grids_minima_of_any_function():
 def test_ring_potentials_on_arrays_are_their_floats(k):
     # the benchmark scans lambdas over potential_v3 and potential_scaling_law
     params = RingParams(scaled_ring_radius(k))
-    r = np.geomspace(BIOT_SAVART_WINDOW[0] * CFG.alpha ** (k - 1), COULOMB_WINDOW[1], 2001)
+    r = np.geomspace(_BIOT_SAVART_WINDOW[0] * CFG.alpha ** (k - 1), _COULOMB_WINDOW[1], 2001)
     got = potential_scaling_law(k, params, CFG, r)
     assert got.tolist() == [potential_scaling_law(k, params, CFG, x) for x in r.tolist()]
     if k == 1:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, envelopes, exit codes, config files."""
 
+import ast
 import contextlib
 import dataclasses
 import io
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -571,7 +573,7 @@ def test_tune_without_a_crossing_lists_the_scan_and_the_reachable_range(capsys):
     # over c in (0.42, 0.55): a target of 1e5 has no crossing
     code, _, err = run_cli(capsys, "tune", "--model", "scaling", "--target", "1e5")
     assert code == 3
-    assert err.startswith("numerical failure: no crossing of target_energy=100000.0")
+    assert err.startswith("numerical failure: no crossing of --target 100000.0")
     assert err.count("\n") == 1 and "c=0.42: " in err and "c=0.55: " in err
     cfg = PhysicalConfig()
     energies = [
@@ -588,7 +590,7 @@ def test_tune_says_when_the_well_is_closed_at_every_scan_point(capsys):
     # the n = 2 orbit has no tight well at any c of the scan
     code, _, err = run_cli(capsys, "tune", "--model", "ring-ml", "--n", "2")
     assert code == 3
-    assert err.startswith("numerical failure: no crossing of target_energy=0.0")
+    assert err.startswith("numerical failure: no crossing of --target 0.0")
     assert err.endswith("; the well is closed at every c\n") and err.count("well closed") == 2
 
 
@@ -704,6 +706,16 @@ def test_config_file_must_exist(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_file_that_is_not_utf8_names_the_flag(capsys, tmp_path):
+    # the decode error exited 2 naming no flag
+    config = tmp_path / "scan.conf"
+    config.write_bytes(b"model = coulomb\n\xff\n")
+    code, out, err = run_cli(capsys, "scan", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --config: cannot read {config}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "curve.csv"
     code, out, _ = run_cli(
@@ -715,6 +727,17 @@ def test_output_file(capsys, tmp_path):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "r,V"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("where", ["missing/curve.csv", "."])
+def test_output_that_cannot_be_written_exits_2_naming_the_flag(capsys, tmp_path, where):
+    # a file in a missing directory, or a directory, ended in a traceback
+    # and exit 1, the code of a failed reproduction criterion
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "scan", "--model", "coulomb", "--points", "3",
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: --output: cannot write {re.escape(str(target))}: [^\n]*\n", err)
 
 
 def test_reproduce_reports_the_honest_failures(capsys):
@@ -759,10 +782,41 @@ def test_reproduce_reports_the_honest_failures(capsys):
           "--points-per-decade", "10000"), "--points-per-decade"),
     ],
 )
-def test_grid_requests_are_bounded(argv, flag):
-    code, err = _exit_code_and_stderr(list(argv))
+def test_grid_requests_are_bounded(capsys, argv, flag):
+    # the commands check the cap before they lay a grid
+    with mock.patch.object(cli, "find_local_minima", _unreachable), \
+            mock.patch.object(variational, "minimize_over_a", _unreachable):
+        code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert f"{flag}: must be in [" in err
+
+
+def _verbs_named_outside_the_table(source, verbs):
+    """String constants of ``source`` equal to one of ``verbs``, outside the
+    module docstring and the assignment of _VERBS."""
+    tree = ast.parse(source)
+    exempt = {id(tree.body[0].value)} if ast.get_docstring(tree) is not None else set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == "_VERBS" for t in targets):
+            exempt.update(id(n) for n in ast.walk(node))
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in verbs and id(node) not in exempt
+    ]
+
+
+def test_only_the_verb_table_names_a_verb():
+    # a verb's help line, flags and command are one _VERBS entry; no other
+    # code branches on its name
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert _verbs_named_outside_the_table(source, set(cli._VERBS)) == []
+
+
+def test_verb_name_check_sees_a_branch_on_a_verb():
+    probe = '"""scan and minimize"""\n_VERBS = {"scan": 1}\nif verb == "minimize":\n    pass\n'
+    assert _verbs_named_outside_the_table(probe, {"scan", "minimize"}) == ["line 3: 'minimize'"]
 
 
 def test_config_spacing_names_the_spacing_flags(capsys, tmp_path):
@@ -788,8 +842,8 @@ _VALID_ARGV = {
 
 _DECLARED = [
     (verb, key)
-    for verb, spec in cli._PARAM_SPECS.items()
-    for key, param in spec.items()
+    for verb, entry in cli._VERBS.items()
+    for key, param in entry.params.items()
     if param.choices or param.domain
 ]
 
@@ -845,8 +899,8 @@ def _write_config(path, key, value):
     return path
 
 
-def _unreachable(params):
-    raise AssertionError(f"validation passed {params}")
+def _unreachable(*args, **kwargs):
+    raise AssertionError(f"validation passed {args}")
 
 
 def _exit_code_and_stderr(argv):
@@ -854,16 +908,17 @@ def _exit_code_and_stderr(argv):
     fails the test here rather than run a verb at that value."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-            mock.patch.dict(cli._COMMANDS, {verb: _unreachable for verb in cli._COMMANDS}):
+            mock.patch.dict(cli._VERBS, {verb: entry._replace(command=_unreachable)
+                                         for verb, entry in cli._VERBS.items()}):
         code = cli.main(argv)
     return code, err.getvalue()
 
 
 @pytest.mark.parametrize(
-    "verb,key", [(v, k) for v, k in _DECLARED if cli._PARAM_SPECS[v][k].domain]
+    "verb,key", [(v, k) for v, k in _DECLARED if cli._VERBS[v].params[k].domain]
 )
 def test_declared_domains_have_their_documented_edges(verb, key):
-    param = cli._PARAM_SPECS[verb][key]
+    param = cli._VERBS[verb].params[key]
     inside, outside = _DOMAIN_EDGES[key]
     assert all(_admits(param, v) for v in inside)
     assert not any(_admits(param, v) for v in outside)
@@ -878,7 +933,7 @@ def config_path(tmp_path_factory):
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_values_outside_a_declared_domain_exit_2_naming_the_flag(config_path, verb, key, data):
-    param = cli._PARAM_SPECS[verb][key]
+    param = cli._VERBS[verb].params[key]
     value = data.draw(_candidates(param).filter(lambda v: not _admits(param, v)), label=key)
     runs = [_argv(verb, key, config=_write_config(config_path, key, value))]
     if key != "spacing":  # --log and --linear carry no value
@@ -893,7 +948,7 @@ def test_values_outside_a_declared_domain_exit_2_naming_the_flag(config_path, ve
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_values_inside_a_declared_domain_resolve(config_path, verb, key, data):
-    param = cli._PARAM_SPECS[verb][key]
+    param = cli._VERBS[verb].params[key]
     if param.choices:
         value = data.draw(st.sampled_from(param.choices), label=key)
     else:
@@ -976,7 +1031,7 @@ def test_scans_anywhere_in_the_float_range_exit_0_2_or_3(grids_compared, argv):
         assert re.fullmatch(r"numerical failure: [^\n]*\b[rx]=[^\n]*\n", err), (argv, err)
 
 
-# every tune, flux-solve and variational call, each flag of _PARAM_SPECS
+# every tune, flux-solve and variational call, each flag of its _VERBS entry
 # left unset or drawn across its domain, out to the ends of the float range:
 # exit 0 with finite results, or exit 2 or 3 with one line that names a flag
 # or a parameter
@@ -1009,7 +1064,7 @@ def _verb_argvs(draw):
     a_min = draw(_exponents(-323.3, 308.25))
     window = {"a_min": a_min, "a_max": a_min * 10.0 ** draw(st.floats(-1.0, 8.0))}
     argv = [verb, "--json"]
-    for key, param in cli._PARAM_SPECS[verb].items():
+    for key, param in cli._VERBS[verb].params.items():
         if param.required or draw(st.booleans()):
             value = window[key] if key in window else draw(drawn[key])
             argv.append(f"{cli._flag(key)}={_text(value)}")
@@ -1039,7 +1094,7 @@ def test_other_verbs_anywhere_in_their_domains_exit_0_2_or_3(argv):
         if argv[0] == "tune":
             # a flag (alpha puts the tuned ring out of range), or the target
             # that no scan point straddles
-            named = "--[a-z]" if code == 2 else "no crossing of target_energy="
+            named = "--[a-z]" if code == 2 else "no crossing of --target "
             assert re.match(prefix + named, err), (argv, err)
         else:
             assert re.search(r"--[a-z]|\b(R|a|u|kappa)=|ring radius R", err), (argv, err)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from positronium import cli, flux, models
+from positronium.cli import _BIOT_SAVART_WINDOW
 from positronium.flux import (
     FluxError,
     FluxSolution,
@@ -23,7 +24,6 @@ from positronium.flux import (
 )
 from positronium.models import (
     ALPHA_FS,
-    BIOT_SAVART_WINDOW,
     PhysicalConfig,
     PotentialModel,
     RingParams,
@@ -365,7 +365,7 @@ def test_tune_bltp_reference_configuration():
     assert abs(solution.residual) <= 1e-12 * solution.R
     assert abs(point.v_star) <= 1e-8
     assert point.r_star == pytest.approx(1.713201998833867e-05, rel=1e-4)
-    lo, hi = BIOT_SAVART_WINDOW
+    lo, hi = _BIOT_SAVART_WINDOW
     assert lo < point.r_star < hi
     # the constraint itself holds at the tuned pair
     rhs = ALPHA_FS**2 / (2.0 * math.pi) * flux_constraint_integral(solution.kappa * solution.R)

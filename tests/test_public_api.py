@@ -19,10 +19,9 @@ EXPORTS = {
     "Bracket", "OptimizeError", "StationaryPoint", "find_local_minima", "find_root",
     "minimize_scalar",
     # models
-    "ALPHA_FS", "BIOT_SAVART_WINDOW", "COULOMB_WINDOW", "ZERO_ENERGY_RADIUS_COEFF",
-    "EnergyCurve", "PhysicalConfig", "PotentialModel", "RingParams", "bohr_energy",
-    "bohr_expansion_coeffs", "kinetic_excess", "kinetic_term", "ring_energy_lines",
-    "sample_curve", "scaled_ring_radius", "tune_ring_radius",
+    "ALPHA_FS", "ZERO_ENERGY_RADIUS_COEFF", "EnergyCurve", "PhysicalConfig", "PotentialModel",
+    "RingParams", "bohr_energy", "bohr_expansion_coeffs", "kinetic_excess", "kinetic_term",
+    "ring_energy_lines", "sample_curve", "scaled_ring_radius", "tune_ring_radius",
     # flux
     "FluxError", "FluxSolution", "flux_constraint_integral", "flux_rhs",
     "solve_R_given_kappa", "tune_bltp",
@@ -33,7 +32,7 @@ EXPORTS = {
 
 
 def test_package_exports_are_pinned():
-    assert len(positronium.__all__) == len(set(positronium.__all__)) == 36
+    assert len(positronium.__all__) == len(set(positronium.__all__)) == 34
     assert set(positronium.__all__) == EXPORTS
     for name in EXPORTS:
         assert hasattr(positronium, name), name
