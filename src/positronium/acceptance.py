@@ -5,9 +5,10 @@ from scratch and compares against the stored reference value at the stated
 tolerance.  The suite is the single source of truth for "does this build
 reproduce the reference computation": the `reproduce` CLI verb and the
 acceptance tests both call into it, so the table the user sees and the
-assertions CI runs can never drift apart.  Each comparison is a SubCheck,
-and as_report_dict serializes it with dataclasses.asdict: its fields are
-the report's schema, declared once.
+assertions CI runs can never drift apart.  Each criterion is a
+CriterionResult of SubChecks, one per comparison, and as_report_dict
+serializes them with dataclasses.asdict: their fields are the report's
+schema, declared once.
 
 Honesty notes, established numerically and kept out of the pass/fail
 plumbing (the rows fail rather than bend):
@@ -93,13 +94,16 @@ class SubCheck:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """A criterion's checks; ``passed`` is whether all of them passed, set
+    on construction."""
+
     number: int
     title: str
+    passed: bool = field(init=False)
     checks: tuple[SubCheck, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
 
 def agrees_to_digits(computed: float, reference: float, digits: int) -> bool:
@@ -206,10 +210,10 @@ def criterion_4() -> CriterionResult:
         )
     ]
     minima = _ring_minima(R, cfg)
-    r_star = min(minima, key=lambda p: p.v_star).r_star if minima else math.nan
+    r_star = next((p.r_star for p in minima if p.kind == "global_min"), math.nan)
     checks.append(_rel_check("tight minimizer r_star", r_star, 1.3e-5, 0.20))
     truncated = _ring_minima(0.4959783237 * alpha2, cfg)
-    e_dropped = min((p.v_star for p in truncated), default=math.nan)
+    e_dropped = next((p.v_star for p in truncated if p.kind == "global_min"), math.nan)
     checks.append(
         SubCheck("truncated-coefficient minimum", e_dropped, 0.0, "strictly < 0", e_dropped < 0.0)
     )
@@ -429,15 +433,4 @@ def as_table(results: Sequence[CriterionResult]) -> str:
 
 
 def as_report_dict(results: Sequence[CriterionResult]) -> dict:
-    return {
-        "criteria": [
-            {
-                "number": c.number,
-                "title": c.title,
-                "passed": c.passed,
-                "checks": [asdict(s) for s in c.checks],
-            }
-            for c in results
-        ],
-        "all_passed": all(c.passed for c in results),
-    }
+    return {"criteria": [asdict(c) for c in results], "all_passed": all(c.passed for c in results)}

@@ -219,7 +219,7 @@ def _build_model(params: dict[str, Any]) -> PotentialModel:
     elif params["R_over_alpha2"] is not None:
         R = params["R_over_alpha2"] * cfg.alpha**2
     elif params["R_coeff"] is not None:
-        R = params["R_coeff"] * cfg.alpha ** (1 + (k if k is not None else 1))
+        R = scaled_ring_radius(1 if k is None else k, cfg.alpha, params["R_coeff"])
     if (R is not None) != spec.R:
         _fail_usage("--R", f"the {name} model {'needs a' if spec.R else 'has no'} ring radius")
     kappa = params["kappa"]

@@ -23,8 +23,8 @@ subtract.  With S = sum_{j>=1} 2^j c_j^2 (the AGM form of DLMF 19.8),
     E(k) = K(k) (1 - (k^2 + S)/2),     (2 - k^2) K(k) - 2 E(k) = K(k) S,
 
 and the second is how the ring potentials take a bracket that cancels
-catastrophically at small k.  _agm runs the recurrence on floats and
-_agm_array, the same loop, on ndarrays.
+catastrophically at small k.  _agm runs the recurrence on floats, or, the
+same loop, on ndarrays.
 
 K diverges logarithmically as k -> 1; that endpoint is a signalled domain
 error of ellip_KE, never an infinity sentinel, because the ring models
@@ -34,8 +34,6 @@ reach k = 1 only at r = 0 which callers must exclude.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = ["ellip_KE"]
 
@@ -54,7 +52,8 @@ def _agm(k, kp, sqrt=math.sqrt, converged=bool):
     rounded k loses every digit once k is within a few ulp of 1, and k may
     even round to exactly 1.0 while k' is still a perfectly good 1e-12.
     Requires kp > 0 (K diverges at kp = 0).  Floats take the defaults;
-    _agm_array passes the numpy ones.
+    arrays k, kp pass np.sqrt and np.all, and then every pair of moduli is
+    swept until the slowest has converged.
     """
     a = 1.0
     b = kp
@@ -73,12 +72,6 @@ def _agm(k, kp, sqrt=math.sqrt, converged=bool):
     raise RuntimeError("AGM failed to converge (unreachable for moduli in [0,1))")
 
 
-def _agm_array(k: np.ndarray, kp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_agm at every pair of moduli of the arrays k, kp; all of them are
-    swept until the slowest has converged."""
-    return _agm(k, kp, np.sqrt, np.all)
-
-
 def _ellip_KE_pair(k: float, kp: float) -> tuple[float, float]:
     """(K(k), E(k)) with both moduli supplied by the caller (see _agm)."""
     big_k, series = _agm(k, kp)
@@ -89,8 +82,7 @@ def ellip_KE(k: float) -> tuple[float, float]:
     """Return (K(k), E(k)) from a single AGM run.
 
     The pair shares the iteration, so E costs nothing beyond K.  The ring
-    potentials run the AGM themselves (_agm, _agm_array), on moduli that
-    keep k' exact.
+    potentials run _agm themselves, on moduli that keep k' exact.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1 for K(k); got k={k!r}")

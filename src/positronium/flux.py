@@ -225,8 +225,9 @@ def tune_bltp(
     def ring(u: float) -> PotentialModel:
         return PotentialModel("ring-bltp", cfg, RingParams(*_ring_at(u, alpha)))
 
-    # outside u in (2.5, 8) the tight well is either far too deep or already
-    # closed for any target near zero
+    # at alpha = 1/137 the crossing of a target near zero lies in u in
+    # (2.5, 8); at other alpha it moves out (below 2.5 at alpha = 1/60, above
+    # 8 at 1/300), and this scan reports no crossing
     scan = [2.5 * (8.0 / 2.5) ** (i / 24.0) for i in range(25)]
     try:
         _, model, point = _tune(ring, target_energy, scan, "u")

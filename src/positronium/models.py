@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import _agm, _agm_array
+from .elliptic import _agm
 from .optimize import OptimizeError, StationaryPoint, find_local_minima, find_root
 from .quadrature import PanelTable, QuadratureError, angular_edges
 
@@ -244,7 +244,7 @@ class PotentialModel:
             raise OptimizeError(
                 f"no interior minimum in ({lo!r}, {hi!r}) at R={self.params.R!r}, {shape}"
             )
-        return min(minima, key=lambda p: p.v_star)
+        return next(p for p in minima if p.kind == "global_min")
 
 
 @dataclass(frozen=True)
@@ -366,19 +366,19 @@ def _ring_lines(
         if math.isinf(rho):
             return -alpha / r, -0.0
         rho = max(rho, _SUBNORMAL_MIN)
-        h, agm = math.hypot(1.0, rho), _agm
+        h = math.hypot(1.0, rho)
     else:
         far = np.isinf(rho)
         rho = np.where(far, 1.0, np.maximum(rho, _SUBNORMAL_MIN))
         if hypot is None:
             ones = itertools.repeat(1.0, rho.size)
             h = np.fromiter(map(math.hypot, ones, rho.ravel().tolist()), float, rho.size)
-            h, agm = h.reshape(rho.shape), _agm_array
+            h = h.reshape(rho.shape)
         else:
-            h, agm = hypot(1.0, rho), _agm_array
+            h = hypot(1.0, rho)
     k = 1.0 / h     # modulus
     kp = rho / h    # complementary modulus, exact even when k rounds to 1
-    big_k, series = agm(k, kp)
+    big_k, series = _agm(k, kp, np.sqrt, np.all) if array else _agm(k, kp)
     electric = -(alpha / (math.pi * R)) * k * big_k
     bracket = big_k * series
     prefactor = -(mag_coupling / (4.0 * math.pi**3 * R**3))

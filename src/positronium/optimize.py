@@ -9,8 +9,10 @@ The engines used throughout the package:
   quadratures whose derivatives are not worth maintaining.
 * :func:`find_local_minima` -- enumeration of every interior minimum of a
   function over a range by scanning a log-spaced grid and refining each
-  discrete dip.  Log spacing is load-bearing: the wells of interest sit seven
-  orders of magnitude apart in radius, so a linear grid starves one regime.
+  discrete dip.  It returns them in ascending r and labels the deepest
+  "global_min"; the package takes its deepest minima from that label.  Log
+  spacing is load-bearing: the wells of interest sit seven orders of
+  magnitude apart in radius, so a linear grid starves one regime.
 * :func:`find_root` -- Brent-style bracketed root finding (inverse quadratic
   interpolation / secant, bisection fallback), used by every tuning loop.
 
@@ -186,9 +188,12 @@ def find_local_minima(
     every discrete dip (slope changing from negative to positive), refines
     each with :func:`minimize_scalar`, and labels the least-valued result
     "global_min" (ties within 1e-12 relative in value go to the smaller
-    position).  Minima whose basin spans fewer than 3 grid points may be
-    missed; an empty list means no minima were found, which is a valid
-    answer rather than an error.
+    position).  The list holds one minimum per dip, in ascending r: two
+    dips are at least two grid points apart, so their brackets share at
+    most one grid point, which lies above both refined minima.  Minima
+    whose basin spans fewer than 3 grid points may be missed; an empty
+    list means no minima were found, which is a valid answer rather than
+    an error.
 
     ``f`` takes a float or a 1-D ndarray of them: the grid's values come
     from one call on the grid as an ndarray, and the refinement calls it
@@ -211,32 +216,22 @@ def find_local_minima(
         raise _non_finite(float(array[i]), grid[i])
     values = array.tolist()
 
-    found: list[StationaryPoint] = []
-    for i in range(1, count - 1):
-        if values[i - 1] > values[i] < values[i + 1]:
-            point = minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]))
-            # adjacent dips can refine into one basin; keep the better copy
-            for j, prior in enumerate(found):
-                scale = max(abs(prior.r_star), abs(point.r_star))
-                if abs(prior.r_star - point.r_star) <= 10.0 * DEFAULT_X_TOL * scale:
-                    if point.v_star < prior.v_star:
-                        found[j] = point
-                    break
-            else:
-                found.append(point)
+    found = [
+        minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]))
+        for i in range(1, count - 1)
+        if values[i - 1] > values[i] < values[i + 1]
+    ]
 
     if found:
+        # found ascends in r, so a later minimum wins only by more than the tie
         best = 0
         for j in range(1, len(found)):
             vb, vj = found[best].v_star, found[j].v_star
-            scale = max(abs(vb), abs(vj), 1e-300)
-            if vj < vb - 1e-12 * scale:
-                best = j
-            elif abs(vj - vb) <= 1e-12 * scale and found[j].r_star < found[best].r_star:
+            if vj < vb - 1e-12 * max(abs(vb), abs(vj), 1e-300):
                 best = j
         found[best] = replace(found[best], kind="global_min")
 
-    return sorted(found, key=lambda p: p.r_star)
+    return found
 
 
 def find_root(g: Callable[[float], float], lo: float, hi: float) -> float:

@@ -819,6 +819,16 @@ def test_reproduce_reports_the_honest_failures(capsys):
                 assert check["delta"] == check["computed"] - check["expected"]
 
 
+def test_reproduce_criteria_carry_their_keys_in_order(capsys):
+    # each criterion entry is its CriterionResult's fields, in order, and
+    # its verdict a JSON boolean
+    code, out, _ = run_cli(capsys, "reproduce", "--json")
+    assert code == 1
+    for c in json.loads(out)["results"]["criteria"]:
+        assert list(c) == ["number", "title", "passed", "checks"]
+        assert isinstance(c["passed"], bool)
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

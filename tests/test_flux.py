@@ -526,6 +526,21 @@ def test_tune_bltp_without_crossing_lists_the_whole_scan():
     assert float(low) < -2e5 and 2e4 < float(high) < 2.2e4
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=FluxError,
+    reason="the fixed u scan (2.5, 8) fits alpha = 1/137 only: the tight-minimum "
+    "energy crosses zero between u = 2.3 (-1.58e3) and 2.4 (+243) at alpha = 1/60, "
+    "and between u = 10 (-1.26e4) and 12 (+4.3e4) at alpha = 1/300",
+)
+@pytest.mark.parametrize("alpha", [1.0 / 60.0, 1.0 / 300.0])
+def test_tune_bltp_finds_the_crossing_outside_the_reference_scan(alpha):
+    # on the outer branch, u > u_min ~ 2.08, where the flux constraint has
+    # its radius, the well's energy does cross zero; the tune must find it
+    _, point = tune_bltp(alpha, target_energy=0.0)
+    assert abs(point.v_star) <= 1e-8
+
+
 def test_tune_bltp_without_an_open_well_says_so():
     # the n = 20 orbit has no regulated tight well anywhere in the scan
     with pytest.raises(FluxError, match="; the well is closed at every u$") as info:

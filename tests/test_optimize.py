@@ -6,7 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import elementwise
 from positronium.models import PhysicalConfig, PotentialModel, RingParams, bohr_energy
 from positronium.optimize import (
     Bracket,
@@ -44,6 +47,51 @@ def test_cosine_minima_enumeration_and_tie_break():
         assert p.r_star == pytest.approx(x, rel=1e-8)
         assert p.v_star == pytest.approx(-1.0, abs=1e-12)
     assert [p.kind for p in minima] == ["global_min", "local_min", "local_min"]
+
+
+def test_minima_on_either_side_of_a_narrow_spike_are_both_kept():
+    # a spike of width 2d on the grid point x0 of a V: the dips at the grid
+    # points either side refine to about x0 - d and x0 + d, under 1e-8
+    # relative apart, and each is a minimum of its own, across the spike
+    x0 = 10.0 ** 0.5  # grid[5] of the scan below
+    d = 3e-9 * x0
+    f = lambda x: np.abs(x - x0) + 10.0 * np.maximum(0.0, 1.0 - np.abs(x - x0) / d)
+    minima = find_local_minima(f, 1.0, 10.0, 10)
+    assert len(minima) == 2
+    below, above = minima
+    assert below.r_star < x0 < above.r_star
+    for p in minima:
+        assert 1e-9 < abs(p.r_star / x0 - 1.0) < 1e-8
+    assert [p.kind for p in minima].count("global_min") == 1
+
+
+_COSINES = st.lists(
+    st.tuples(
+        st.floats(0.1, 1.0),  # amplitude
+        st.floats(0.5, 20.0),  # frequency in ln r
+        st.floats(0.0, 2.0 * math.pi),  # phase
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_COSINES)
+def test_minima_ascend_and_the_deepest_is_labelled(terms):
+    # sums of cosines in ln r: many wells, often of equal depth
+    def f(r):
+        return sum(a * math.cos(w * math.log(r) + phase) for a, w, phase in terms)
+
+    minima = find_local_minima(elementwise(f), 1.0, 1e3, 40)
+    assert all(p.r_star < q.r_star for p, q in zip(minima, minima[1:]))
+    if not minima:
+        return
+    assert [p.kind for p in minima].count("global_min") == 1
+    # the lowest value, a tie within 1e-12 relative going to the smaller r
+    low = min(p.v_star for p in minima)
+    tied = [p for p in minima if p.v_star - low <= 1e-12 * max(abs(p.v_star), abs(low), 1e-300)]
+    assert tied[0].kind == "global_min"
 
 
 def test_coulomb_binding_refinement():
