@@ -17,8 +17,10 @@ kappa(u) is monotone and the reference kappa ~ 1.8e5, R ~ 2.57e-5 sits.
 G is the Bopp pair's cos(2 phi) integral at r = 0 (see
 models._bltp_integrals), on the same cached GK15 panel tables; it holds
 1e-15 relative from u = 1 to past 1e15 (1e-15/u below), so the solver
-serves every finite kappa above kappa_min (u up to about 2e306; only
-kappa = the largest float has no representable root bracket).
+serves every finite kappa above kappa_min whose root u = kappa R is at
+most half the largest float, where G takes u: up to the largest float
+at the default alpha (u about 2e306 there), but at alpha = 0.5, where
+R ~ 56, only up to about 1.593e306.
 
 tune_bltp walks the same constraint in u and reads the depth of the
 regulated tight well at each (R(u), kappa(u)) from
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +154,11 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
     Solves kappa(u) = kappa for u = kappa R and returns R = u / kappa.
     kappa <= kappa_min raises FluxError carrying kappa_min (found on the
     first call, then cached).  Above it kappa(u) rises on u > u_min, so
-    doubling u from 2 u_min brackets the root for Brent's method.
+    doubling u from 2 u_min brackets the root for Brent's method.  Near
+    the largest float kappa(u) overflows; taken as the largest float it
+    still brackets the root, at the jump to inf.  u_hi stops at half the
+    largest float, the largest u G takes; a root u past it raises
+    FluxError naming kappa and alpha.
     """
     if not (0.0 < kappa < math.inf and alpha > 0.0):
         raise ValueError(f"need finite kappa > 0 and alpha > 0; got {kappa!r}, {alpha!r}")
@@ -167,32 +174,21 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
 
     # kappa(u) - kappa by u: find_root starts from u_min, known from the
     # threshold, and from the last u_hi, which the doubling loop has just
-    # evaluated, so neither costs another G
+    # evaluated, so neither costs another G.  kappa(u) overflows only for
+    # kappa above about 9e307; clamped to the largest float, it keeps its
+    # sign, and find_root's bisection brackets the jump
     known = {u_min: kappa_min - kappa}
 
     def excess(u: float) -> float:
         if u not in known:
-            known[u] = _ring_at(u, alpha)[1] - kappa
+            known[u] = min(_ring_at(u, alpha)[1] - kappa, sys.float_info.max)
         return known[u]
 
-    u_hi = 2.0 * u_min
+    u_hi, u_top = 2.0 * u_min, 0.5 * sys.float_info.max  # G takes u up to u_top
     while excess(u_hi) <= 0.0:
-        u_hi *= 2.0
-    # kappa(u_hi) overflows only for kappa above about 9e307: bisect back
-    # into [u_hi / 2, u_hi], where kappa(u) < kappa at the left end, until
-    # it is finite (it never is within a few ulps of the largest float)
-    u_lo = 0.5 * u_hi
-    while excess(u_hi) == math.inf:
-        u_mid = 0.5 * (u_lo + u_hi)
-        if not u_lo < u_mid < u_hi:
-            raise FluxError(
-                f"flux constraint unsolvable in floating point at kappa={kappa!r}: "
-                f"kappa(u) overflows between u={u_lo!r} and u={u_hi!r}"
-            )
-        if excess(u_mid) <= 0.0:
-            u_lo = u_mid
-        else:
-            u_hi = u_mid
+        if u_hi == u_top:
+            raise FluxError(f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}")
+        u_hi = min(2.0 * u_hi, u_top)
     R = find_root(excess, u_min, u_hi) / kappa
 
     residual = R - flux_rhs(kappa, R, alpha)

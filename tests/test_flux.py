@@ -223,7 +223,9 @@ def test_solve_at_large_kappa_meets_the_constraint(kappa):
     assert abs(sol.R - _PREF * _mpmath_G(kappa * sol.R)) <= 1e-12 * sol.R
 
 
-@pytest.mark.parametrize("kappa", [1e15, 1e300])
+# above about 9e307 kappa(u) = u / R(u) jumps from below kappa to inf
+# between two adjacent floats u; the root lies at that jump
+@pytest.mark.parametrize("kappa", [1e15, 1e300, 1.7e308, 1.7976931348623157e308])
 def test_solve_at_extreme_kappa_returns_a_solution(kappa):
     sol = solve_R_given_kappa(kappa)
     assert sol.kappa == kappa
@@ -231,11 +233,24 @@ def test_solve_at_extreme_kappa_returns_a_solution(kappa):
     assert sol.R == pytest.approx(_PREF * flux_constraint_integral(kappa * sol.R), rel=1e-12)
 
 
-def test_solve_names_kappa_where_kappa_of_u_overflows():
-    # only at the largest float itself does kappa(u) = u / R(u) jump from
-    # below kappa straight to inf, so no float u brackets the root
-    with pytest.raises(FluxError, match=r"kappa=1\.7976931348623157e\+308: kappa\(u\) overflows"):
-        solve_R_given_kappa(1.7976931348623157e308)
+@pytest.mark.parametrize("kappa,alpha", [(1e307, 0.5), (1.7e308, 0.999)])
+def test_solve_names_kappa_where_kappa_R_passes_the_float_range(capsys, kappa, alpha):
+    # R ~ (alpha^2/pi) ln u is of order 10-100 here, so the root u = kappa R
+    # lies past the largest float, where G cannot be evaluated
+    named = f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}"
+    with pytest.raises(FluxError, match=re.escape(named)):
+        solve_R_given_kappa(kappa, alpha)
+    code = cli.main(["flux-solve", "--kappa", repr(kappa), "--alpha", repr(alpha)])
+    assert (code, capsys.readouterr().err) == (3, f"numerical failure: {named}\n")
+
+
+def test_solve_where_the_root_u_nears_half_the_largest_float():
+    # u = 6e307 lies past the doubling's last power-of-two step from
+    # 2 u_min (4.7e307) but below half the largest float, where G still
+    # takes u, so the root is bracketed and solves
+    sol = solve_R_given_kappa(1.0639715157422633e306, 0.5)
+    assert abs(sol.residual) <= 1e-12 * sol.R
+    assert sol.kappa * sol.R == pytest.approx(6e307, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [5.29e-321, 1e-170])
@@ -250,10 +265,12 @@ def test_no_kappa_solves_where_alpha_squared_underflows(alpha):
 
 
 def test_cli_solves_at_large_kappa(capsys):
-    code = cli.main(["flux-solve", "--kappa", "1e12", "--json"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["results"]["R"] > 0.0
+    for kappa in ("1e12", "1.7976931348623157e308"):
+        code = cli.main(["flux-solve", "--kappa", kappa, "--json"])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert results["R"] > 0.0
+        assert abs(results["residual"]) <= 1e-12 * results["R"]
 
 
 def test_cli_solves_just_above_threshold(capsys):
