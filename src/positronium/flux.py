@@ -18,9 +18,10 @@ G is the Bopp pair's cos(2 phi) integral at r = 0 (see
 models._bltp_integrals), on the same cached GK15 panel tables; it holds
 1e-15 relative from u = 1 to past 1e15 (1e-15/u below), so the solver
 serves every finite kappa above kappa_min whose root u = kappa R is at
-most half the largest float, where G takes u: up to the largest float
-at the default alpha (u about 2e306 there), but at alpha = 0.5, where
-R ~ 56, only up to about 1.593e306.
+most half the largest float, u_top, where G takes u: up to the largest
+float at the default alpha (u about 2e306 there), but at alpha = 0.5,
+where R ~ 56, only up to kappa(u_top) = 1.5930033277148792e306, which
+solves at u_top itself; above it FluxError names that bound.
 
 tune_bltp walks the same constraint in u and reads the depth of the
 regulated tight well at each (R(u), kappa(u)) from
@@ -157,8 +158,9 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
     doubling u from 2 u_min brackets the root for Brent's method.  Near
     the largest float kappa(u) overflows; taken as the largest float it
     still brackets the root, at the jump to inf.  u_hi stops at half the
-    largest float, the largest u G takes; a root u past it raises
-    FluxError naming kappa and alpha.
+    largest float, u_top, the largest u G takes: kappa(u_top) solves, at
+    u_top itself, and a root u past it raises FluxError naming kappa,
+    alpha and kappa(u_top), the largest kappa that solves.
     """
     if not (0.0 < kappa < math.inf and alpha > 0.0):
         raise ValueError(f"need finite kappa > 0 and alpha > 0; got {kappa!r}, {alpha!r}")
@@ -185,9 +187,10 @@ def solve_R_given_kappa(kappa: float, alpha: float = PhysicalConfig().alpha) -> 
         return known[u]
 
     u_hi, u_top = 2.0 * u_min, 0.5 * sys.float_info.max  # G takes u up to u_top
-    while excess(u_hi) <= 0.0:
+    while excess(u_hi) < 0.0:  # at 0, find_root returns u_hi itself
         if u_hi == u_top:
-            raise FluxError(f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}")
+            raise FluxError(f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}; "
+                            f"the largest kappa that solves is {_ring_at(u_top, alpha)[1]!r}")
         u_hi = min(2.0 * u_hi, u_top)
     R = find_root(excess, u_min, u_hi) / kappa
 
@@ -226,7 +229,7 @@ def tune_bltp(
     # 8 at 1/300), and this scan reports no crossing
     scan = [2.5 * (8.0 / 2.5) ** (i / 24.0) for i in range(25)]
     try:
-        _, model, point = _tune(ring, target_energy, scan, "u")
+        model, point = _tune(ring, target_energy, scan, "u")
     except OptimizeError as err:
         raise FluxError(str(err)) from err
     R, kappa = model.params.R, model.params.kappa

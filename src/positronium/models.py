@@ -144,8 +144,7 @@ class RingParams:
     kappa: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.R > 0.0:
-            raise ValueError(f"ring radius R must be positive; got {self.R!r}")
+        # the range test rejects R <= 0 and nan too
         if not _R_RANGE[0] <= self.R <= _R_RANGE[1]:
             raise ValueError(
                 f"ring radius R must lie in [{_R_RANGE[0]:.4g}, {_R_RANGE[1]:.4g}], where "
@@ -249,13 +248,8 @@ class PotentialModel:
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """A sampled energy curve: strictly increasing positive grid, finite values.
+    """A sampled energy curve: strictly increasing positive grid, finite values."""
 
-    ``model`` is the function sampled: a PotentialModel, its ``binding``,
-    or any other energy of r that takes a float or a 1-D ndarray of them.
-    """
-
-    model: Callable[[float | np.ndarray], float | np.ndarray]
     grid: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -665,16 +659,16 @@ def sample_curve(
         i = int(np.argmin(np.isfinite(values)))  # the first non-finite value
         raise RuntimeError(f"curve evaluation failed at r={float(grid[i])!r}: "
                            f"non-finite value {float(values[i])!r}")
-    return EnergyCurve(model=model, grid=tuple(grid.tolist()), values=tuple(values.tolist()))
+    return EnergyCurve(grid=tuple(grid.tolist()), values=tuple(values.tolist()))
 
 
 def _tune(ring: Callable[[float], PotentialModel], target_energy: float, scan: Sequence[float],
-          name: str) -> tuple[float, PotentialModel, StationaryPoint]:
-    """The x at which the tight minimum of ``ring(x)`` equals ``target_energy``,
-    with that ring and its minimum: two adjacent points of ``scan`` whose
-    gaps (minimum minus target) change sign, then Brent's method between
-    them.  Each ring's minimum is computed once, and the root is a point
-    Brent evaluated.  A closed well (OptimizeError) has no gap.
+          name: str) -> tuple[PotentialModel, StationaryPoint]:
+    """The ring ``ring(x)`` whose tight minimum equals ``target_energy``, with
+    that minimum: two adjacent points of ``scan`` whose gaps (minimum minus
+    target) change sign, then Brent's method between them for x.  Each
+    ring's minimum is computed once, and the root is a point Brent
+    evaluated.  A closed well (OptimizeError) has no gap.
 
     The pair is found by bisecting over the scan's indices from its two
     ends: a point is past the crossing if its gap has the opposite sign to
@@ -733,8 +727,7 @@ def _tune(ring: Callable[[float], PotentialModel], target_energy: float, scan: S
             raise OptimizeError(
                 f"no crossing of target_energy={target_energy!r} in the scan ({lines}); {reach}"
             )
-    root = find_root(gap, *crossing)
-    return root, *tuned(root)
+    return tuned(find_root(gap, *crossing))
 
 
 def tune_ring_radius(
@@ -766,11 +759,12 @@ def tune_ring_radius(
 def tuned_scaling_ring(
     cfg: PhysicalConfig, target_energy: float, scaling_k: int
 ) -> tuple[PotentialModel, StationaryPoint]:
-    """The ring tune_ring_radius tunes, with its tight minimum."""
-    _require_exponent(scaling_k)
+    """The ring tune_ring_radius tunes, with its tight minimum; an exponent
+    outside {0,1,2,3} raises scaled_ring_radius's ValueError at the first
+    ring."""
 
     def ring(c: float) -> PotentialModel:
         R = scaled_ring_radius(scaling_k, cfg.alpha, c)  # c alpha^(1+k)
         return PotentialModel("scaling", cfg, RingParams(R), scaling_k)
 
-    return _tune(ring, target_energy, (0.42, 0.55), "c")[1:]
+    return _tune(ring, target_energy, (0.42, 0.55), "c")

@@ -23,8 +23,9 @@ with the weights folded into the node table: r^2 U_R(r) is sampled once
 the nodes and weighted sums.  minimize_over_a builds one table for its
 whole window and takes its scan's grid in one pass: each expectation for
 every trial scale at once, over (trial scale x node) arrays cut into
-PanelTable.chunks, bit for bit the energies the floats give; its Brent
-refinement takes floats, one a at a time.  The single-a functions build
+PanelTable.chunks, bit for bit the values the floats give; its Brent
+refinement takes floats, one a at a time, and the minima it finds are
+reported from one more pass over their a*.  The single-a functions build
 a table for [a, a].  The tables cover
 
     r in [1e-7 min(a_min, 2R), 60 a_max],
@@ -147,10 +148,12 @@ def _potential_at(table: PanelTable, a: float) -> float:
     return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a=a)
 
 
-def _energies(kinetic: PanelTable, potential: PanelTable, a: np.ndarray) -> np.ndarray:
-    """E at each trial scale of ``a``, bit for bit as _kinetic_at and
-    _potential_at give it at a float: each expectation in (trial scale x
-    node) passes, PanelTable.chunks of them, with the same elementwise
+def _expectations(
+    kinetic: PanelTable, potential: PanelTable, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(<T>, <U_R>) at each trial scale of ``a``, bit for bit as _kinetic_at
+    and _potential_at give them at a float: each in (trial scale x node)
+    passes, PanelTable.chunks of them, with the same elementwise
     arithmetic and the prefactors on floats.  Its QuadratureError is the one
     the floats raise, scale by scale, kinetic before potential."""
     kin, pot = np.empty_like(a), np.empty_like(a)
@@ -169,7 +172,7 @@ def _energies(kinetic: PanelTable, potential: PanelTable, a: np.ndarray) -> np.n
             _kinetic_at(kinetic, x)
             _potential_at(potential, x)
         raise
-    return kin + pot
+    return kin, pot
 
 
 @_quiet
@@ -214,10 +217,10 @@ def minimize_over_a(
     Logarithmic scan plus parabolic refinement, same discipline as the
     potential-curve minimizers: the tight and Coulombic minima are nine
     decades apart, so linear scanning is useless.  Every E(a) comes from
-    one pair of node tables built for the window, the scan's grid in one
-    chunked pass (see the module docstring); of ``cfg`` only alpha is
-    read.  Raises OptimizeError when the window contains no interior
-    minimum.
+    one pair of node tables built for the window, the scan's grid and the
+    minima's a* each in one chunked pass (see the module docstring); of
+    ``cfg`` only alpha is read.  Raises OptimizeError when the window
+    contains no interior minimum.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max; got ({a_min!r}, {a_max!r})")
@@ -229,7 +232,7 @@ def minimize_over_a(
         # at a time; f must not call itself: that would leave a garbage
         # cycle per call, holding both node tables
         if isinstance(a, np.ndarray):
-            return _energies(kinetic, potential, a)
+            return np.add(*_expectations(kinetic, potential, a))
         return _kinetic_at(kinetic, a) + _potential_at(potential, a)
 
     points = find_local_minima(f, a_min, a_max, points_per_decade=points_per_decade)
@@ -237,17 +240,10 @@ def minimize_over_a(
         raise OptimizeError(
             f"no variational minimum for a in ({a_min:g}, {a_max:g}) at R={R!r}"
         )
-    results = []
-    for p in points:
-        kin = _kinetic_at(kinetic, p.r_star)
-        pot = _potential_at(potential, p.r_star)
-        results.append(
-            VariationalResult(
-                a_star=p.r_star,
-                kinetic=kin,
-                potential=pot,
-                energy=kin + pot,
-                R=R,
-            )
-        )
+    a_star = [p.r_star for p in points]
+    kin, pot = _expectations(kinetic, potential, np.array(a_star))
+    results = [
+        VariationalResult(a_star=a, kinetic=k, potential=u, energy=k + u, R=R)
+        for a, k, u in zip(a_star, kin.tolist(), pot.tolist())
+    ]
     return sorted(results, key=lambda v: v.energy)

@@ -244,17 +244,17 @@ R_VARIATIONAL = 2.661639e-5
 @pytest.mark.parametrize("chunk", [quadrature._CHUNK_NODES, 5000])
 def test_variational_grid_is_the_float_energies(grids_compared, monkeypatch, chunk):
     # every trial scale of the grid's (a x node) passes gives its float
-    # energy bit for bit; at 5000 elements a pass holds 2 or 3 scales, so each
-    # grid crosses dozens of chunk boundaries
+    # expectations bit for bit; at 5000 elements a pass holds 2 or 3 scales,
+    # so each grid crosses dozens of chunk boundaries
     monkeypatch.setattr(quadrature, "_CHUNK_NODES", chunk)
     for lo, hi in VARIATIONAL_WINDOWS:
         variational.minimize_over_a(R_VARIATIONAL, lo, hi, CFG)
         kinetic = variational._kinetic_table(lo, hi)
         potential = variational._potential_table(R_VARIATIONAL, lo, hi, CFG)
         a = np.geomspace(lo, hi, 401)
-        floats = [variational._kinetic_at(kinetic, x) + variational._potential_at(potential, x)
-                  for x in a.tolist()]
-        assert variational._energies(kinetic, potential, a).tolist() == floats
+        kin, pot = variational._expectations(kinetic, potential, a)
+        assert kin.tolist() == [variational._kinetic_at(kinetic, x) for x in a.tolist()]
+        assert pot.tolist() == [variational._potential_at(potential, x) for x in a.tolist()]
     assert grids_compared == VARIATIONAL_WINDOWS
 
 

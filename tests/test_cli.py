@@ -132,6 +132,10 @@ def test_scan_evaluates_each_point_once(capsys, monkeypatch, quantity):
         (("variational", "--R", "2.6e-5", "--a", "inf"), "--a"),
         (("scan", "--model", "coulomb", "--rmax", "inf"), "--rmax"),
         (("flux-solve", "--kappa", "nan"), "--kappa"),
+        # a required flag left out
+        (("scan",), "--model"),
+        (("flux-solve",), "--kappa"),
+        (("variational", "--a", "1e-5"), "--R"),
     ],
 )
 def test_usage_errors_name_the_flag(capsys, argv, flag):
@@ -685,12 +689,18 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 8
 
 
-def test_config_file_rejects_unknown_keys(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "line,named",
+    [("bogus = 3", "unknown key 'bogus'"), ("bogus", ":2: expected 'key = value'"),
+     ("points = many", "key 'points': cannot parse 'many'")],
+    ids=["unknown-key", "no-equals", "unparsable-value"],
+)
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, line, named):
     config = tmp_path / "scan.conf"
-    config.write_text("model = coulomb\nbogus = 3\n")
+    config.write_text(f"model = coulomb\n{line}\n")
     code, _, err = run_cli(capsys, "scan", "--config", str(config))
     assert code == 2
-    assert "--config" in err and "bogus" in err
+    assert "--config" in err and named in err
 
 
 def test_config_file_rejects_non_finite_values(capsys, tmp_path):

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import re
+import sys
 import warnings
 from unittest import mock
 
@@ -233,11 +234,18 @@ def test_solve_at_extreme_kappa_returns_a_solution(kappa):
     assert sol.R == pytest.approx(_PREF * flux_constraint_integral(kappa * sol.R), rel=1e-12)
 
 
+# kappa(u_top) at u_top = half the largest float, the largest u that G
+# takes: the largest kappa that solves at these alpha
+_LARGEST_SOLVING_KAPPA = {0.5: 1.5930033277148792e306, 0.999: 3.9904852994007e305}
+
+
 @pytest.mark.parametrize("kappa,alpha", [(1e307, 0.5), (1.7e308, 0.999)])
 def test_solve_names_kappa_where_kappa_R_passes_the_float_range(capsys, kappa, alpha):
     # R ~ (alpha^2/pi) ln u is of order 10-100 here, so the root u = kappa R
-    # lies past the largest float, where G cannot be evaluated
-    named = f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}"
+    # lies past the largest float, where G cannot be evaluated; the error
+    # names the largest kappa that solves
+    named = (f"root u = kappa R overflows at kappa={kappa!r}, alpha={alpha!r}; "
+             f"the largest kappa that solves is {_LARGEST_SOLVING_KAPPA[alpha]!r}")
     with pytest.raises(FluxError, match=re.escape(named)):
         solve_R_given_kappa(kappa, alpha)
     code = cli.main(["flux-solve", "--kappa", repr(kappa), "--alpha", repr(alpha)])
@@ -251,6 +259,11 @@ def test_solve_where_the_root_u_nears_half_the_largest_float():
     sol = solve_R_given_kappa(1.0639715157422633e306, 0.5)
     assert abs(sol.residual) <= 1e-12 * sol.R
     assert sol.kappa * sol.R == pytest.approx(6e307, rel=1e-12)
+    # kappa(u_top) solves at u_top itself, where the doubling stops
+    for alpha, kappa in _LARGEST_SOLVING_KAPPA.items():
+        sol = solve_R_given_kappa(kappa, alpha)
+        assert abs(sol.residual) <= 1e-12 * sol.R
+        assert sol.kappa * sol.R == pytest.approx(0.5 * sys.float_info.max, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [5.29e-321, 1e-170])
@@ -260,7 +273,7 @@ def test_no_kappa_solves_where_alpha_squared_underflows(alpha):
     with pytest.raises(FluxError, match=r"kappa_min=inf") as err:
         solve_R_given_kappa(7.9, alpha)
     assert err.value.kappa_min == math.inf
-    with pytest.raises(ValueError, match=r"ring radius R must be positive; got 0\.0"):
+    with pytest.raises(ValueError, match=r"ring radius R must lie in .*; got 0\.0"):
         tune_bltp(alpha)
 
 
@@ -446,8 +459,7 @@ def _walked_tune(ring, target_energy, scan, name):
         raise OptimizeError(
             f"no crossing of target_energy={target_energy!r} in the scan ({lines}); {reach}"
         )
-    root = find_root(gap, x_a, x)
-    return root, *tuned(root)
+    return tuned(find_root(gap, x_a, x))
 
 
 def _outcome(tune, *args):

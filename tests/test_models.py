@@ -724,7 +724,7 @@ def test_sample_curve_names_a_non_finite_value():
     with pytest.raises(RuntimeError, match=r"failed at r=1e-300: non-finite value -inf$"):
         sample_curve(DIPOLE, 1e-300, 1.0, 5)
     with pytest.raises(ValueError, match="non-finite value nan at r=2.0"):
-        EnergyCurve(COULOMB, (1.0, 2.0), (0.0, math.nan))
+        EnergyCurve((1.0, 2.0), (0.0, math.nan))
 
 
 def test_model_call_dispatch():
@@ -826,14 +826,13 @@ def test_positive_separation_required():
 
 
 def test_energy_curve_invariants():
-    model = COULOMB
     with pytest.raises(ValueError):
-        EnergyCurve(model, (1.0, 2.0), (1.0,))
+        EnergyCurve((1.0, 2.0), (1.0,))
     with pytest.raises(ValueError):
-        EnergyCurve(model, (2.0, 1.0), (1.0, 1.0))
+        EnergyCurve((2.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        EnergyCurve(model, (0.0, 1.0), (1.0, 1.0))
+        EnergyCurve((0.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        EnergyCurve(model, (1.0, 2.0), (1.0, math.nan))
+        EnergyCurve((1.0, 2.0), (1.0, math.nan))
     with pytest.raises(ValueError):
-        EnergyCurve(model, (1.0,), (1.0,))
+        EnergyCurve((1.0,), (1.0,))
