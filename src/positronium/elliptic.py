@@ -52,8 +52,9 @@ def _agm(k, kp, sqrt=math.sqrt, converged=bool):
     rounded k loses every digit once k is within a few ulp of 1, and k may
     even round to exactly 1.0 while k' is still a perfectly good 1e-12.
     Requires kp > 0 (K diverges at kp = 0).  Floats take the defaults;
-    arrays k, kp pass np.sqrt and np.all, and then every pair of moduli is
-    swept until the slowest has converged.
+    arrays k, kp pass np.sqrt and np.ndarray.all (np.all's dispatch cost a
+    tenth of a 241-point run), and then every pair of moduli is swept
+    until the slowest has converged.
     """
     a = 1.0
     b = kp

@@ -372,7 +372,7 @@ def _ring_lines(
             h = hypot(1.0, rho)
     k = 1.0 / h     # modulus
     kp = rho / h    # complementary modulus, exact even when k rounds to 1
-    big_k, series = _agm(k, kp, np.sqrt, np.all) if array else _agm(k, kp)
+    big_k, series = _agm(k, kp, np.sqrt, np.ndarray.all) if array else _agm(k, kp)
     electric = -(alpha / (math.pi * R)) * k * big_k
     bracket = big_k * series
     prefactor = -(mag_coupling / (4.0 * math.pi**3 * R**3))
@@ -646,8 +646,8 @@ def sample_curve(
     A value that is not finite raises RuntimeError naming the first such
     r: a numerical failure, not a bad argument.  An exception from
     ``model`` propagates as raised."""
-    if not (0.0 < r_min < r_max):
-        raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ValueError(f"need 0 < r_min < r_max < inf; got ({r_min!r}, {r_max!r})")
     if points < 2:
         raise ValueError(f"need at least 2 points; got {points!r}")
     if spacing not in ("log", "linear"):

@@ -19,11 +19,16 @@ The engines used throughout the package:
 All are deterministic and evaluate only the supplied callable.  The
 callable of find_local_minima takes a float or a 1-D ndarray of them (as
 every energy of the package does): the scan evaluates its whole grid in
-one array call, and the refinement calls it with floats.
+one array call, and the refinement calls it with floats.  Each window's
+grid is laid once and kept, and each refinement starts from the scan's
+values at its bracket instead of evaluating them again as floats, so the
+callable's array values must be its float values bit for bit, as every
+package energy's are.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -115,7 +120,13 @@ def minimize_scalar(
             f"f({bracket.lo!r})={f_lo!r}, f({bracket.mid!r})={f_mid!r}, "
             f"f({bracket.hi!r})={f_hi!r}"
         )
+    return _brent(f, bracket, f_mid, x_tol)
 
+
+def _brent(f: Callable[[float], float], bracket: Bracket, f_mid: float,
+           x_tol: float = DEFAULT_X_TOL) -> StationaryPoint:
+    """minimize_scalar's search, given the finite f(bracket.mid) below both
+    ends' values (the search needs no other value of the three)."""
     a, b = bracket.lo, bracket.hi
     x = w = v = bracket.mid
     fx = fw = fv = f_mid
@@ -176,6 +187,20 @@ def minimize_scalar(
     return StationaryPoint(r_star=x, v_star=fx, kind="local_min", bracket=Bracket(a, x, b))
 
 
+@functools.lru_cache(maxsize=32)
+def _log_grid(r_min: float, r_max: float, points_per_decade: float) -> np.ndarray:
+    """find_local_minima's grid of a window, read-only.  A window's grid is
+    laid once: a tuned ring's scans share the window, which depends only
+    on alpha and the exponent."""
+    lg_lo, lg_hi = math.log10(r_min), math.log10(r_max)
+    count = max(3, int(math.ceil(points_per_decade * (lg_hi - lg_lo))) + 1)
+    step = (lg_hi - lg_lo) / (count - 1)
+    # the ends are r_min and r_max themselves: 10 ** lg_hi may round past the float range
+    grid = np.array([r_min, *(10.0 ** (lg_lo + i * step) for i in range(1, count - 1)), r_max])
+    grid.flags.writeable = False
+    return grid
+
+
 def find_local_minima(
     f: Callable[[float | np.ndarray], float | np.ndarray],
     r_min: float,
@@ -186,40 +211,42 @@ def find_local_minima(
 
     Scans a log-spaced grid with ``points_per_decade`` resolution, detects
     every discrete dip (slope changing from negative to positive), refines
-    each with :func:`minimize_scalar`, and labels the least-valued result
-    "global_min" (ties within 1e-12 relative in value go to the smaller
-    position).  The list holds one minimum per dip, in ascending r: two
-    dips are at least two grid points apart, so their brackets share at
-    most one grid point, which lies above both refined minima.  Minima
-    whose basin spans fewer than 3 grid points may be missed; an empty
-    list means no minima were found, which is a valid answer rather than
-    an error.
+    each with the search of :func:`minimize_scalar`, and labels the
+    least-valued result "global_min" (ties within 1e-12 relative in value
+    go to the smaller position).  The list holds one minimum per dip, in
+    ascending r: two dips are at least two grid points apart, so their
+    brackets share at most one grid point, which lies above both refined
+    minima.  Minima whose basin spans fewer than 3 grid points may be
+    missed; an empty list means no minima were found, which is a valid
+    answer rather than an error.
 
     ``f`` takes a float or a 1-D ndarray of them: the grid's values come
     from one call on the grid as an ndarray, and the refinement calls it
-    with floats.  A non-finite grid value raises OptimizeError at the first
-    such grid point.
+    with floats.  The grid of a window is laid once and kept (``f`` gets a
+    copy, which it may write into).  The refinement starts from the grid's
+    values at its bracket, so the float values of ``f`` must equal its
+    array values bit for bit; then the minima are those of minimize_scalar
+    on each dip's bracket.  A non-finite grid value raises OptimizeError at
+    the first such grid point.
     """
-    if not (0.0 < r_min < r_max):
-        raise ValueError(f"need 0 < r_min < r_max; got ({r_min!r}, {r_max!r})")
-    if points_per_decade < 10:
-        raise ValueError("points_per_decade must be at least 10")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ValueError(f"need 0 < r_min < r_max < inf; got ({r_min!r}, {r_max!r})")
+    if not 10 <= points_per_decade < math.inf:
+        raise ValueError(
+            f"points_per_decade must be finite and at least 10; got {points_per_decade!r}"
+        )
 
-    lg_lo, lg_hi = math.log10(r_min), math.log10(r_max)
-    count = max(3, int(math.ceil(points_per_decade * (lg_hi - lg_lo))) + 1)
-    step = (lg_hi - lg_lo) / (count - 1)
-    # the ends are r_min and r_max themselves: 10 ** lg_hi may round past the float range
-    grid = [r_min, *(10.0 ** (lg_lo + i * step) for i in range(1, count - 1)), r_max]
-    array = f(np.array(grid))
+    grid = _log_grid(float(r_min), float(r_max), points_per_decade)
+    array = f(grid.copy())  # f may write into its argument; the kept grid may not change
     if not np.isfinite(array).all():
         i = int(np.argmin(np.isfinite(array)))  # the first non-finite value
-        raise _non_finite(float(array[i]), grid[i])
-    values = array.tolist()
+        raise _non_finite(float(array[i]), float(grid[i]))
 
+    # each refinement starts from its dip's grid value, which is f's float value there
+    dips = np.flatnonzero((array[:-2] > array[1:-1]) & (array[1:-1] < array[2:])) + 1
     found = [
-        minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]))
-        for i in range(1, count - 1)
-        if values[i - 1] > values[i] < values[i + 1]
+        _brent(f, Bracket(*grid[i - 1 : i + 2].tolist()), float(array[i]))
+        for i in dips.tolist()
     ]
 
     if found:

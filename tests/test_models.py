@@ -716,6 +716,9 @@ def test_sample_curve_validation():
         sample_curve(model, 1.0, 2.0, 1)
     with pytest.raises(ValueError):
         sample_curve(model, 1.0, 2.0, 10, spacing="cubic")
+    # an infinite r_max is the window's error, with no warning from the grid
+    with pytest.raises(ValueError, match=re.escape("need 0 < r_min < r_max < inf; got (1.0, inf)")):
+        sample_curve(model, 1.0, math.inf, 3)
 
 
 def test_sample_curve_names_a_non_finite_value():

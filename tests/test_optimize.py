@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elementwise
+from positronium import models, variational
 from positronium.models import PhysicalConfig, PotentialModel, RingParams, bohr_energy
 from positronium.optimize import (
     Bracket,
@@ -188,6 +190,13 @@ def test_scan_window_validation():
         find_local_minima(np.cos, 10.0, 1.0, points_per_decade=40)
     with pytest.raises(ValueError):
         find_local_minima(np.cos, 1.0, 10.0, points_per_decade=5)
+    # a non-finite window end or density is the window's own error, not the
+    # OverflowError or bare ValueError of counting an infinite grid
+    with pytest.raises(ValueError, match=re.escape("need 0 < r_min < r_max < inf; got (1.0, inf)")):
+        find_local_minima(np.cos, 1.0, math.inf, 10)
+    for ppd in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"points_per_decade must be .*; got {ppd!r}$"):
+            find_local_minima(np.cos, 1.0, 10.0, ppd)
 
 
 def test_tolerance_validation():
@@ -200,3 +209,100 @@ def test_dataclass_invariants():
         Bracket(1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         StationaryPoint(1.0, 0.0, "saddle", Bracket(0.0, 1.0, 2.0))
+
+
+def _direct_minima(f, r_min, r_max, points_per_decade):
+    """find_local_minima's answer computed directly: a fresh ``10.0 **``
+    grid, a loop over its values for the dips, and minimize_scalar on each
+    dip, which evaluates the bracket's three floats again.  The reference
+    for the grid cache and for refining from the scan's values."""
+    lg_lo, lg_hi = math.log10(r_min), math.log10(r_max)
+    count = max(3, int(math.ceil(points_per_decade * (lg_hi - lg_lo))) + 1)
+    step = (lg_hi - lg_lo) / (count - 1)
+    grid = [r_min, *(10.0 ** (lg_lo + i * step) for i in range(1, count - 1)), r_max]
+    values = f(np.array(grid)).tolist()
+    found = [
+        minimize_scalar(f, Bracket(grid[i - 1], grid[i], grid[i + 1]))
+        for i in range(1, count - 1)
+        if values[i - 1] > values[i] < values[i + 1]
+    ]
+    if found:
+        best = 0
+        for j in range(1, len(found)):
+            vb, vj = found[best].v_star, found[j].v_star
+            if vj < vb - 1e-12 * max(abs(vb), abs(vj), 1e-300):
+                best = j
+        found[best] = replace(found[best], kind="global_min")
+    return found
+
+
+def _scaling_ring(k, coeff):
+    R = models.scaled_ring_radius(k, PhysicalConfig().alpha, coeff)
+    return PotentialModel("scaling", PhysicalConfig(), RingParams(R), scaling_k=k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, 3),
+    coeff=st.floats(0.42, 0.55),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda t: abs(t[0] - t[1]) > 0.05),
+    points_per_decade=st.sampled_from([10, 40, 60]),
+)
+def test_minima_are_the_direct_scans_minima(k, coeff, ends, points_per_decade):
+    # any sub-window of a scaling ring's tight window, searched twice (the
+    # second search reuses the first one's grid): the direct scan's minima,
+    # bit for bit
+    model = _scaling_ring(k, coeff)
+    lo, hi = models.FAMILIES["scaling"].tight_window(model)
+    r_min, r_max = (lo * (hi / lo) ** t for t in sorted(ends))
+    expected = repr(_direct_minima(model, r_min, r_max, points_per_decade))
+    for _ in range(2):
+        assert repr(find_local_minima(model, r_min, r_max, points_per_decade)) == expected
+
+
+def test_bopp_golden_minima_are_the_direct_scans_minima():
+    # the ring of the golden minimize and scan --model ring-bltp envelopes
+    model = PotentialModel("ring-bltp", PhysicalConfig(), RingParams(2.5698078e-05, 1.805202e5))
+    window = models.FAMILIES["ring-bltp"].tight_window(model)
+    (minimum,) = find_local_minima(model, *window, 60)
+    assert repr([minimum]) == repr(_direct_minima(model, *window, 60))
+
+
+@pytest.mark.parametrize("window", [(1e-6, 1e-4), (1.0, 1e4)])
+def test_variational_minima_are_the_direct_scans_minima(monkeypatch, window):
+    # minimize_over_a's objective at the reference ring over the tight and
+    # Coulombic windows
+    compared = []
+
+    def both(f, r_min, r_max, points_per_decade):
+        got = find_local_minima(f, r_min, r_max, points_per_decade)
+        assert repr(got) == repr(_direct_minima(f, r_min, r_max, points_per_decade))
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(variational, "find_local_minima", both)
+    variational.minimize_over_a(2.661639e-5, *window)
+    assert len(compared) == 1 and compared[0]
+
+
+def test_flat_runs_are_the_direct_scans_dips():
+    # values equal at neighbouring grid points: only a strict dip is refined
+    f = elementwise(lambda x: round(math.cos(x), 1))
+    assert repr(find_local_minima(f, 1.0, 20.0, 40)) == repr(_direct_minima(f, 1.0, 20.0, 40))
+
+
+def test_a_callable_writing_its_argument_leaves_the_window_grid():
+    # the grid of a window is laid once; f writing into its argument must not
+    # move the next search of that window
+    def cosine(x):
+        return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+    def doubling(x):
+        values = cosine(x)
+        if isinstance(x, np.ndarray):
+            x *= 2.0
+        return values
+
+    expected = repr(_direct_minima(cosine, 1.0, 20.0, 40))
+    assert repr(find_local_minima(doubling, 1.0, 20.0, 40)) == expected
+    assert repr(find_local_minima(cosine, 1.0, 20.0, 40)) == expected
