@@ -8,8 +8,8 @@ a weight function of the integrand folded in, so an integral that is
 needed for many values of a parameter samples only the parameter-dependent
 factor at the nodes and takes weighted sums:
 
-* variational: <T> and <U_R> for every trial scale of a scan, the scan's
-  whole grid in (trial scale x node) passes (``PanelTable.integrals``);
+* variational: <U_R> for every trial scale of a scan, the scan's whole
+  grid in (trial scale x node) passes (``PanelTable.integrals``);
 * models: the Bopp angular pair at every r, folded about pi/2, on a panel
   [0, lo] and geometric panels from lo to pi/2, and at many r in (r x
   node) passes;

@@ -14,31 +14,62 @@ integrals:
 rigorous upper bound on the ground state for every a, so its minimum over
 a is the best bound the family affords.
 
-Both integrals share their expensive part across trial scales: <U_R> is
-a Laplace transform of r^2 U_R(r), and the kinetic weight
-x^2 (1+x^2)^-4 does not depend on a.  So the integrals are taken with one
-fixed GK15 rule on geometric panels, _PANELS_PER_DECADE to the decade,
-with the weights folded into the node table: r^2 U_R(r) is sampled once
-(one AGM over the node array) and E(a) needs only an exp and a sqrt at
-the nodes and weighted sums.  minimize_over_a builds one table for its
-whole window and takes its scan's grid in one pass: each expectation for
-every trial scale at once, over (trial scale x node) arrays cut into
-PanelTable.chunks, bit for bit the values the floats give; its Brent
+The kinetic integral is elementary.  With x = tan(t), s = sin(t), b = 1/a
+and beta = b^2 - 1 = (b - 1)(b + 1),
+
+    <T>(a) = (64/pi) I,  I = int_0^1 s^2 (1 - s^2) sqrt(1 + beta s^2) ds
+                           = (2/15) 2F1(-1/2, 3/2; 7/2; -beta),
+
+and _kinetic takes it in four branches, split at a = 1/sqrt(2), 1 and
+sqrt(2):
+
+* a < 1/sqrt(2) (beta > 1), the acosh form,
+  I = b/(12(1 - a^2)) + a^3/(16(1 - a^2)^2)
+      - a^3 (2 - a^2) acosh(b) / (16 (1 - a^2)^(5/2)),
+  that is b^3/(12 beta) + b/(16 beta^2) - (2b^2 - 1) acosh(b)/(16 beta^(5/2))
+  written in a, so that nothing overflows before <T> itself does, below
+  a ~ 9.4e-309 (16/(3 pi a) there);
+* 1/sqrt(2) <= a <= 1, the Taylor series of Pfaff's transform
+  I = (2/15) b 2F1(-1/2, 2; 7/2; 1 - a^2), in 1 - a^2 <= 1/2;
+* 1 < a <= sqrt(2), the binomial series
+  I = sum_n C(1/2, n) beta^n 2/((2n + 3)(2n + 5)), in -beta <= 1/2;
+* a > sqrt(2), the acos form with acos(b) = pi/2 - asin(b), split into
+  the part even in b, which gives (64/pi) pi/32 = 2 and its corrections,
+  and the odd part, which is O(b^5):
+  <T> = 2 + 2((1 - 2b^2)/(1 - b^2)^(5/2) - 1) + (64/pi) J,
+  J = -b^3/(12(1 - b^2))
+      + (b - (1 - 2b^2) asin(b)/sqrt(1 - b^2)) / (16 (1 - b^2)^2).
+
+Near a = 1 both closed forms cancel (their terms grow like beta^-2 while
+I tends to 2/15), so the seams keep them to beta >= 1 and beta <= -1/2,
+where they lose a few ulps at most, and each series has _SERIES_TERMS
+terms past the first, which leave less than 2e-18 of I.  <T> is within 1e-15 of
+50-digit mpmath from a = 1e-307 to the largest float (5.8e-16 at worst
+over 4,000 draws, seams included), and non-increasing across each seam
+to the ulp.
+
+<U_R> is a Laplace transform of r^2 U_R(r), so its expensive part is
+shared across trial scales: it is taken with one fixed GK15 rule on
+geometric panels, _PANELS_PER_DECADE to the decade, with r^2 U_R(r)
+folded into the node table: U_R is sampled once (one AGM over the node
+array) and <U_R>(a) needs only an exp at the nodes and weighted sums.
+minimize_over_a builds one table for its whole window and takes its
+scan's grid in one pass: <U_R> for every trial scale at once, over
+(trial scale x node) arrays cut into PanelTable.chunks, bit for bit the
+values the floats give, and <T> from _kinetic at each scale; its Brent
 refinement takes floats, one a at a time, and the minima it finds are
-reported from one more pass over their a*.  The single-a functions build
-a table for [a, a].  The tables cover
+reported from one more pass over their a*.  potential_expectation builds
+a table for [a, a].  The table covers
 
     r in [1e-7 min(a_min, 2R), 60 a_max],
-    x in [1e-6 min(a_min, 1), 1e4 max(a_max, 1)],
 
-and what they leave out is below 1e-17 of each integral for a in the
-window (exp(-120) past 60 a; r^2 ln(1/r) and x^2 at the lower ends; an
-x^-7 tail at the upper one).  The embedded Gauss-7 rule checks the rest:
-the per-panel Kronrod-minus-Gauss differences, summed in magnitude,
-estimate the discretisation error from above (the 15-point sum is far
-more accurate than the 7-point one); the estimate is about 2e-15 relative
-at 8 panels per decade, and QuadratureError names a and R when it exceeds
-_REL_TOL.
+and what it leaves out is below 1e-17 of the integral for a in the
+window (exp(-120) past 60 a; r^2 ln(1/r) at the lower end).  The
+embedded Gauss-7 rule checks the rest: the per-panel Kronrod-minus-Gauss
+differences, summed in magnitude, estimate the discretisation error from
+above (the 15-point sum is far more accurate than the 7-point one); the
+estimate is about 2e-15 relative at 8 panels per decade, and
+QuadratureError names a and R when it exceeds _REL_TOL.
 
 Two regimes matter: a near the Bohr radius 2/alpha reproduces the weakly
 bound Coulombic state (E = 2 - alpha^2/4 + O(alpha^4)), and a near the
@@ -52,9 +83,7 @@ minimum LOCATION is robust.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -71,13 +100,21 @@ __all__ = [
 ]
 
 # Past the float range (trial scales near 1e-300 or 1e300, R near its
-# ends) the node tables overflow; the public functions run their numpy work
+# ends) the node table overflows; the public functions run their numpy work
 # under _quiet, and the rule's non-finite check reports it instead.
 _quiet = np.errstate(all="ignore")
 _REL_TOL = 1e-12
-# geometric GK15 panels per decade of the node tables: the Gauss-7 estimate
+# geometric GK15 panels per decade of the node table: the Gauss-7 estimate
 # is about 2e-15 of each integral here, and about 3e-11 at 4 per decade
 _PANELS_PER_DECADE = 8
+# Taylor terms past the first of each series of <T> near a = 1: at 1 - a^2
+# or 1 - b^2 = 1/2 the rest is below 2e-18 of I, at 40 terms below 3e-17
+_SERIES_TERMS = 44
+# the ratios of successive terms of 2F1(-1/2, p; 7/2; z), last first
+_RATIOS = {p: [(n - 0.5) * (n + p) / ((n + 3.5) * (n + 1)) for n in range(_SERIES_TERMS)][::-1]
+           for p in (1.5, 2.0)}
+_SERIES_SCALE = 128.0 / (15.0 * math.pi)  # (64/pi) (2/15)
+_SQRT_HALF, _SQRT_TWO = math.sqrt(0.5), math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,33 +136,40 @@ def _scale(a: float) -> float:
     return value
 
 
-def _table(
-    what: str, lo: float, hi: float, weight: Callable[[np.ndarray], np.ndarray]
-) -> PanelTable:
-    """The GK15 rule on geometric panels of [lo, hi], ``weight`` folded in."""
-    return PanelTable.build(what, geometric_edges(lo, hi, _PANELS_PER_DECADE), weight, _REL_TOL)
+def _series(p: float, z: float) -> float:
+    """2F1(-1/2, p; 7/2; z) to _SERIES_TERMS terms past the first, by
+    Horner's rule on the ratios of successive terms; I is
+    (2/15) b 2F1(-1/2, 2; 7/2; 1 - a^2) = (2/15) 2F1(-1/2, 3/2; 7/2; 1 - b^2)."""
+    total = 1.0
+    for ratio in _RATIOS[p]:
+        total = 1.0 + ratio * z * total
+    return total
 
 
-def _kinetic_table(a_min: float, a_max: float) -> PanelTable:
-    # the ends kept to normal floats: only for a below 2e-302 or above 1e304
-    # does that move them, and the integrand overflows there anyway, so the
-    # rule's non-finite check names a
-    return _table(
-        "kinetic expectation",
-        max(1e-6 * min(a_min, 1.0), sys.float_info.min),
-        min(1e4 * max(a_max, 1.0), sys.float_info.max),
-        lambda x: x * x / (1.0 + x * x) ** 4,
-    )
-
-
-def _kinetic_at(table: PanelTable, a: float) -> float:
-    u = table.nodes / a
-    return 64.0 / math.pi * table.integral(np.sqrt(1.0 + u * u), a=a)
+def _kinetic(a: float) -> float:
+    """<T>(a) in the four branches of the module docstring; inf or nan
+    where it leaves the float range (a below ~9.4e-309)."""
+    if a < _SQRT_HALF:
+        x = (1.0 - a) * (1.0 + a)  # 1 - a^2
+        acosh = (2.0 - a * a) * math.acosh(1.0 / a) / math.sqrt(x)
+        return 64.0 / math.pi * (1.0 / a / (12.0 * x) + a * a * a / (16.0 * x * x) * (1.0 - acosh))
+    if a <= 1.0:
+        return _SERIES_SCALE / a * _series(2.0, (1.0 - a) * (1.0 + a))
+    b = 1.0 / a
+    y = (1.0 - b) * (1.0 + b)  # 1 - b^2
+    if a <= _SQRT_TWO:
+        return _SERIES_SCALE * _series(1.5, y)
+    even = (2.0 * y - 1.0) / (y * y * math.sqrt(y)) - 1.0
+    asin = (2.0 * y - 1.0) * math.asin(b) / math.sqrt(y)
+    odd = -b * b * b / (12.0 * y) + (b - asin) / (16.0 * y * y)
+    return 2.0 + (2.0 * even + 64.0 / math.pi * odd)
 
 
 def _potential_table(
     R: float, a_min: float, a_max: float, cfg: PhysicalConfig | None
 ) -> PanelTable:
+    """The GK15 rule on geometric panels of the r range of the module
+    docstring, r^2 U_R(r) folded in."""
     RingParams(R)  # validates R
     cfg = cfg or PhysicalConfig()
 
@@ -141,49 +185,44 @@ def _potential_table(
         if not lo <= a <= hi:
             raise QuadratureError(f"{what} at a={a!r}: the prefactor 4/a^3 needs a in "
                                   f"[{lo:.4g}, {hi:.4g}], where a^3 is a normal float")
-    return _table(what, 1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, weight)
+    edges = geometric_edges(1e-7 * min(a_min, 2.0 * R), 60.0 * a_max, _PANELS_PER_DECADE)
+    return PanelTable.build(what, edges, weight, _REL_TOL)
 
 
 def _potential_at(table: PanelTable, a: float) -> float:
     return 4.0 / a**3 * table.integral(np.exp(-2.0 / a * table.nodes), a=a)
 
 
-def _expectations(
-    kinetic: PanelTable, potential: PanelTable, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(<T>, <U_R>) at each trial scale of ``a``, bit for bit as _kinetic_at
-    and _potential_at give them at a float: each in (trial scale x node)
-    passes, PanelTable.chunks of them, with the same elementwise
-    arithmetic and the prefactors on floats.  Its QuadratureError is the one
-    the floats raise, scale by scale, kinetic before potential."""
-    kin, pot = np.empty_like(a), np.empty_like(a)
-    try:
-        for rows in kinetic.chunks(a.size):
-            u = kinetic.nodes / a[rows, None, None]
-            kin[rows] = 64.0 / math.pi * kinetic.integrals(np.sqrt(1.0 + u * u), a=a[rows])
-        for rows in potential.chunks(a.size):
-            scale = a[rows]
-            prefactor = np.array([4.0 / x**3 for x in scale.tolist()])
-            pot[rows] = prefactor * potential.integrals(
-                np.exp(-2.0 / scale[:, None, None] * potential.nodes), a=scale
-            )
-    except QuadratureError:
-        for x in a.tolist():
-            _kinetic_at(kinetic, x)
-            _potential_at(potential, x)
-        raise
-    return kin, pot
+def _potentials(table: PanelTable, a: np.ndarray) -> np.ndarray:
+    """<U_R> at each trial scale of ``a``, bit for bit as _potential_at
+    gives it at a float: in (trial scale x node) passes, PanelTable.chunks
+    of them, with the same elementwise arithmetic and the prefactor on
+    floats.  Its QuadratureError is the floats' at the first failing scale."""
+    pot = np.empty_like(a)
+    for rows in table.chunks(a.size):
+        scale = a[rows]
+        prefactor = np.array([4.0 / x**3 for x in scale.tolist()])
+        values = np.exp(-2.0 / scale[:, None, None] * table.nodes)
+        pot[rows] = prefactor * table.integrals(values, a=scale)
+    return pot
 
 
-@_quiet
 def kinetic_expectation(a: float) -> float:
     """<2 sqrt(1 - Laplacian)> in the trial state of scale a.
 
     Monotone decreasing in a, from 16/(3 pi a) at small a (ultra-
-    relativistic) to 2 + 1/a^2 - 5/(4 a^4) + ... at large a.
+    relativistic) to 2 + 1/a^2 - 5/(4 a^4) + ... at large a.  Taken in
+    closed form (module docstring): the acosh form below a = 1/sqrt(2),
+    a series within a factor sqrt(2) of a = 1, the acos form above
+    sqrt(2); within 1e-15 of the integral at every a from 1e-307 to the
+    largest float.  Below a ~ 9.4e-309 <T> exceeds the largest float, and
+    QuadratureError names a.
     """
     av = _scale(a)
-    return _kinetic_at(_kinetic_table(av, av), av)
+    value = _kinetic(av)
+    if not math.isfinite(value):
+        raise QuadratureError(f"kinetic expectation at a={av!r}: <T> exceeds the largest float")
+    return value
 
 
 @_quiet
@@ -216,24 +255,23 @@ def minimize_over_a(
 
     Logarithmic scan plus parabolic refinement, same discipline as the
     potential-curve minimizers: the tight and Coulombic minima are nine
-    decades apart, so linear scanning is useless.  Every E(a) comes from
-    one pair of node tables built for the window, the scan's grid and the
-    minima's a* each in one chunked pass (see the module docstring); of
-    ``cfg`` only alpha is read.  Raises OptimizeError when the window
-    contains no interior minimum.
+    decades apart, so linear scanning is useless.  Every <U_R> comes from
+    one node table built for the window, the scan's grid and the minima's
+    a* each in one chunked pass, and every <T> from the closed form (see
+    the module docstring); of ``cfg`` only alpha is read.  Raises
+    OptimizeError when the window contains no interior minimum.
     """
     if not (0.0 < a_min < a_max):
         raise ValueError(f"need 0 < a_min < a_max; got ({a_min!r}, {a_max!r})")
     potential = _potential_table(R, a_min, a_max, cfg)
-    kinetic = _kinetic_table(a_min, a_max)
 
     def f(a: float | np.ndarray) -> float | np.ndarray:
         # the scan's grid in one chunked pass, the refinement's floats one
         # at a time; f must not call itself: that would leave a garbage
-        # cycle per call, holding both node tables
+        # cycle per call, holding the node table
         if isinstance(a, np.ndarray):
-            return np.add(*_expectations(kinetic, potential, a))
-        return _kinetic_at(kinetic, a) + _potential_at(potential, a)
+            return np.array(list(map(_kinetic, a.tolist()))) + _potentials(potential, a)
+        return _kinetic(a) + _potential_at(potential, a)
 
     points = find_local_minima(f, a_min, a_max, points_per_decade=points_per_decade)
     if not points:
@@ -241,9 +279,9 @@ def minimize_over_a(
             f"no variational minimum for a in ({a_min:g}, {a_max:g}) at R={R!r}"
         )
     a_star = [p.r_star for p in points]
-    kin, pot = _expectations(kinetic, potential, np.array(a_star))
+    pot = _potentials(potential, np.array(a_star)).tolist()
     results = [
         VariationalResult(a_star=a, kinetic=k, potential=u, energy=k + u, R=R)
-        for a, k, u in zip(a_star, kin.tolist(), pot.tolist())
+        for a, k, u in zip(a_star, map(_kinetic, a_star), pot)
     ]
     return sorted(results, key=lambda v: v.energy)

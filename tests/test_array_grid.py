@@ -9,7 +9,6 @@ float calls are made, no garbage cycle is left behind, and no numpy
 warning escapes (pyproject.toml makes every RuntimeWarning a test failure).
 """
 
-import dataclasses
 import gc
 import math
 import re
@@ -276,17 +275,21 @@ R_VARIATIONAL = 2.661639e-5
 @pytest.mark.parametrize("chunk", [quadrature._CHUNK_NODES, 5000])
 def test_variational_grid_is_the_float_energies(grids_compared, monkeypatch, chunk):
     # every trial scale of the grid's (a x node) passes gives its float
-    # expectations bit for bit; at 5000 elements a pass holds 2 or 3 scales,
-    # so each grid crosses dozens of chunk boundaries
+    # <U_R> bit for bit, and the objective its float E(a), <T> taken from
+    # the closed form at each scale; at 5000 elements a pass holds 2 or 3
+    # scales, so each grid crosses dozens of chunk boundaries
     monkeypatch.setattr(quadrature, "_CHUNK_NODES", chunk)
+    objectives, compare = [], variational.find_local_minima
+    monkeypatch.setattr(variational, "find_local_minima",
+                        lambda f, *window, **kw: objectives.append(f) or compare(f, *window, **kw))
     for lo, hi in VARIATIONAL_WINDOWS:
         variational.minimize_over_a(R_VARIATIONAL, lo, hi, CFG)
-        kinetic = variational._kinetic_table(lo, hi)
         potential = variational._potential_table(R_VARIATIONAL, lo, hi, CFG)
         a = np.geomspace(lo, hi, 401)
-        kin, pot = variational._expectations(kinetic, potential, a)
-        assert kin.tolist() == [variational._kinetic_at(kinetic, x) for x in a.tolist()]
+        pot = variational._potentials(potential, a)
         assert pot.tolist() == [variational._potential_at(potential, x) for x in a.tolist()]
+        energy = objectives[-1]
+        assert energy(a).tolist() == [energy(x) for x in a.tolist()]
     assert grids_compared == VARIATIONAL_WINDOWS
 
 
@@ -308,7 +311,7 @@ def _grid_and_float_errors(monkeypatch, *args):
     [*VARIATIONAL_WINDOWS, (_R_RANGE[0], 1e3 * _R_RANGE[0]), (1e-3 * _R_RANGE[1], _R_RANGE[1])],
 )
 def test_variational_grid_fails_as_the_floats_fail(monkeypatch, window):
-    # one panel per decade is far too coarse for both tables
+    # one panel per decade is far too coarse for the potential's table
     monkeypatch.setattr(variational, "_PANELS_PER_DECADE", 1)
     grid, floats = _grid_and_float_errors(monkeypatch, R_VARIATIONAL, *window, CFG)
     assert grid == floats
@@ -316,30 +319,26 @@ def test_variational_grid_fails_as_the_floats_fail(monkeypatch, window):
 
 
 def test_variational_grid_names_the_first_failing_scale(monkeypatch):
-    # the pass takes every kinetic integral before any potential one, yet
-    # its error is the floats': here the kinetic integral fails from 1e-5
-    # on and the potential one at every scale, so the potential error at
-    # a_min comes first
+    # the potential integral fails from 1e-5 on, in the grid's fourth pass:
+    # the chunked passes name the first failing scale, as the floats do
     class FailsFrom(PanelTable):
         def integral(self, values, **at):
             if at["a"] >= 1e-5:
-                raise QuadratureError(f"kinetic fails at a={at['a']!r}")
+                raise QuadratureError(f"fails at a={at['a']!r}")
             return super().integral(values, **at)
 
         def integrals(self, values, **at):
             late = at["a"][at["a"] >= 1e-5]
             if late.size:
-                raise QuadratureError(f"kinetic fails at a={float(late[0])!r}")
+                raise QuadratureError(f"fails at a={float(late[0])!r}")
             return super().integrals(values, **at)
 
-    kinetic, potential = variational._kinetic_table, variational._potential_table
-    monkeypatch.setattr(variational, "_kinetic_table", lambda *w: FailsFrom(**vars(kinetic(*w))))
-    # no rule meets a zero tolerance
+    potential = variational._potential_table
     monkeypatch.setattr(variational, "_potential_table",
-                        lambda *args: dataclasses.replace(potential(*args), rel_tol=0.0))
+                        lambda *args: FailsFrom(**vars(potential(*args))))
     grid, floats = _grid_and_float_errors(monkeypatch, R_VARIATIONAL, 1e-6, 1e-4, CFG)
     assert grid == floats
-    assert f"potential expectation for R={R_VARIATIONAL!r} at a=1e-06: Gauss-7" in grid
+    assert grid == "fails at a=1e-05"  # the grid's point at the decade
 
 
 def test_array_passes_stay_within_one_chunk(monkeypatch):

@@ -219,13 +219,23 @@ def test_ring_radius_past_the_float_range_is_a_usage_error(capsys, argv):
     ],
 )
 def test_trial_scales_past_the_float_range_are_a_numerical_failure(capsys, argv):
-    # the node tables then span more than the float range: hi/lo overflows.
-    # The integrands overflow at such scales too (silently: the numpy work
-    # runs under np.errstate), and the rule's non-finite check names a; a
-    # trial scale whose cube is not a normal float is named before that
+    # a trial scale whose cube is not a normal float is named by <U_R>'s
+    # prefactor 4/a^3, before its node table would span more than the
+    # float range (hi/lo overflows) and its integrand overflow (silently:
+    # the numpy work runs under np.errstate)
     code, _, err = run_cli(capsys, "variational", "--R", "2.6e-5", *argv)
     assert code == 3
     assert "numerical failure" in err and " a=" in err
+
+
+def test_tiny_trial_scale_fails_in_the_potential_not_the_kinetic_term(capsys):
+    # <T> is finite at a = 1e-200 (the kinetic node table's nodes squared
+    # past the float range there): the failure is <U_R>'s, naming the range
+    # of a where 4/a^3 is finite
+    code, _, err = run_cli(capsys, "variational", "--R", "2.661639e-5", "--a", "1e-200")
+    assert code == 3
+    assert err.startswith("numerical failure: potential expectation for R=2.661639e-05 at "
+                          "a=1e-200: the prefactor 4/a^3 needs a in ["), err
 
 
 def test_dipole_window_past_the_float_range_is_a_numerical_failure(capsys):
@@ -1147,7 +1157,7 @@ def _verb_argvs(draw):
 @settings(max_examples=100, deadline=None)
 @given(argv=_verb_argvs())
 # each divided by zero or overflowed, with a traceback: alpha^2/2pi
-# underflowing to 0, and the kinetic node table's ends leaving the floats
+# underflowing to 0, and trial scales at both ends of the floats
 @example(argv=["flux-solve", "--json", "--kappa=7.9", "--alpha=5.29e-321"])
 @example(argv=["tune", "--json", "--model=ring-bltp", "--alpha=5e-324"])
 @example(argv=["variational", "--json", "--R=7.0", "--a=5e-324"])

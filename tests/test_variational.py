@@ -3,16 +3,17 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
 from positronium import variational
 from positronium.models import PhysicalConfig, _R_RANGE
 from positronium.optimize import Bracket, OptimizeError, minimize_scalar
-from positronium.quadrature import QuadratureError
+from positronium.quadrature import PanelTable, QuadratureError
 from positronium.variational import (
     energy_expectation,
     kinetic_expectation,
@@ -92,12 +93,30 @@ def oracle_energy(a: float, R: float) -> float:
     return oracle_kinetic(a) + oracle_potential(a, R)[0]
 
 
-def test_trial_state_norm_is_one():
-    # (32/pi) int_0^inf x^2 (1+x^2)^-4 dx = 1, on the kinetic node table
+def mpmath_kinetic(a: float) -> mpmath.mpf:
+    """<T>(a) = (64/pi) int_0^1 s^2 (1 - s^2) sqrt(1 + beta s^2) ds, beta =
+    1/a^2 - 1, by 50-digit mpmath quadrature."""
+    with mpmath.workdps(50):
+        b = 1 / mpmath.mpf(a)
+        beta = (b - 1) * (b + 1)
+        integral = mpmath.quad(lambda s: s * s * (1 - s * s) * mpmath.sqrt(1 + beta * s * s), [0, 1])
+        return 64 / mpmath.pi * integral
+
+
+def assert_kinetic_matches_mpmath(a: float) -> None:
+    exact = mpmath_kinetic(a)
+    with mpmath.workdps(50):
+        assert abs(kinetic_expectation(a) - exact) <= 1e-15 * exact, a
+
+
+def test_trial_state_norm_is_one(monkeypatch):
+    # (4/a^3) int_0^inf r^2 exp(-2r/a) dr = 1: <U_R> for U_R = 1, on the
+    # potential's node table; in momentum space the norm is half of <T> at
+    # b = 1/a = 0, exactly 2 (test_kinetic_is_finite_wherever_its_value_is)
+    monkeypatch.setattr(variational, "_ring_lines",
+                        lambda R, e, m, r, hypot: (np.ones_like(r), np.zeros_like(r)))
     for a in (1e-7, 1.5726e-5, 1.0, 274.0):
-        table = variational._kinetic_table(a, a)
-        norm = table.integral(np.ones_like(table.nodes), a=a)
-        assert 32.0 / math.pi * norm == pytest.approx(1.0, rel=1e-12)
+        assert potential_expectation(a, R_REF) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_kinetic_frozen_value():
@@ -236,11 +255,73 @@ def test_trial_scales_whose_cube_is_not_a_normal_float_name_a():
         minimize_over_a(2.6e-5, 1e-120, 1e-100, CFG)
     for a in _R_RANGE:
         assert math.isfinite(energy_expectation(a, 2.6e-5))
-    # the kinetic node table's ends underflowed to 0 or overflowed to inf
-    for a in (5e-324, 1.7976931348623157e308):
+
+
+def test_kinetic_is_finite_wherever_its_value_is():
+    # the kinetic node table's nodes squared past the float range for a
+    # above ~1.3e150 or below ~7.5e-151 ("non-finite integrand"); the closed
+    # form is exact there: 16/(3 pi a) at small a, 2 at large a
+    for a in (1e-200, 1e200, 1e300, 1.7976931348623157e308):
+        assert_kinetic_matches_mpmath(a)
+    assert kinetic_expectation(1.7976931348623157e308) == 2.0
+    # below ~9.4e-309 <T> itself exceeds the largest float
+    for a in (9e-309, 5e-324):
         where = rf"kinetic expectation at a={re.escape(repr(a))}: "
         with pytest.raises(QuadratureError, match=where):
             kinetic_expectation(a)
+
+
+# where _kinetic changes branch: acosh form | series in 1 - a^2 | series in
+# 1 - b^2 | acos form
+SEAMS = (variational._SQRT_HALF, 1.0, variational._SQRT_TWO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-307.0, 308.0).map(lambda log_a: 10.0**log_a))
+@example(a=1e-307)
+@example(a=1.7976931348623157e308)
+@example(a=0.8164)  # just past beta = 1/2, where a seam there lost 9.7e-16
+@example(a=0.9)  # inside each series' range, where the closed forms cancel
+@example(a=1.2)
+@example(a=math.nextafter(SEAMS[0], 0.0))
+@example(a=SEAMS[0])
+@example(a=math.nextafter(SEAMS[0], math.inf))
+@example(a=math.nextafter(1.0, 0.0))
+@example(a=1.0)
+@example(a=math.nextafter(1.0, math.inf))
+@example(a=math.nextafter(SEAMS[2], 0.0))
+@example(a=SEAMS[2])
+@example(a=math.nextafter(SEAMS[2], math.inf))
+def test_kinetic_closed_form_against_mpmath(a):
+    assert_kinetic_matches_mpmath(a)
+
+
+@pytest.mark.parametrize("seam", SEAMS)
+def test_kinetic_decreases_across_each_seam(seam):
+    # an ulp either side, and 2^-40 of the seam apart, where <T> changes by
+    # about 1e-13: far more than the error of either branch
+    grid = [seam * (1.0 + k * 2.0**-40) for k in range(-3, 4)]
+    grid[3:4] = [math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)]
+    values = [kinetic_expectation(a) for a in grid]
+    assert all(x >= y for x, y in zip(values, values[1:])), values
+    assert all(x > y for x, y in zip(values[::3], values[3::3])), values
+
+
+def test_one_node_table_per_minimization(monkeypatch):
+    # the work count behind minimize_over_a's speed: its kinetic node table
+    # is gone, so a window builds the potential's table and nothing else
+    built = []
+    build = PanelTable.build.__func__
+    monkeypatch.setattr(PanelTable, "build", classmethod(
+        lambda cls, what, *args: built.append(what) or build(cls, what, *args)))
+    for window in ((1e-6, 1e-4), (1.0, 1e4)):
+        built.clear()
+        minimize_over_a(R_REF, *window, CFG)
+        assert built == [f"potential expectation for R={R_REF!r}"]
+    built.clear()
+    for a in (1e-6, 0.9, 1.0, 1.2, 274.0):
+        kinetic_expectation(a)
+    assert built == []
 
 
 def test_window_validation_and_empty_window():
@@ -279,21 +360,23 @@ def test_expectations_property_against_quadpack_oracle(log_a, R):
 
 
 def test_scan_table_matches_the_single_scale_values():
-    # one table for the window and one per a: the same integrals on other
-    # nodes, so they agree to the rule's accuracy, not bit for bit
+    # <T> is the closed form in both, bit for bit; <U_R> takes one table for
+    # the window and one per a: the same integral on other nodes, so they
+    # agree to the rule's accuracy, not bit for bit
     for best in minimize_over_a(R_REF, 1e-6, 1e4, CFG):
-        assert best.kinetic == pytest.approx(kinetic_expectation(best.a_star), rel=1e-14)
+        assert best.kinetic == kinetic_expectation(best.a_star)
         assert best.potential == pytest.approx(
             potential_expectation(best.a_star, R_REF), rel=1e-14
         )
 
 
 def test_error_estimate_names_the_scale_and_the_radius(monkeypatch):
-    # one panel per decade is far too coarse: the Gauss-7 estimate trips
+    # one panel per decade is far too coarse: the Gauss-7 estimate trips;
+    # <T> is in closed form, with no rule to trip
+    kinetic = kinetic_expectation(1e-3)
     monkeypatch.setattr(variational, "_PANELS_PER_DECADE", 1)
     with pytest.raises(QuadratureError, match=r"potential expectation for R=2\.661639e-05 at a="):
         potential_expectation(1e-5, R_REF)
-    with pytest.raises(QuadratureError, match=r"kinetic expectation at a=0\.001: Gauss-7"):
-        kinetic_expectation(1e-3)
+    assert kinetic_expectation(1e-3) == kinetic
     with pytest.raises(QuadratureError, match=r"at a=1e-06: Gauss-7 error estimate"):
         minimize_over_a(R_REF, 1e-6, 1e-4, CFG)
